@@ -182,6 +182,10 @@ def _coupling_from_config(config: dict):
     """Coupling matrices from either a lattice spec or a binary matrix file."""
     if "gamma_file" in config:
         gamma = read_matrix_binary(config["gamma_file"])
+        if not np.all(np.isfinite(gamma)):
+            raise PhysicsValidationError("gamma file holds non-finite entries")
+        if not np.allclose(gamma, gamma.T, atol=1e-12):
+            raise PhysicsValidationError("gamma file holds an asymmetric matrix")
         n = gamma.shape[0]
         return CouplingMatrices(gamma=gamma, jmat=np.zeros_like(gamma),
                                 gamma0=float(gamma[0, 0]), n=n), None

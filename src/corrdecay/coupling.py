@@ -96,11 +96,6 @@ class CouplingMatrices:
     gamma0: float
     n: int
 
-    def check_shape(self):
-        for name, m in (("gamma", self.gamma), ("jmat", self.jmat)):
-            if m.shape != (self.n, self.n):
-                raise PhysicsValidationError(f"{name} must be {self.n} x {self.n}")
-
 
 @dataclass
 class PsdDiagnostic:

@@ -87,13 +87,8 @@ def _objective(gtilde, v):
 
 
 def _project_rows(v):
-    """Scale any row with norm > 1 back onto the unit ball."""
-    norms = np.linalg.norm(v, axis=1)
-    over = norms > 1.0
-    if np.any(over):
-        v = v.copy()
-        v[over] /= norms[over, None]
-    return v
+    """Scale any row with norm > 1 back onto the unit ball (x / 1.0 is exact)."""
+    return v / np.maximum(np.linalg.norm(v, axis=1), 1.0)[:, None]
 
 
 def default_rank(n: int) -> int:
@@ -124,7 +119,8 @@ def _ascend(gtilde, v, max_iters, tol):
     spectral_scale = max(float(np.abs(gtilde).sum(axis=1).max()), 1e-12)
     step = 1.0 / spectral_scale
     grad = 0.5 * (gtilde @ v)
-    best_f = f = _objective(gtilde, v)
+    # f = (1/4) Tr(V^T Gtilde V) = (1/2) sum(V * grad): one product per iteration
+    best_f = f = 0.5 * float(np.sum(v * grad))
     best_v = v.copy()
     history = [f]
     iterations = 0
@@ -139,7 +135,7 @@ def _ascend(gtilde, v, max_iters, tol):
         if abs(denom) > 1e-300:
             step = min(max(abs(num / denom), 1e-3 / spectral_scale), 1e6 / spectral_scale)
         v, grad = v_new, grad_new
-        f = _objective(gtilde, v)
+        f = 0.5 * float(np.sum(v * grad))
         history.append(f)
         if f > best_f:
             best_f, best_v = f, v.copy()
@@ -188,11 +184,7 @@ def solve_low_rank(problem: SdpProblem, rank: int | None = None, seed: int = 0,
         else:
             escape_ok = False
 
-    if not converged:
-        sol = _solution_from_factor(problem, v, total_iters, grad_res, "lowrank", False, gamma0)
-        sol.rank_escape_verified = escape_ok
-        return sol
-    sol = _solution_from_factor(problem, v, total_iters, grad_res, "lowrank", True, gamma0)
+    sol = _solution_from_factor(problem, v, total_iters, grad_res, "lowrank", converged, gamma0)
     sol.rank_escape_verified = escape_ok
     return sol
 
@@ -286,22 +278,26 @@ def round_to_product_state(solution: SdpSolution, problem: SdpProblem,
     s /= np.linalg.norm(s, axis=1, keepdims=True)
 
     gtilde = problem.gtilde
+    x = np.ascontiguousarray(s[:, 0])
+    y = np.ascontiguousarray(s[:, 1])
     for _ in range(max_sweeps):
         improved = False
-        for i in range(problem.n):
-            b = gtilde[i] @ s
-            nrm = np.linalg.norm(b)
+        for i, row in enumerate(gtilde):
+            bx = float(row @ x)
+            by = float(row @ y)
+            nrm = math.hypot(bx, by)
             if nrm < 1e-300:
                 continue
             # moving spin i to b/|b| changes the objective by (|b| - s_i.b)/2
-            gain = 0.5 * (nrm - float(np.dot(s[i], b)))
+            gain = 0.5 * (nrm - (x[i] * bx + y[i] * by))
             if gain > tol:
-                s[i] = b / nrm
+                x[i] = bx / nrm
+                y[i] = by / nrm
                 improved = True
         if not improved:
             break
-    value = 0.25 * float(np.sum(s * (gtilde @ s)))
-    return ProductRounding(angles=np.arctan2(s[:, 1], s[:, 0]), value=value)
+    value = 0.25 * float(x @ (gtilde @ x) + y @ (gtilde @ y))
+    return ProductRounding(angles=np.arctan2(y, x), value=value)
 
 
 def sdp_certificates(problem: SdpProblem, solution: SdpSolution, gamma_max: float,

@@ -86,6 +86,19 @@ def test_analyze_rejects_non_psd_matrix(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("command", ["exact", "analyze"])
+@pytest.mark.parametrize("entry", [0.5, np.nan], ids=["asymmetric", "nan"])
+def test_gamma_file_rejects_invalid_matrix(tmp_path, command, entry):
+    from corrdecay.coupling import write_matrix_binary
+
+    bad = np.eye(3)
+    bad[0, 1] = entry  # bad[1, 0] stays 0: asymmetric, or NaN
+    mat_file = tmp_path / "bad.bin"
+    write_matrix_binary(bad, mat_file)
+    rc = main([command, "--gamma-file", str(mat_file), "--out", str(tmp_path)])
+    assert rc == 3
+
+
 def test_scan_writes_table_and_fit(tmp_path):
     rc = main(["scan", "--dim", "1", "--d", "0.4", "--pol", "z",
                "--sizes", "8,16,32", "--quantity", "gamma_max",
