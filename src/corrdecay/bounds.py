@@ -136,18 +136,19 @@ def burst_slope(mats: CouplingMatrices) -> float:
     return fro2 - 2.0 * mats.n * mats.gamma0**2
 
 
-def burst_slope_upper_bound(mats: CouplingMatrices, delta: float, r_star: float,
+def burst_slope_upper_bound(summary: SpectralSummary, r_star: float,
                             rank_tol: float = 1e-10) -> float:
     """Cap on the initial slope in terms of r_star and the numerical rank.
 
     (16/N^2) (1 + delta^2)^2 rank(gamma) r_star^2 - 2 N gamma0^2, with the
-    rank counted at threshold rank_tol * gamma_max (finite arrays are
-    numerically full rank, which makes this a loose but honest cap).
+    rank counted from the summary's eigenvalues at threshold
+    rank_tol * gamma_max (finite arrays are numerically full rank, which
+    makes this a loose but honest cap).
     """
-    eigs = np.linalg.eigvalsh(mats.gamma)
-    rank = int(np.sum(eigs > rank_tol * max(eigs[-1], 1e-300)))
-    n = mats.n
-    return (16.0 / n**2) * (1.0 + delta**2) ** 2 * rank * r_star**2 - 2.0 * n * mats.gamma0**2
+    rank = int(np.sum(summary.eigenvalues > rank_tol * max(summary.gamma_max, 1e-300)))
+    n = summary.n
+    return ((16.0 / n**2) * (1.0 + summary.delta**2) ** 2 * rank * r_star**2
+            - 2.0 * n * summary.gamma0**2)
 
 
 @dataclass
@@ -279,7 +280,7 @@ def driven_report(summary: SpectralSummary, bounds: BoundsReport,
         w_star_ub_conservative=2.0 * bounds.lb_best / mats.n,
         w_star_ub_permissive=2.0 * bounds.ub / mats.n,
         r_dot0=slope,
-        r_dot0_upper=burst_slope_upper_bound(mats, summary.delta, bounds.ub),
+        r_dot0_upper=burst_slope_upper_bound(summary, bounds.ub),
         burst=bool(slope > 0.0),
         tau0=bt.tau0,
         t_r=bt.t_r,

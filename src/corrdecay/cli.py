@@ -36,7 +36,7 @@ from .kspace import gamma_k_grid
 from .lattice import MAX_ATOMS, LatticeSpec, build_array
 from .rydberg import RydbergInput, read_transition_table, rydberg_report
 from .sdp import SdpProblem, round_to_product_state, sdp_certificates, solve_low_rank, solve_projection
-from .spectral import decompose, momentum_distribution, spectrum_to_csv
+from .spectral import decompose, gamma_max_only, momentum_distribution, spectrum_to_csv
 from .sweep import DisorderSpec, SweepPlan, fit_table, run_sweep, sweep_sizes
 
 DEFAULT_SEED = 20250810  # fixed fallback so omitted seeds stay reproducible
@@ -55,11 +55,14 @@ _LATTICE_KEYS = {
 _GLOBAL_KEYS = {
     "threads": {"type": "integer", "minimum": 1},
     "out": {"type": "string"},
-    "output_format": {"type": "string", "enum": ["csv", "binary", "both"]},
 }
 
 SCHEMAS = {
-    "gamma": {**_LATTICE_KEYS, **_GLOBAL_KEYS},
+    "gamma": {
+        **_LATTICE_KEYS,
+        **_GLOBAL_KEYS,
+        "output_format": {"type": "string", "enum": ["csv", "binary", "both"]},
+    },
     "analyze": {
         **_LATTICE_KEYS,
         **_GLOBAL_KEYS,
@@ -69,7 +72,7 @@ SCHEMAS = {
         "max_dense_dim": {"type": "integer", "minimum": 1},
     },
     "scan": {
-        **_LATTICE_KEYS,
+        **{key: rule for key, rule in _LATTICE_KEYS.items() if key != "n"},
         **_GLOBAL_KEYS,
         "quantity": {"type": "string", "enum": ["gamma_max", "sdp_estimate", "lb_best", "ub"]},
         "sizes": {"type": "array", "items": {"type": "integer", "minimum": 1}},
@@ -101,7 +104,6 @@ SCHEMAS = {
         "d": {"type": "number", "exclusiveMinimum": 0},
         "pol_tag": {"type": "string", "enum": ["parallel", "perpendicular"]},
         "reg_delta": {"type": "number", "exclusiveMinimum": 0},
-        "seed": {"type": "integer"},
     },
     "rydberg": {
         **_GLOBAL_KEYS,
@@ -112,7 +114,6 @@ SCHEMAS = {
         "rabi": {"type": "number", "exclusiveMinimum": 0},
         "dominant": {"type": "string"},
         "exact_gamma_max_hz": {"type": "number", "exclusiveMinimum": 0},
-        "seed": {"type": "integer"},
     },
 }
 
@@ -131,7 +132,8 @@ def _validate_config(command: str, config: dict) -> None:
         raise ConfigError(f"config schema violation: {exc.message}") from exc
 
 
-def _merge_config(command: str, args: argparse.Namespace, flag_names: list) -> dict:
+def _merge_config(command: str, args: argparse.Namespace) -> dict:
+    """Config file keys overridden by every flag given; the schema rejects extras."""
     config = {}
     if getattr(args, "config", None):
         try:
@@ -141,10 +143,8 @@ def _merge_config(command: str, args: argparse.Namespace, flag_names: list) -> d
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         config.update(loaded)
-    for name in flag_names:
-        value = getattr(args, name, None)
-        if value is not None:
-            config[name] = value
+    config.update({name: value for name, value in vars(args).items()
+                   if value is not None and name not in ("command", "func", "config")})
     _validate_config(command, config)
     return config
 
@@ -230,8 +230,7 @@ def _out_dir(config: dict) -> Path:
 
 def cmd_gamma(args) -> int:
     t0 = time.time()
-    config = _merge_config("gamma", args, ["dim", "n", "d", "pol", "eta", "seed",
-                                           "threads", "out", "output_format"])
+    config = _merge_config("gamma", args)
     spec = _lattice_from_config(config)
     mats = build_coupling_matrices(build_array(spec))
     diag = validate_psd(mats)
@@ -259,10 +258,7 @@ def cmd_gamma(args) -> int:
 
 def cmd_analyze(args) -> int:
     t0 = time.time()
-    config = _merge_config("analyze", args, ["dim", "n", "d", "pol", "eta", "seed",
-                                             "gamma_file", "exact_max_n", "sdp_max_n",
-                                             "max_dense_dim", "threads", "out",
-                                             "output_format"])
+    config = _merge_config("analyze", args)
     mats, spec = _coupling_from_config(config)
     threads = config.get("threads", _default_threads())
     diag = validate_psd(mats)
@@ -310,10 +306,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_scan(args) -> int:
     t0 = time.time()
-    config = _merge_config("scan", args, ["dim", "n_min", "n_max", "count", "spacing_mode",
-                                          "sizes", "d", "pol", "quantity", "eta",
-                                          "realizations", "seed", "threads", "out",
-                                          "output_format"])
+    config = _merge_config("scan", args)
     if "sizes" in config:
         sizes = config["sizes"]
     elif "n_min" in config and "n_max" in config:
@@ -365,9 +358,7 @@ def cmd_scan(args) -> int:
 
 def cmd_sdp(args) -> int:
     t0 = time.time()
-    config = _merge_config("sdp", args, ["dim", "n", "d", "pol", "eta", "seed",
-                                         "gamma_file", "solver", "rank", "max_iters",
-                                         "tol", "threads", "out", "output_format"])
+    config = _merge_config("sdp", args)
     mats, _ = _coupling_from_config(config)
     problem = SdpProblem.from_coupling(mats)
     kwargs = {}
@@ -380,8 +371,7 @@ def cmd_sdp(args) -> int:
                              seed=config.get("seed", DEFAULT_SEED), **kwargs)
     else:
         sol = solve_projection(problem, **kwargs)
-    gamma_max = float(np.linalg.eigvalsh(mats.gamma)[-1])
-    cert = sdp_certificates(problem, sol, gamma_max, mats.gamma0)
+    cert = sdp_certificates(problem, sol, gamma_max_only(mats), mats.gamma0)
     rounding = round_to_product_state(sol, problem)
     doc = sol.to_dict()
     doc["certificates"] = cert
@@ -401,9 +391,7 @@ def cmd_sdp(args) -> int:
 
 def cmd_exact(args) -> int:
     t0 = time.time()
-    config = _merge_config("exact", args, ["dim", "n", "d", "pol", "eta", "seed",
-                                           "gamma_file", "max_dense_dim", "threads",
-                                           "out", "output_format"])
+    config = _merge_config("exact", args)
     mats, _ = _coupling_from_config(config)
     result = exact_rstar(mats, max_dense_dim=config.get("max_dense_dim", 4096),
                          seed=config.get("seed", DEFAULT_SEED),
@@ -417,8 +405,7 @@ def cmd_exact(args) -> int:
 
 def cmd_kspace(args) -> int:
     t0 = time.time()
-    config = _merge_config("kspace", args, ["dim", "n", "d", "pol_tag", "reg_delta",
-                                            "seed", "threads", "out", "output_format"])
+    config = _merge_config("kspace", args)
     for key in ("dim", "n", "d"):
         if key not in config:
             raise ConfigError(f"missing required key '{key}'")
@@ -441,9 +428,7 @@ def cmd_kspace(args) -> int:
 
 def cmd_rydberg(args) -> int:
     t0 = time.time()
-    config = _merge_config("rydberg", args, ["table", "n_atoms", "spacing_um", "c6",
-                                             "rabi", "dominant", "exact_gamma_max_hz",
-                                             "seed", "threads", "out", "output_format"])
+    config = _merge_config("rydberg", args)
     for key in ("table", "n_atoms", "spacing_um", "c6", "rabi", "dominant"):
         if key not in config:
             raise ConfigError(f"missing required key '{key}'")
@@ -481,16 +466,14 @@ def _add_lattice_flags(p: argparse.ArgumentParser):
     p.add_argument("--d", type=float, help="lattice constant in units of lambda0")
     p.add_argument("--pol", help="polarization: x|y|z or 'px,py,pz'")
     p.add_argument("--eta", type=float, help="Gaussian position disorder in units of d")
+    p.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
 
 
 def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
     p.add_argument("--threads", type=int,
                    help="worker threads (default $CORRDECAY_THREADS or 1)")
     p.add_argument("--out", help="output directory (default .)")
-    p.add_argument("--output-format", dest="output_format",
-                   choices=["csv", "binary", "both"], help="matrix output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -507,6 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma", help="build and export the coupling matrices")
     _add_lattice_flags(p)
     _add_common_flags(p)
+    p.add_argument("--output-format", dest="output_format",
+                   choices=["csv", "binary", "both"], help="matrix output format")
     p.set_defaults(func=cmd_gamma)
 
     p = sub.add_parser("analyze", help="spectral summary, bounds, SDP, driven report "

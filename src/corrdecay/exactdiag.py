@@ -5,8 +5,11 @@ The auxiliary Hamiltonian sum_ij Gamma_ij sigma+_i sigma-_j conserves the
 excitation number, so it block-diagonalizes into sectors labelled by m, the
 number of de-excited qubits (m = 0 is fully excited). Sector bases are
 bitmasks (bit i set = qubit i excited) sorted ascending, with searchsorted
-index lookup. Note this is a 2^N-space diagonalization; the N x N matrix
-eigenproblem lives in spectral.py and is a different, much cheaper beast.
+index lookup and the per-qubit occupancy computed once per basis. One hop
+kernel, _hops, drives both the matrix-free matvec and the dense sector
+build; Haar sampling pushes blocks of samples through the matvec. Note this
+is a 2^N-space diagonalization; the N x N matrix eigenproblem lives in
+spectral.py and is a different, much cheaper beast.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,8 +28,8 @@ from .lattice import _rng
 
 MAX_QUBITS = 24  # C(24,12) ~ 2.7e6 is the largest tractable sector
 MAX_DENSE_DIM = 4096
-MAX_QUBITS_DENSE = 12
 MAX_QUBITS_HAAR = 14
+HAAR_BLOCK = 64  # Haar samples per block; a block holds HAAR_BLOCK * 2^N amplitudes
 
 
 @dataclass
@@ -33,7 +37,8 @@ class SectorBasis:
     """Computational basis of one excitation sector of N qubits.
 
     The bitmask -> position index map is realized by binary search over the
-    sorted mask array (see position()).
+    sorted mask array (see position()). The occupancy (occ) is computed once
+    and read by every operator application.
     """
 
     n: int
@@ -43,6 +48,12 @@ class SectorBasis:
     @property
     def dim(self) -> int:
         return self.states.size
+
+    @cached_property
+    def occ(self) -> np.ndarray:
+        """(n, dim) bool; occ[i] flags the states with qubit i excited."""
+        bits = np.arange(self.n, dtype=np.uint64)[:, None]
+        return ((self.states >> bits) & np.uint64(1)).astype(bool)
 
     @classmethod
     def build(cls, n: int, m_ground: int) -> "SectorBasis":
@@ -63,60 +74,52 @@ class SectorBasis:
         return np.searchsorted(self.states, mask)
 
 
+def _diagonal(gamma: np.ndarray, basis: SectorBasis) -> np.ndarray:
+    """Sum of Gamma_ii over the excited qubits of each basis state."""
+    diag = np.zeros(basis.dim)
+    for i in range(basis.n):
+        diag[basis.occ[i]] += gamma[i, i]
+    return diag
+
+
+def _hops(gamma: np.ndarray, basis: SectorBasis):
+    """Yield (amp, src, dst) for every nonzero hop of one excitation from j to i.
+
+    src indexes the states with j excited and i not, dst the states they move
+    to; amp = Gamma_ij (hard-core hop, no signs). Nothing is stored, so the
+    memory per hop is O(dim).
+    """
+    occ, states = basis.occ, basis.states
+    for j in range(basis.n):
+        for i in range(basis.n):
+            amp = gamma[i, j]
+            if i == j or amp == 0.0:
+                continue
+            src = np.flatnonzero(occ[j] & ~occ[i])
+            if src.size:
+                yield amp, src, basis.position(states[src] ^ np.uint64((1 << i) | (1 << j)))
+
+
 def sector_matvec(mats: CouplingMatrices, basis: SectorBasis, v: np.ndarray) -> np.ndarray:
     """Apply the auxiliary Hamiltonian restricted to one sector, matrix-free.
 
-    Diagonal: sum of Gamma_ii over excited qubits. Off-diagonal: amplitude
-    Gamma_ij for moving one excitation from j to i (hard-core hop, no signs).
+    v is one vector of length dim or a (dim, k) block of k vectors.
     """
     v = np.asarray(v)
     if v.shape[0] != basis.dim:
         raise ConfigError("vector length does not match sector dimension")
-    n = basis.n
-    states = basis.states
-    out = np.zeros_like(v, dtype=np.result_type(v.dtype, float))
-
-    occ = [((states >> np.uint64(i)) & np.uint64(1)).astype(bool) for i in range(n)]
-    diag = np.zeros(basis.dim)
-    for i in range(n):
-        diag += np.where(occ[i], mats.gamma[i, i], 0.0)
-    out += diag * v
-
-    for j in range(n):
-        for i in range(n):
-            if i == j:
-                continue
-            amp = mats.gamma[i, j]
-            if amp == 0.0:
-                continue
-            src = occ[j] & ~occ[i]
-            if not src.any():
-                continue
-            moved = (states[src] ^ np.uint64(1 << j)) | np.uint64(1 << i)
-            out[basis.position(moved)] += amp * v[src]
+    diag = _diagonal(mats.gamma, basis)
+    out = (diag if v.ndim == 1 else diag[:, None]) * v
+    for amp, src, dst in _hops(mats.gamma, basis):
+        out[dst] += amp * v[src]
     return out
 
 
 def build_sector_dense(mats: CouplingMatrices, basis: SectorBasis) -> np.ndarray:
-    """Dense sector matrix, assembled column-block-wise from the matvec kernel."""
-    dim = basis.dim
-    h = np.zeros((dim, dim))
-    states = basis.states
-    n = basis.n
-    occ = [((states >> np.uint64(i)) & np.uint64(1)).astype(bool) for i in range(n)]
-    diag = np.zeros(dim)
-    for i in range(n):
-        diag += np.where(occ[i], mats.gamma[i, i], 0.0)
-    h[np.arange(dim), np.arange(dim)] = diag
-    for j in range(n):
-        for i in range(n):
-            if i == j:
-                continue
-            src = occ[j] & ~occ[i]
-            if not src.any():
-                continue
-            moved = (states[src] ^ np.uint64(1 << j)) | np.uint64(1 << i)
-            h[basis.position(moved), np.flatnonzero(src)] += mats.gamma[i, j]
+    """Dense sector matrix, assembled from the same hops as sector_matvec."""
+    h = np.diag(_diagonal(mats.gamma, basis))
+    for amp, src, dst in _hops(mats.gamma, basis):
+        h[dst, src] += amp
     return h
 
 
@@ -253,34 +256,27 @@ class HaarStatistics:
 def haar_rate_samples(mats: CouplingMatrices, n_samples: int, seed: int = 0) -> HaarStatistics:
     """Decay rate of Haar-random states over the full 2^N space.
 
-    States are normalized complex Gaussian vectors; the expectation of the
-    auxiliary Hamiltonian is accumulated sector by sector.
+    States are normalized complex Gaussian vectors (each sample draws its real
+    then its imaginary part), taken in blocks of HAAR_BLOCK samples; each
+    sector's slice of a block goes through sector_matvec in one call.
     """
     n = mats.n
     if n > MAX_QUBITS_HAAR:
         raise ConfigError(f"Haar sampling is limited to N <= {MAX_QUBITS_HAAR}")
     if n_samples < 1:
         raise ConfigError("n_samples must be positive")
-    dim_full = 2**n
-    sectors = []
-    for m_ground in range(n + 1):
-        basis = SectorBasis.build(n, m_ground)
-        dense = build_sector_dense(mats, basis) if n <= MAX_QUBITS_DENSE else None
-        sectors.append((basis, basis.states.astype(np.int64), dense))
-
+    sectors = [SectorBasis.build(n, m_ground) for m_ground in range(n + 1)]
     rng = _rng(seed)
     rates = np.empty(n_samples)
-    for s in range(n_samples):
-        psi = rng.standard_normal(dim_full) + 1j * rng.standard_normal(dim_full)
-        psi /= np.linalg.norm(psi)
+    for start in range(0, n_samples, HAAR_BLOCK):
+        draw = rng.standard_normal((min(HAAR_BLOCK, n_samples - start), 2, 2**n))
+        psi = draw[:, 0] + 1j * draw[:, 1]
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
         total = 0.0
-        for basis, full_idx, dense in sectors:
-            chunk = psi[full_idx]
-            if dense is not None:
-                total += float(np.real(np.vdot(chunk, dense @ chunk)))
-            else:
-                total += float(np.real(np.vdot(chunk, sector_matvec(mats, basis, chunk))))
-        rates[s] = total
+        for basis in sectors:
+            block = np.ascontiguousarray(psi[:, basis.states.astype(np.int64)].T)
+            total += np.einsum("sb,sb->b", block.conj(), sector_matvec(mats, basis, block)).real
+        rates[start:start + draw.shape[0]] = total
     return HaarStatistics(
         mean=float(rates.mean()),
         std=float(rates.std(ddof=1)) if n_samples > 1 else 0.0,

@@ -262,7 +262,9 @@ def round_to_product_state(solution: SdpSolution, problem: SdpProblem,
     updates until no move improves the XY objective by more than tol.
 
     The rounded value is a true product-state witness, so it never exceeds
-    the SDP value.
+    the SDP optimum. It can exceed the reported solution.value, which stops
+    short of the optimum, by up to the solver's stopping tolerance (about
+    1e-9 relative at the default tol=1e-8).
     """
     v = solution.factor
     if v is None or v.ndim != 2:

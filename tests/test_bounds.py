@@ -5,6 +5,7 @@ from conftest import dicke_mats, mats_from_gamma, random_unit_diag_psd
 from corrdecay.bounds import (
     bounds_report,
     burst_slope,
+    burst_slope_upper_bound,
     burst_time,
     crossover_n_crit,
     drive_threshold,
@@ -18,6 +19,7 @@ from corrdecay.bounds import (
     typical_rate,
 )
 from corrdecay.errors import ConfigError
+from corrdecay.exactdiag import dicke_rstar
 from corrdecay.spectral import decompose
 
 
@@ -135,6 +137,16 @@ def test_burst_slope_values(rng):
         g = random_unit_diag_psd(n, rng)
         brute = sum(g[i, j] ** 2 for i in range(n) for j in range(n)) - 2 * n
         assert abs(burst_slope(mats_from_gamma(g)) - brute) <= 1e-10 * max(1.0, abs(brute))
+
+
+def test_burst_slope_upper_bound_dicke_rank_one():
+    # all-ones gamma: rank 1, uniform dominant mode (delta = 0)
+    for n in (2, 5, 8):
+        mats = dicke_mats(n)
+        r_star = dicke_rstar(n)
+        cap = burst_slope_upper_bound(decompose(mats), r_star)
+        assert np.isclose(cap, 16.0 / n**2 * r_star**2 - 2.0 * n, rtol=1e-12)
+        assert burst_slope(mats) <= cap
 
 
 def test_burst_time_regimes():

@@ -117,6 +117,22 @@ def test_scan_empty_sizes_rejected(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--dim", "1", "--d", "0.4", "--sizes", "4,8,16", "--n", "5"],
+    ["analyze", "--dim", "1", "--n", "4", "--d", "0.4", "--output-format", "csv"],
+    ["kspace", "--dim", "1", "--n", "16", "--d", "0.25", "--seed", "1"],
+    ["rydberg", "--table", str(DATA), "--n-atoms", "160", "--spacing-um", "2.0",
+     "--c6", "28.8", "--rabi", "4.6", "--dominant", "53S12-52P32", "--seed", "1"],
+], ids=["scan-n", "analyze-output-format", "kspace-seed", "rydberg-seed"])
+def test_unused_option_rejected(tmp_path, argv):
+    # argparse (no such flag) and the schema (flag unused by the command) both exit 2
+    try:
+        code = main(argv + ["--out", str(tmp_path)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+
+
 def test_scan_range_spec(tmp_path):
     rc = main(["scan", "--dim", "1", "--d", "0.4", "--pol", "z", "--n-min", "4",
                "--n-max", "32", "--count", "4", "--out", str(tmp_path)])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dicke_mats, full_space_hamiltonian, mats_from_gamma, random_unit_diag_psd
 from corrdecay.coupling import build_coupling_matrices
@@ -54,6 +56,45 @@ def test_matvec_matches_dense(rng):
         for _ in range(3):
             v = rng.standard_normal(basis.dim)
             np.testing.assert_allclose(sector_matvec(mats, basis, v), h @ v, atol=1e-12)
+
+
+def reference_sector_dense(gamma, basis):
+    """The former hand-written double loop over (j, i) hops, kept as a reference."""
+    states = basis.states
+    occ = [((states >> np.uint64(i)) & np.uint64(1)).astype(bool) for i in range(basis.n)]
+    h = np.zeros((basis.dim, basis.dim))
+    diag = np.zeros(basis.dim)
+    for i in range(basis.n):
+        diag += np.where(occ[i], gamma[i, i], 0.0)
+    h[np.arange(basis.dim), np.arange(basis.dim)] = diag
+    for j in range(basis.n):
+        for i in range(basis.n):
+            src = occ[j] & ~occ[i]
+            if i == j or not src.any():
+                continue
+            moved = (states[src] ^ np.uint64(1 << j)) | np.uint64(1 << i)
+            h[basis.position(moved), np.flatnonzero(src)] += gamma[i, j]
+    return h
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))
+def test_sector_operator_property(n, seed):
+    rng = np.random.default_rng(seed)
+    g = random_unit_diag_psd(n, rng)
+    g = 0.5 * (g + g.T)
+    mats = mats_from_gamma(g)
+    full = full_space_hamiltonian(g) if n <= 6 else None
+    for m_ground in range(n + 1):
+        basis = SectorBasis.build(n, m_ground)
+        h = build_sector_dense(mats, basis)
+        np.testing.assert_array_equal(h, reference_sector_dense(g, basis))
+        np.testing.assert_array_equal(h, h.T)
+        block = rng.standard_normal((basis.dim, 3)) + 1j * rng.standard_normal((basis.dim, 3))
+        np.testing.assert_allclose(sector_matvec(mats, basis, block), h @ block, atol=1e-12)
+        if full is not None:
+            idx = basis.states.astype(np.int64)
+            np.testing.assert_allclose(h, full[np.ix_(idx, idx)], atol=1e-12)
 
 
 def test_matvec_hermitian(rng):
@@ -138,6 +179,17 @@ def test_haar_mean_tracks_half_n():
     stats = haar_rate_samples(mats, 200, seed=1)
     assert abs(stats.mean - 4.0) < 0.02 * 4.0
     assert stats.min < stats.mean < stats.max
+
+
+@pytest.mark.parametrize("n, d, n_samples, seed, mean, std", [
+    (8, 0.25, 200, 1, 3.9959571202124007, 0.11556845219307052),
+    (13, 0.2, 3, 5, 6.49585267386725, 0.03714303982368221),
+])
+def test_haar_pinned_statistics(n, d, n_samples, seed, mean, std):
+    # recorded before the samples were batched: the random draw order is unchanged
+    stats = haar_rate_samples(chain_mats(n, d=d), n_samples, seed=seed)
+    assert stats.mean == pytest.approx(mean, rel=1e-12)
+    assert stats.std == pytest.approx(std, rel=1e-12)
 
 
 def test_haar_deterministic_per_seed():
