@@ -4,7 +4,6 @@ Markovianity size limits, crossover atom numbers)."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -53,9 +52,6 @@ class BoundsReport:
             "ub": self.ub,
             "in_phase": self.in_phase,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
 
 
 def product_state_rate(theta: float, n: int, gamma0: float, s_sum: float) -> float:
@@ -257,9 +253,6 @@ class DrivenReport:
             "markov_limit_n1d": self.markov_limit_n1d,
             "n_crit": self.n_crit,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
 
 
 def drive_threshold(gamma_max: float, gamma0: float) -> float:

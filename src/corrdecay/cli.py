@@ -23,12 +23,15 @@ import numpy as np
 from . import __version__
 from .bounds import bounds_report, driven_report
 from .coupling import (
+    PSD_TOLERANCE,
+    PsdDiagnostic,
     build_coupling_matrices,
+    build_export_matrices,
     read_matrix_binary,
     validate_psd,
+    validated_coupling,
     write_coupling_csv,
     write_matrix_binary,
-    CouplingMatrices,
 )
 from .errors import ConfigError, CorrdecayError, PhysicsValidationError, SolverConvergenceError
 from .exactdiag import MAX_QUBITS, exact_rstar
@@ -36,7 +39,7 @@ from .kspace import gamma_k_grid
 from .lattice import MAX_ATOMS, LatticeSpec, build_array
 from .rydberg import RydbergInput, read_transition_table, rydberg_report
 from .sdp import SdpProblem, round_to_product_state, sdp_certificates, solve_low_rank, solve_projection
-from .spectral import decompose, gamma_max_only, momentum_distribution, spectrum_to_csv
+from .spectral import decompose, momentum_distribution, spectrum_to_csv
 from .sweep import DisorderSpec, SweepPlan, fit_table, run_sweep, sweep_sizes
 
 DEFAULT_SEED = 20250810  # fixed fallback so omitted seeds stay reproducible
@@ -181,27 +184,27 @@ def _lattice_from_config(config: dict) -> LatticeSpec:
 def _coupling_from_config(config: dict):
     """Coupling matrices from either a lattice spec or a binary matrix file."""
     if "gamma_file" in config:
-        gamma = read_matrix_binary(config["gamma_file"])
-        if not np.all(np.isfinite(gamma)):
-            raise PhysicsValidationError("gamma file holds non-finite entries")
-        if not np.allclose(gamma, gamma.T, atol=1e-12):
-            raise PhysicsValidationError("gamma file holds an asymmetric matrix")
-        n = gamma.shape[0]
-        return CouplingMatrices(gamma=gamma, jmat=np.zeros_like(gamma),
-                                gamma0=float(gamma[0, 0]), n=n), None
+        return validated_coupling(read_matrix_binary(config["gamma_file"])), None
     spec = _lattice_from_config(config)
     return build_coupling_matrices(build_array(spec)), spec
+
+
+def _require_psd(min_eigenvalue: float, mats) -> PsdDiagnostic:
+    """PSD diagnostic from a spectrum the command computes anyway; fails with exit 3."""
+    diag = PsdDiagnostic(float(min_eigenvalue), PSD_TOLERANCE * mats.gamma0)
+    if not diag.passed:
+        raise PhysicsValidationError(f"PSD check failed: min eigenvalue {diag.min_eigenvalue:.3e}")
+    return diag
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, outputs: list, t0: float):
     digest = hashlib.sha256(
         json.dumps(config, sort_keys=True, default=str).encode()
     ).hexdigest()
-    manifest = {
-        "command": command,
-        "config": config,
-        "config_sha256": digest,
-        "seed": config.get("seed", DEFAULT_SEED),
+    manifest = {"command": command, "config": config, "config_sha256": digest}
+    if "seed" in SCHEMAS[command]:
+        manifest["seed"] = config.get("seed", DEFAULT_SEED)
+    manifest.update({
         "versions": {
             "corrdecay": __version__,
             "numpy": np.__version__,
@@ -210,7 +213,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, outputs: list, t0
         },
         "wall_time_s": time.time() - t0,
         "outputs": [str(p) for p in outputs],
-    }
+    })
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n")
     return path
@@ -232,7 +235,7 @@ def cmd_gamma(args) -> int:
     t0 = time.time()
     config = _merge_config("gamma", args)
     spec = _lattice_from_config(config)
-    mats = build_coupling_matrices(build_array(spec))
+    mats = build_export_matrices(build_array(spec))
     diag = validate_psd(mats)
     out = _out_dir(config)
     outputs = []
@@ -249,9 +252,7 @@ def cmd_gamma(args) -> int:
     (out / "lattice.json").write_text(spec.to_json() + "\n")
     outputs.append(out / "lattice.json")
     _write_manifest(out, "gamma", config, outputs, t0)
-    if not diag.passed:
-        print(f"PSD check failed: min eigenvalue {diag.min_eigenvalue:.3e}", file=sys.stderr)
-        return 3
+    _require_psd(diag.min_eigenvalue, mats)
     print(f"wrote {len(outputs)} files to {out} (N = {mats.n})")
     return 0
 
@@ -261,11 +262,8 @@ def cmd_analyze(args) -> int:
     config = _merge_config("analyze", args)
     mats, spec = _coupling_from_config(config)
     threads = config.get("threads", _default_threads())
-    diag = validate_psd(mats)
-    if not diag.passed:
-        print(f"PSD check failed: min eigenvalue {diag.min_eigenvalue:.3e}", file=sys.stderr)
-        return 3
     summary = decompose(mats)
+    diag = _require_psd(summary.eigenvalues[-1], mats)
     bounds = bounds_report(summary, mats)
     doc = {
         "n": mats.n,
@@ -360,6 +358,8 @@ def cmd_sdp(args) -> int:
     t0 = time.time()
     config = _merge_config("sdp", args)
     mats, _ = _coupling_from_config(config)
+    rates = np.linalg.eigvalsh(mats.gamma)
+    _require_psd(rates[0], mats)
     problem = SdpProblem.from_coupling(mats)
     kwargs = {}
     if "max_iters" in config:
@@ -371,7 +371,7 @@ def cmd_sdp(args) -> int:
                              seed=config.get("seed", DEFAULT_SEED), **kwargs)
     else:
         sol = solve_projection(problem, **kwargs)
-    cert = sdp_certificates(problem, sol, gamma_max_only(mats), mats.gamma0)
+    cert = sdp_certificates(problem, sol, float(rates[-1]), mats.gamma0)
     rounding = round_to_product_state(sol, problem)
     doc = sol.to_dict()
     doc["certificates"] = cert
@@ -393,6 +393,7 @@ def cmd_exact(args) -> int:
     t0 = time.time()
     config = _merge_config("exact", args)
     mats, _ = _coupling_from_config(config)
+    _require_psd(np.linalg.eigvalsh(mats.gamma)[0], mats)
     result = exact_rstar(mats, max_dense_dim=config.get("max_dense_dim", 4096),
                          seed=config.get("seed", DEFAULT_SEED),
                          threads=config.get("threads", _default_threads()))

@@ -14,10 +14,13 @@ with transverse/longitudinal kernels (Im parts drive gamma, Re parts drive J)
     l(x)  =   3    (sin x / x^3 - cos x / x^2)
     tJ(x) = -(3/4) ((x^2 - 1) cos x - x sin x) / x^3
     lJ(x) = -(3/2) (cos x + x sin x) / x^3
+
+Only the coupling export evaluates J; everything else reads gamma alone.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -30,6 +33,7 @@ K0 = 2.0 * np.pi  # resonant wavenumber in lambda0 units
 GAMMA0 = 1.0  # single-emitter decay rate, the internal unit of all rates
 PSD_TOLERANCE = -1e-8  # in units of gamma0; absorbs eigensolver noise at N ~ 1e4
 COINCIDENT_TOL = 1e-12  # separations below this (in lambda0) are treated as coincident
+PAIR_BLOCK = 512  # rows per pass of the pair loop; bounds its (PAIR_BLOCK, N, 3) temporaries
 
 _BINARY_MAGIC = b"CDMATRX1"  # 8 bytes; followed by uint64 N, then N*N float64 row-major
 
@@ -52,14 +56,20 @@ def green_tensor(r) -> np.ndarray:
     return pref * ((x**2 + 1j * x - 1.0) * np.eye(3) + (-(x**2) - 3j * x + 3.0) * outer)
 
 
-def _kernels(x):
-    """Scalar transverse/longitudinal kernels of the projected pair rates at x = k0*r."""
+def _gamma_kernel(x, c2):
+    """Gamma_ij / gamma0 at x = k0*r and c2 = (r_hat . p)^2 (the Im G kernels)."""
     sx, cx = np.sin(x), np.cos(x)
-    t_im = 1.5 * (sx / x + cx / x**2 - sx / x**3)
-    l_im = 3.0 * (sx / x**3 - cx / x**2)
-    t_re = -0.75 * ((x**2 - 1.0) * cx - x * sx) / x**3
-    l_re = -1.5 * (cx + x * sx) / x**3
-    return t_im, l_im, t_re, l_re
+    t = 1.5 * (sx / x + cx / x**2 - sx / x**3)
+    l = 3.0 * (sx / x**3 - cx / x**2)
+    return t + (l - t) * c2
+
+
+def _j_kernel(x, c2):
+    """J_ij / gamma0 at x = k0*r and c2 = (r_hat . p)^2 (the Re G kernels)."""
+    sx, cx = np.sin(x), np.cos(x)
+    t = -0.75 * ((x**2 - 1.0) * cx - x * sx) / x**3
+    l = -1.5 * (cx + x * sx) / x**3
+    return t + (l - t) * c2
 
 
 def coupling_pair(ri, rj, pol) -> tuple[float, float]:
@@ -68,33 +78,23 @@ def coupling_pair(ri, rj, pol) -> tuple[float, float]:
     J_ij = -(3*pi/k0) p.Re G.p and Gamma_ij = (6*pi/k0) p.Im G.p, with p the
     real unit polarization vector.
     """
-    ri = np.asarray(ri, dtype=float)
-    rj = np.asarray(rj, dtype=float)
-    sep = ri - rj
-    dist = float(np.linalg.norm(sep))
-    if dist <= COINCIDENT_TOL:
-        raise CoincidentEmittersError(None, None, "coincident emitter positions")
-    pol = np.asarray(pol, dtype=float)
-    x = K0 * dist
-    c2 = float(np.dot(sep / dist, pol)) ** 2
-    t_im, l_im, t_re, l_re = _kernels(x)
-    gamma = t_im + (l_im - t_im) * c2
-    jij = t_re + (l_re - t_re) * c2
-    return float(jij), float(gamma)
+    pos = np.array([ri, rj], dtype=float)
+    return (float(_pair_matrix(pos, pol, _j_kernel, 0.0)[0, 1]),
+            float(_pair_matrix(pos, pol, _gamma_kernel, GAMMA0)[0, 1]))
 
 
 @dataclass
 class CouplingMatrices:
-    """Dense symmetric dissipative (gamma) and coherent (jmat) coupling matrices.
+    """Dense symmetric dissipative (gamma) and, for export only, coherent (jmat) matrices.
 
     gamma has gamma0 on the diagonal; jmat has zero diagonal. Both are in
     units of gamma0 and store one value per unordered pair, mirrored exactly.
     """
 
     gamma: np.ndarray
-    jmat: np.ndarray
     gamma0: float
     n: int
+    jmat: np.ndarray | None = None
 
 
 @dataclass
@@ -102,8 +102,11 @@ class PsdDiagnostic:
     """Outcome of the positive-semidefiniteness check on gamma."""
 
     min_eigenvalue: float
-    tolerance: float
-    passed: bool
+    tolerance: float  # absolute, in the units of gamma
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.min_eigenvalue >= self.tolerance)
 
     def to_dict(self):
         return {
@@ -113,18 +116,9 @@ class PsdDiagnostic:
         }
 
 
-def build_coupling_matrices(array: AtomArray, pol=None, block: int = 512) -> CouplingMatrices:
-    """Fill gamma and jmat for all pairs of `array` (vectorized, blocked rows).
-
-    pol defaults to the polarization of the array's source spec. Raises
-    CoincidentEmittersError with the offending indices if two emitters overlap.
-    """
-    pol = array.source_spec.pol_vector if pol is None else np.asarray(pol, dtype=float)
-    return build_coupling_from_positions(array.positions, pol, block=block)
-
-
-def build_coupling_from_positions(positions: np.ndarray, pol, block: int = 512) -> CouplingMatrices:
-    """Coupling matrices for an explicit (N, 3) position list in lambda0 units."""
+def _pair_matrix(positions, pol, kernel, diagonal) -> np.ndarray:
+    """kernel(k0*r, (r_hat . p)^2) for every pair of an (N, 3) position list, with
+    the given diagonal. Raises CoincidentEmittersError if two emitters overlap."""
     pos = np.asarray(positions, dtype=float)
     n = pos.shape[0]
     if n < 1:
@@ -135,10 +129,9 @@ def build_coupling_from_positions(positions: np.ndarray, pol, block: int = 512) 
     if abs(np.linalg.norm(pol) - 1.0) > 1e-12:
         raise PhysicsValidationError("polarization must be a unit vector")
 
-    gamma = np.empty((n, n))
-    jmat = np.empty((n, n))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    out = np.empty((n, n))
+    for start in range(0, n, PAIR_BLOCK):
+        stop = min(start + PAIR_BLOCK, n)
         sep = pos[start:stop, None, :] - pos[None, :, :]  # (b, n, 3)
         dist = np.linalg.norm(sep, axis=2)
         local = np.arange(start, stop)
@@ -147,29 +140,57 @@ def build_coupling_from_positions(positions: np.ndarray, pol, block: int = 512) 
         if bad.size:
             i, j = int(bad[0, 0]) + start, int(bad[0, 1])
             raise CoincidentEmittersError(i, j)
-        x = K0 * dist
-        c2 = (sep @ pol) ** 2 / dist**2
-        t_im, l_im, t_re, l_re = _kernels(x)
-        gamma[start:stop] = t_im + (l_im - t_im) * c2
-        jmat[start:stop] = t_re + (l_re - t_re) * c2
+        out[start:stop] = kernel(K0 * dist, (sep @ pol) ** 2 / dist**2)
 
-    # one evaluation per unordered pair: mirror the strict upper triangle
+    # one value per unordered pair: mirror the strict upper triangle
     iu = np.triu_indices(n, k=1)
-    gamma[(iu[1], iu[0])] = gamma[iu]
-    jmat[(iu[1], iu[0])] = jmat[iu]
-    np.fill_diagonal(gamma, GAMMA0)
-    np.fill_diagonal(jmat, 0.0)
-    return CouplingMatrices(gamma=gamma, jmat=jmat, gamma0=GAMMA0, n=n)
+    out[(iu[1], iu[0])] = out[iu]
+    np.fill_diagonal(out, diagonal)
+    return out
+
+
+def build_coupling_matrices(array: AtomArray, pol=None) -> CouplingMatrices:
+    """Gamma for all pairs of `array`; jmat is left unset.
+
+    pol defaults to the polarization of the array's source spec. Raises
+    CoincidentEmittersError with the offending indices if two emitters overlap.
+    """
+    pol = array.source_spec.pol_vector if pol is None else pol
+    return build_coupling_from_positions(array.positions, pol)
+
+
+def build_coupling_from_positions(positions: np.ndarray, pol) -> CouplingMatrices:
+    """Gamma for an explicit (N, 3) position list in lambda0 units."""
+    gamma = _pair_matrix(positions, pol, _gamma_kernel, GAMMA0)
+    return CouplingMatrices(gamma=gamma, gamma0=GAMMA0, n=gamma.shape[0])
+
+
+def build_export_matrices(array: AtomArray) -> CouplingMatrices:
+    """Gamma and jmat of `array` for the coupling export, the one reader of jmat."""
+    mats = build_coupling_matrices(array)
+    mats.jmat = _pair_matrix(array.positions, array.source_spec.pol_vector, _j_kernel, 0.0)
+    return mats
+
+
+def validated_coupling(gamma) -> CouplingMatrices:
+    """CouplingMatrices around an outside gamma: square, finite, symmetric and with a
+    uniform diagonal (gamma0), each to atol 1e-12, or PhysicsValidationError. The
+    PSD check needs a spectrum, so callers run it on the one they compute."""
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1] or gamma.size == 0:
+        raise PhysicsValidationError(f"coupling matrix of shape {gamma.shape} is not square")
+    if not np.all(np.isfinite(gamma)):
+        raise PhysicsValidationError("coupling matrix holds non-finite entries")
+    if not np.allclose(gamma, gamma.T, atol=1e-12):
+        raise PhysicsValidationError("coupling matrix is asymmetric")
+    if np.ptp(np.diag(gamma)) > 1e-12:
+        raise PhysicsValidationError("coupling matrix has a non-uniform diagonal")
+    return CouplingMatrices(gamma=gamma, gamma0=float(gamma[0, 0]), n=gamma.shape[0])
 
 
 def validate_psd(mats: CouplingMatrices, tolerance: float = PSD_TOLERANCE) -> PsdDiagnostic:
     """Minimum eigenvalue of gamma against the PSD tolerance (diagnostic only)."""
-    min_eig = float(np.linalg.eigvalsh(mats.gamma)[0])
-    return PsdDiagnostic(
-        min_eigenvalue=min_eig,
-        tolerance=tolerance * mats.gamma0,
-        passed=bool(min_eig >= tolerance * mats.gamma0),
-    )
+    return PsdDiagnostic(float(np.linalg.eigvalsh(mats.gamma)[0]), tolerance * mats.gamma0)
 
 
 def offdiagonal_sum(mats: CouplingMatrices) -> float:
@@ -178,12 +199,12 @@ def offdiagonal_sum(mats: CouplingMatrices) -> float:
 
 
 def write_coupling_csv(mats: CouplingMatrices, path):
-    """Dense pair listing with header i,j,gamma,jcoupling (N^2 rows)."""
-    n = mats.n
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    table = np.column_stack(
-        [ii.ravel(), jj.ravel(), mats.gamma.ravel(), mats.jmat.ravel()]
-    )
+    """Dense pair listing with header i,j,gamma,jcoupling (N^2 rows, row-major).
+
+    mats.jmat must be set, as build_export_matrices does.
+    """
+    pairs = np.divmod(np.arange(mats.n**2), mats.n)
+    table = np.column_stack([*pairs, mats.gamma.ravel(), mats.jmat.ravel()])
     np.savetxt(
         path,
         table,
@@ -195,17 +216,14 @@ def write_coupling_csv(mats: CouplingMatrices, path):
 
 
 def read_coupling_csv(path) -> CouplingMatrices:
-    raw = np.loadtxt(path, delimiter=",", skiprows=1)
-    n = int(round(np.sqrt(raw.shape[0])))
-    if n * n != raw.shape[0]:
-        raise PhysicsValidationError("coupling CSV does not hold a square matrix")
-    gamma = np.zeros((n, n))
-    jmat = np.zeros((n, n))
-    ii = raw[:, 0].astype(int)
-    jj = raw[:, 1].astype(int)
-    gamma[ii, jj] = raw[:, 2]
-    jmat[ii, jj] = raw[:, 3]
-    return CouplingMatrices(gamma=gamma, jmat=jmat, gamma0=float(gamma[0, 0]), n=n)
+    """Inverse of write_coupling_csv: the rows must list (i, j) in row-major order."""
+    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    n = math.isqrt(raw.shape[0])
+    if raw.shape != (n * n, 4) or not np.array_equal(raw[:, :2].T, np.divmod(np.arange(n * n), n)):
+        raise PhysicsValidationError("coupling CSV rows are not a row-major (i, j) listing")
+    mats = validated_coupling(np.ascontiguousarray(raw[:, 2].reshape(n, n)))
+    mats.jmat = np.ascontiguousarray(raw[:, 3].reshape(n, n))
+    return mats
 
 
 def write_matrix_binary(matrix: np.ndarray, path):

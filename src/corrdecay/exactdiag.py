@@ -15,7 +15,6 @@ spectral.py and is a different, much cheaper beast.
 from __future__ import annotations
 
 import itertools
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -191,9 +190,6 @@ class ExactResult:
             "per_sector_max": self.per_sector_max,
             "method": self.method,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
 
 
 def exact_rstar(mats: CouplingMatrices, max_dense_dim: int = MAX_DENSE_DIM,

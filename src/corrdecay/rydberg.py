@@ -9,7 +9,6 @@ quoted as 2*pi*Hz, lengths in micrometres, the van der Waals coefficient in
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -132,9 +131,6 @@ class RydbergReport:
             "collective_mode": self.collective_mode,
         }
 
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
 
 def rydberg_report(inp: RydbergInput) -> RydbergReport:
     """Ratio chi of the per-atom decay to the blockade interaction, and the
@@ -183,7 +179,7 @@ def exact_pair_array_gamma_max(positions_um: np.ndarray, wavelength_um: float,
     """Largest collective rate (units of the transition's gamma0) of an
     explicit emitter layout at the dominant transition wavelength."""
     from .coupling import build_coupling_from_positions
+    from .spectral import gamma_max_only
 
     positions = np.asarray(positions_um, dtype=float) / wavelength_um
-    mats = build_coupling_from_positions(positions, np.asarray(pol, dtype=float))
-    return float(np.linalg.eigvalsh(mats.gamma)[-1])
+    return gamma_max_only(build_coupling_from_positions(positions, pol))

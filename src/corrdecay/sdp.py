@@ -9,7 +9,6 @@ method (reference oracle), plus a rank-2 rounding back to product states.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -77,9 +76,6 @@ class SdpSolution:
             "rstar_estimate": self.rstar_estimate,
             "rstar_upper_from_sdp": self.rstar_upper_from_sdp,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
 
 
 def _objective(gtilde, v):

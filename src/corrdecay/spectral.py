@@ -11,8 +11,6 @@ from .coupling import CouplingMatrices
 from .errors import PhysicsValidationError
 from .lattice import AtomArray
 
-K0 = 2.0 * np.pi
-
 
 @dataclass
 class SpectralSummary:
@@ -165,9 +163,10 @@ def momentum_distribution(dominant_vec, array: AtomArray) -> MomentumDistributio
 
 
 def eigen_residual(mats: CouplingMatrices, summary: SpectralSummary) -> float:
-    """||gamma v - gamma_max v|| / ||gamma|| for the reported dominant pair."""
+    """||gamma v - gamma_max v|| / ||gamma||_2 for the reported dominant pair
+    (gamma is symmetric: its 2-norm is its largest |eigenvalue|)."""
     r = mats.gamma @ summary.dominant_vec - summary.gamma_max * summary.dominant_vec
-    return float(np.linalg.norm(r) / np.linalg.norm(mats.gamma, 2))
+    return float(np.linalg.norm(r) / np.abs(summary.eigenvalues[[0, -1]]).max())
 
 
 def spectrum_to_csv(summary: SpectralSummary, path):

@@ -76,27 +76,54 @@ def test_analyze_large_n_skips_exact(tmp_path):
     assert "spectral" in doc and "bounds" in doc and "sdp" in doc
 
 
-def test_analyze_rejects_non_psd_matrix(tmp_path):
+INVALID_MATRICES = {
+    "asymmetric": np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    "nan": np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    "nonuniform-diagonal": np.diag([1.0, 2.0, 1.0]),
+    "non-psd": np.array([[1.0, 1.5], [1.5, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("command", ["exact", "analyze", "sdp"])
+@pytest.mark.parametrize("kind", list(INVALID_MATRICES))
+def test_gamma_file_rejects_invalid_matrix(tmp_path, command, kind):
     from corrdecay.coupling import write_matrix_binary
 
-    bad = np.array([[1.0, 1.5], [1.5, 1.0]])
     mat_file = tmp_path / "bad.bin"
-    write_matrix_binary(bad, mat_file)
-    rc = main(["analyze", "--gamma-file", str(mat_file), "--out", str(tmp_path)])
-    assert rc == 3
-
-
-@pytest.mark.parametrize("command", ["exact", "analyze"])
-@pytest.mark.parametrize("entry", [0.5, np.nan], ids=["asymmetric", "nan"])
-def test_gamma_file_rejects_invalid_matrix(tmp_path, command, entry):
-    from corrdecay.coupling import write_matrix_binary
-
-    bad = np.eye(3)
-    bad[0, 1] = entry  # bad[1, 0] stays 0: asymmetric, or NaN
-    mat_file = tmp_path / "bad.bin"
-    write_matrix_binary(bad, mat_file)
+    write_matrix_binary(INVALID_MATRICES[kind], mat_file)
     rc = main([command, "--gamma-file", str(mat_file), "--out", str(tmp_path)])
     assert rc == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--dim", "2", "--n", "5", "--d", "0.4", "--sdp-max-n", "2", "--exact-max-n", "2"],
+    ["sdp", "--dim", "2", "--n", "5", "--d", "0.4"],
+], ids=["analyze", "sdp"])
+def test_one_dense_eigensolve_per_command(tmp_path, monkeypatch, argv):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            if np.shape(a) == (25, 25):
+                calls.append(_solve.__name__)
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert len(calls) == 1, calls
+
+
+def test_manifest_seed_only_for_seeded_commands(tmp_path):
+    unseeded = [
+        ["kspace", "--dim", "1", "--n", "8", "--d", "0.3"],
+        ["rydberg", "--table", str(DATA), "--n-atoms", "160", "--spacing-um", "2.0",
+         "--c6", "28.8", "--rabi", "4.6", "--dominant", "53S12-52P32"],
+    ]
+    for i, argv in enumerate(unseeded):
+        assert main(argv + ["--out", str(tmp_path / str(i))]) == 0
+        assert "seed" not in json.loads((tmp_path / str(i) / "manifest.json").read_text())
+    out = tmp_path / "gamma"
+    assert main(["gamma", "--dim", "1", "--n", "3", "--d", "0.5", "--seed", "17",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 17
 
 
 def test_scan_writes_table_and_fit(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from conftest import mats_from_gamma, random_small_lattice
 from corrdecay.coupling import (
     build_coupling_matrices,
+    build_export_matrices,
     coupling_pair,
     green_tensor,
     offdiagonal_sum,
@@ -13,7 +14,7 @@ from corrdecay.coupling import (
     write_coupling_csv,
     write_matrix_binary,
 )
-from corrdecay.errors import CoincidentEmittersError, SelfTermError
+from corrdecay.errors import CoincidentEmittersError, PhysicsValidationError, SelfTermError
 from corrdecay.lattice import LatticeSpec, build_array, generate_lattice
 
 
@@ -97,9 +98,9 @@ def test_pair_matches_green_projection(rng):
         assert abs(gij - gamma_ref) < 1e-12
 
 
-def chain_mats(n, d, pol):
+def chain_mats(n, d, pol, build=build_coupling_matrices):
     spec = LatticeSpec(dimension=1, n_per_axis=n, spacing=d, polarization=pol)
-    return build_coupling_matrices(generate_lattice(spec))
+    return build(generate_lattice(spec))
 
 
 def test_two_atom_matrix_closed_form():
@@ -111,7 +112,8 @@ def test_two_atom_matrix_closed_form():
 
 
 def test_single_atom():
-    mats = chain_mats(1, 0.5, (1.0, 0, 0))
+    assert chain_mats(1, 0.5, (1.0, 0, 0)).jmat is None  # only the export builds J
+    mats = chain_mats(1, 0.5, (1.0, 0, 0), build=build_export_matrices)
     np.testing.assert_array_equal(mats.gamma, [[1.0]])
     np.testing.assert_array_equal(mats.jmat, [[0.0]])
 
@@ -126,7 +128,8 @@ def test_dicke_surrogate_gamma_max():
 
 def test_exact_symmetry_and_units():
     spec = LatticeSpec(dimension=2, n_per_axis=5, spacing=0.43, polarization=(0, 0, 1.0))
-    mats = build_coupling_matrices(generate_lattice(spec))
+    mats = build_export_matrices(generate_lattice(spec))
+    assert np.array_equal(mats.gamma, build_coupling_matrices(generate_lattice(spec)).gamma)
     assert np.array_equal(mats.gamma, mats.gamma.T)  # exact, mirrored per pair
     assert np.array_equal(mats.jmat, mats.jmat.T)
     assert np.all(np.diag(mats.gamma) == 1.0)
@@ -182,7 +185,7 @@ def test_coincident_positions_reported_with_indices():
 
 
 def test_csv_roundtrip(tmp_path):
-    mats = chain_mats(4, 0.37, (0, 0, 1.0))
+    mats = chain_mats(4, 0.37, (0, 0, 1.0), build=build_export_matrices)
     path = tmp_path / "coupling.csv"
     write_coupling_csv(mats, path)
     header = path.read_text().splitlines()[0]
@@ -190,6 +193,18 @@ def test_csv_roundtrip(tmp_path):
     back = read_coupling_csv(path)
     np.testing.assert_allclose(back.gamma, mats.gamma, rtol=1e-15)
     np.testing.assert_allclose(back.jmat, mats.jmat, rtol=1e-15)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines[:4] + ["1,9,1,0"],  # the (1, 1) row with j out of range
+    lambda lines: lines[:2] + ["0,0,0.1,0"] + lines[3:],  # a second (0, 0) row for (0, 1)
+], ids=["index-out-of-range", "duplicate-row"])
+def test_csv_reader_requires_row_major_listing(tmp_path, edit):
+    path = tmp_path / "coupling.csv"
+    write_coupling_csv(chain_mats(2, 0.37, (0, 0, 1.0), build=build_export_matrices), path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(PhysicsValidationError):
+        read_coupling_csv(path)
 
 
 def test_binary_roundtrip(tmp_path):
