@@ -38,21 +38,6 @@ class BoundsReport:
     ub: float
     in_phase: bool
 
-    def to_dict(self):
-        return {
-            "n": self.n,
-            "gamma0": self.gamma0,
-            "gamma_max": self.gamma_max,
-            "delta": self.delta,
-            "s_sum": self.s_sum,
-            "lb_trivial": self.lb_trivial,
-            "lb_product": self.lb_product,
-            "lb_delocalized": self.lb_delocalized,
-            "lb_best": self.lb_best,
-            "ub": self.ub,
-            "in_phase": self.in_phase,
-        }
-
 
 def product_state_rate(theta: float, n: int, gamma0: float, s_sum: float) -> float:
     """Decay rate of the uniform product ansatz at mixing angle theta."""
@@ -238,21 +223,6 @@ class DrivenReport:
     burst_time_degenerate: bool
     markov_limit_n1d: float
     n_crit: float | None
-
-    def to_dict(self):
-        return {
-            "eta_c": self.eta_c,
-            "w_star_ub_conservative": self.w_star_ub_conservative,
-            "w_star_ub_permissive": self.w_star_ub_permissive,
-            "r_dot0": self.r_dot0,
-            "r_dot0_upper": self.r_dot0_upper,
-            "burst": self.burst,
-            "tau0": self.tau0,
-            "t_r": self.t_r,
-            "burst_time_degenerate": self.burst_time_degenerate,
-            "markov_limit_n1d": self.markov_limit_n1d,
-            "n_crit": self.n_crit,
-        }
 
 
 def drive_threshold(gamma_max: float, gamma0: float) -> float:

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -47,48 +48,59 @@ DEFAULT_SEED = 20250810  # fixed fallback so omitted seeds stay reproducible
 POL_PRESETS = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
 _LATTICE_KEYS = {
-    "dim": {"type": "integer", "enum": [1, 2, 3]},
-    "n": {"type": "integer", "minimum": 1},
-    "d": {"type": "number", "exclusiveMinimum": 0},
-    "pol": {"type": "string"},
-    "eta": {"type": "number", "minimum": 0},
-    "seed": {"type": "integer"},
+    "dim": {"type": "integer", "enum": [1, 2, 3], "description": "lattice dimensionality"},
+    "n": {"type": "integer", "minimum": 1, "description": "emitters per axis (N = n**dim)"},
+    "d": {"type": "number", "exclusiveMinimum": 0,
+          "description": "lattice constant in units of lambda0"},
+    "pol": {"type": "string", "description": "polarization: x|y|z or 'px,py,pz'"},
+    "eta": {"type": "number", "minimum": 0,
+            "description": "Gaussian position disorder in units of d"},
+    "seed": {"type": "integer", "description": f"RNG seed (default {DEFAULT_SEED})"},
 }
 
 _GLOBAL_KEYS = {
-    "threads": {"type": "integer", "minimum": 1},
-    "out": {"type": "string"},
+    "threads": {"type": "integer", "minimum": 1,
+                "description": "worker threads (default $CORRDECAY_THREADS or 1)"},
+    "out": {"type": "string", "description": "output directory (default .)"},
 }
+
+_GAMMA_FILE_KEY = {"gamma_file": {"type": "string", "description": "binary gamma matrix input"}}
 
 SCHEMAS = {
     "gamma": {
         **_LATTICE_KEYS,
         **_GLOBAL_KEYS,
-        "output_format": {"type": "string", "enum": ["csv", "binary", "both"]},
+        "output_format": {"type": "string", "enum": ["csv", "binary", "both"],
+                          "description": "matrix output format"},
     },
     "analyze": {
         **_LATTICE_KEYS,
         **_GLOBAL_KEYS,
-        "gamma_file": {"type": "string"},
-        "exact_max_n": {"type": "integer", "minimum": 2, "maximum": MAX_QUBITS},
-        "sdp_max_n": {"type": "integer", "minimum": 2},
-        "max_dense_dim": {"type": "integer", "minimum": 1},
+        **_GAMMA_FILE_KEY,
+        "exact_max_n": {"type": "integer", "minimum": 2, "maximum": MAX_QUBITS,
+                        "description": "largest N for the exact section "
+                                       f"(default 14, cap {MAX_QUBITS})"},
+        "sdp_max_n": {"type": "integer", "minimum": 2,
+                      "description": "largest N for the SDP section (default 2000)"},
     },
     "scan": {
         **{key: rule for key, rule in _LATTICE_KEYS.items() if key != "n"},
         **_GLOBAL_KEYS,
         "quantity": {"type": "string", "enum": ["gamma_max", "sdp_estimate", "lb_best", "ub"]},
-        "sizes": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+        "sizes": {"type": "array", "items": {"type": "integer", "minimum": 1},
+                  "description": "explicit comma-separated N_1D list"},
         "n_min": {"type": "integer", "minimum": 2},
         "n_max": {"type": "integer", "minimum": 2},
-        "count": {"type": "integer", "minimum": 3},
+        "count": {"type": "integer", "minimum": 3,
+                  "description": "number of sweep points (default 7)"},
         "spacing_mode": {"type": "string", "enum": ["geometric", "linear"]},
-        "realizations": {"type": "integer", "minimum": 1},
+        "realizations": {"type": "integer", "minimum": 1,
+                         "description": "disorder realizations per point"},
     },
     "sdp": {
         **_LATTICE_KEYS,
         **_GLOBAL_KEYS,
-        "gamma_file": {"type": "string"},
+        **_GAMMA_FILE_KEY,
         "solver": {"type": "string", "enum": ["lowrank", "projection"]},
         "rank": {"type": "integer", "minimum": 2},
         "max_iters": {"type": "integer", "minimum": 1},
@@ -97,26 +109,31 @@ SCHEMAS = {
     "exact": {
         **_LATTICE_KEYS,
         **_GLOBAL_KEYS,
-        "gamma_file": {"type": "string"},
-        "max_dense_dim": {"type": "integer", "minimum": 1},
+        **_GAMMA_FILE_KEY,
     },
     "kspace": {
         **_GLOBAL_KEYS,
-        "dim": {"type": "integer", "enum": [1, 2, 3]},
-        "n": {"type": "integer", "minimum": 2},
-        "d": {"type": "number", "exclusiveMinimum": 0},
+        "dim": _LATTICE_KEYS["dim"],
+        "n": {"type": "integer", "minimum": 2, "description": "grid points per axis"},
+        "d": _LATTICE_KEYS["d"],
         "pol_tag": {"type": "string", "enum": ["parallel", "perpendicular"]},
-        "reg_delta": {"type": "number", "exclusiveMinimum": 0},
+        "reg_delta": {"type": "number", "exclusiveMinimum": 0,
+                      "description": "3D light-line regularizer (default: grid offset)"},
     },
     "rydberg": {
         **_GLOBAL_KEYS,
-        "table": {"type": "string"},
+        "table": {"type": "string",
+                  "description": "transition CSV: label,wavelength_um,gamma0_2pi_hz,nbar"},
         "n_atoms": {"type": "integer", "minimum": 2},
         "spacing_um": {"type": "number", "exclusiveMinimum": 0},
-        "c6": {"type": "number", "exclusiveMinimum": 0},
-        "rabi": {"type": "number", "exclusiveMinimum": 0},
-        "dominant": {"type": "string"},
-        "exact_gamma_max_hz": {"type": "number", "exclusiveMinimum": 0},
+        "c6": {"type": "number", "exclusiveMinimum": 0, "description": "C6 in 2*pi*GHz*um^6"},
+        "rabi": {"type": "number", "exclusiveMinimum": 0,
+                 "description": "two-photon Rabi frequency in 2*pi*MHz"},
+        "dominant": {"type": "string",
+                     "description": "label of the dominant collective transition"},
+        "exact_gamma_max_hz": {"type": "number", "exclusiveMinimum": 0,
+                               "description": "externally computed collective "
+                                              "gamma_max in 2*pi*Hz"},
     },
 }
 
@@ -167,10 +184,14 @@ def _parse_pol(text: str):
     return tuple(vec / norm)
 
 
-def _lattice_from_config(config: dict) -> LatticeSpec:
-    for key in ("dim", "n", "d"):
+def _require(config: dict, *keys: str) -> None:
+    for key in keys:
         if key not in config:
-            raise ConfigError(f"missing required lattice key '{key}'")
+            raise ConfigError(f"missing required key '{key}'")
+
+
+def _lattice_from_config(config: dict) -> LatticeSpec:
+    _require(config, "dim", "n", "d")
     return LatticeSpec(
         dimension=config["dim"],
         n_per_axis=config["n"],
@@ -182,11 +203,12 @@ def _lattice_from_config(config: dict) -> LatticeSpec:
 
 
 def _coupling_from_config(config: dict):
-    """Coupling matrices from either a lattice spec or a binary matrix file."""
+    """(coupling matrices, atom array) from a lattice spec, or (matrices, None) from
+    a binary matrix file."""
     if "gamma_file" in config:
         return validated_coupling(read_matrix_binary(config["gamma_file"])), None
-    spec = _lattice_from_config(config)
-    return build_coupling_matrices(build_array(spec)), spec
+    array = build_array(_lattice_from_config(config))
+    return build_coupling_matrices(array), array
 
 
 def _require_psd(min_eigenvalue: float, mats) -> PsdDiagnostic:
@@ -260,7 +282,7 @@ def cmd_gamma(args) -> int:
 def cmd_analyze(args) -> int:
     t0 = time.time()
     config = _merge_config("analyze", args)
-    mats, spec = _coupling_from_config(config)
+    mats, array = _coupling_from_config(config)
     threads = config.get("threads", _default_threads())
     summary = decompose(mats)
     diag = _require_psd(summary.eigenvalues[-1], mats)
@@ -274,28 +296,28 @@ def cmd_analyze(args) -> int:
             "degeneracy": summary.degeneracy,
             "trace": float(np.sum(summary.eigenvalues)),
         },
-        "bounds": bounds.to_dict(),
+        "bounds": asdict(bounds),
     }
-    if spec is not None:
-        doc["lattice"] = json.loads(spec.to_json())
-        doc["driven"] = driven_report(summary, bounds, mats, spec.dimension, spec.spacing).to_dict()
+    if array is not None:
+        spec = array.source_spec
+        doc["lattice"] = asdict(spec)
+        doc["driven"] = asdict(driven_report(summary, bounds, mats, spec.dimension, spec.spacing))
     if mats.n <= config.get("sdp_max_n", 2000):
         problem = SdpProblem.from_coupling(mats)
-        sol = solve_low_rank(problem, seed=config.get("seed", DEFAULT_SEED))
+        sol = solve_low_rank(problem, seed=config.get("seed", DEFAULT_SEED), gamma0=mats.gamma0)
         if not sol.converged:
             print("SDP solver did not converge", file=sys.stderr)
             return 4
         sdp_certificates(problem, sol, summary.gamma_max, mats.gamma0)
         doc["sdp"] = sol.to_dict()
     if mats.n <= config.get("exact_max_n", 14):
-        doc["exact"] = exact_rstar(mats, max_dense_dim=config.get("max_dense_dim", 4096),
-                                   threads=threads).to_dict()
+        doc["exact"] = asdict(exact_rstar(mats, threads=threads))
     out = _out_dir(config)
     (out / "analysis.json").write_text(json.dumps(doc, indent=2) + "\n")
     spectrum_to_csv(summary, out / "spectrum.csv")
     outputs = [out / "analysis.json", out / "spectrum.csv"]
-    if spec is not None and spec.disorder_eta == 0:
-        momentum_distribution(summary.dominant_vec, build_array(spec)).to_csv(out / "momentum.csv")
+    if array is not None and array.source_spec.disorder_eta == 0:
+        momentum_distribution(summary.dominant_vec, array).to_csv(out / "momentum.csv")
         outputs.append(out / "momentum.csv")
     _write_manifest(out, "analyze", config, outputs, t0)
     print(f"analysis written to {out / 'analysis.json'}")
@@ -305,6 +327,7 @@ def cmd_analyze(args) -> int:
 def cmd_scan(args) -> int:
     t0 = time.time()
     config = _merge_config("scan", args)
+    _require(config, "d")
     if "sizes" in config:
         sizes = config["sizes"]
     elif "n_min" in config and "n_max" in config:
@@ -368,9 +391,9 @@ def cmd_sdp(args) -> int:
         kwargs["tol"] = config["tol"]
     if config.get("solver", "lowrank") == "lowrank":
         sol = solve_low_rank(problem, rank=config.get("rank"),
-                             seed=config.get("seed", DEFAULT_SEED), **kwargs)
+                             seed=config.get("seed", DEFAULT_SEED), gamma0=mats.gamma0, **kwargs)
     else:
-        sol = solve_projection(problem, **kwargs)
+        sol = solve_projection(problem, gamma0=mats.gamma0, **kwargs)
     cert = sdp_certificates(problem, sol, float(rates[-1]), mats.gamma0)
     rounding = round_to_product_state(sol, problem)
     doc = sol.to_dict()
@@ -394,11 +417,10 @@ def cmd_exact(args) -> int:
     config = _merge_config("exact", args)
     mats, _ = _coupling_from_config(config)
     _require_psd(np.linalg.eigvalsh(mats.gamma)[0], mats)
-    result = exact_rstar(mats, max_dense_dim=config.get("max_dense_dim", 4096),
-                         seed=config.get("seed", DEFAULT_SEED),
+    result = exact_rstar(mats, seed=config.get("seed", DEFAULT_SEED),
                          threads=config.get("threads", _default_threads()))
     out = _out_dir(config)
-    (out / "exact.json").write_text(json.dumps(result.to_dict(), indent=2) + "\n")
+    (out / "exact.json").write_text(json.dumps(asdict(result), indent=2) + "\n")
     _write_manifest(out, "exact", config, [out / "exact.json"], t0)
     print(f"rstar_exact = {result.rstar_exact:.9f} (sector m = {result.argmax_sector})")
     return 0
@@ -407,9 +429,7 @@ def cmd_exact(args) -> int:
 def cmd_kspace(args) -> int:
     t0 = time.time()
     config = _merge_config("kspace", args)
-    for key in ("dim", "n", "d"):
-        if key not in config:
-            raise ConfigError(f"missing required key '{key}'")
+    _require(config, "dim", "n", "d")
     grid = gamma_k_grid(config["dim"], config["d"], config.get("pol_tag", "parallel"),
                         config["n"], config.get("reg_delta"))
     out = _out_dir(config)
@@ -430,9 +450,7 @@ def cmd_kspace(args) -> int:
 def cmd_rydberg(args) -> int:
     t0 = time.time()
     config = _merge_config("rydberg", args)
-    for key in ("table", "n_atoms", "spacing_um", "c6", "rabi", "dominant"):
-        if key not in config:
-            raise ConfigError(f"missing required key '{key}'")
+    _require(config, "table", "n_atoms", "spacing_um", "c6", "rabi", "dominant")
     rows = read_transition_table(config["table"])
     inp = RydbergInput(
         n_atoms=config["n_atoms"],
@@ -445,7 +463,7 @@ def cmd_rydberg(args) -> int:
     )
     report = rydberg_report(inp)
     out = _out_dir(config)
-    (out / "rydberg.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    (out / "rydberg.json").write_text(json.dumps(asdict(report), indent=2) + "\n")
     _write_manifest(out, "rydberg", config, [out / "rydberg.json"], t0)
     print(f"chi = {report.chi:.6e}, gate_error = {report.gate_error:.6e}")
     return 0
@@ -461,23 +479,24 @@ def _default_threads() -> int:
     return 1
 
 
-def _add_lattice_flags(p: argparse.ArgumentParser):
-    p.add_argument("--dim", type=int, help="lattice dimensionality (1, 2 or 3)")
-    p.add_argument("--n", type=int, help="emitters per axis (N = n**dim)")
-    p.add_argument("--d", type=float, help="lattice constant in units of lambda0")
-    p.add_argument("--pol", help="polarization: x|y|z or 'px,py,pz'")
-    p.add_argument("--eta", type=float, help="Gaussian position disorder in units of d")
-    p.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
+COMMANDS = {
+    "gamma": (cmd_gamma, "build and export the coupling matrices"),
+    "analyze": (cmd_analyze, "spectral summary, bounds, SDP, driven report "
+                             "and (small N) exact rate in one JSON"),
+    "scan": (cmd_scan, "N-sweep of a rate quantity plus power-law fit"),
+    "sdp": (cmd_sdp, "solve the product-state SDP relaxation"),
+    "exact": (cmd_exact, "sector-resolved exact maximal decay rate"),
+    "kspace": (cmd_kspace, "spin-wave rates on the finite-array grid"),
+    "rydberg": (cmd_rydberg, "collective-decay gate-error estimator"),
+}
 
 
-def _add_common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--threads", type=int,
-                   help="worker threads (default $CORRDECAY_THREADS or 1)")
-    p.add_argument("--out", help="output directory (default .)")
+_FLAG_TYPES = {"integer": int, "number": float, "string": str,
+               "array": lambda text: [int(t) for t in text.split(",")]}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flag per SCHEMAS key: --key-with-dashes, typed, enum as choices."""
     parser = argparse.ArgumentParser(
         prog="corrdecay",
         description="Collective decay rates of dipole-coupled emitter arrays: "
@@ -487,78 +506,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"corrdecay {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gamma", help="build and export the coupling matrices")
-    _add_lattice_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--output-format", dest="output_format",
-                   choices=["csv", "binary", "both"], help="matrix output format")
-    p.set_defaults(func=cmd_gamma)
-
-    p = sub.add_parser("analyze", help="spectral summary, bounds, SDP, driven report "
-                                       "and (small N) exact rate in one JSON")
-    _add_lattice_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--gamma-file", dest="gamma_file", help="binary gamma matrix input")
-    p.add_argument("--exact-max-n", dest="exact_max_n", type=int,
-                   help=f"largest N for the exact section (default 14, cap {MAX_QUBITS})")
-    p.add_argument("--sdp-max-n", dest="sdp_max_n", type=int,
-                   help="largest N for the SDP section (default 2000)")
-    p.add_argument("--max-dense-dim", dest="max_dense_dim", type=int,
-                   help="largest sector dimension solved densely before Lanczos")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("scan", help="N-sweep of a rate quantity plus power-law fit")
-    _add_lattice_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--quantity", choices=["gamma_max", "sdp_estimate", "lb_best", "ub"])
-    p.add_argument("--sizes", type=lambda s: [int(t) for t in s.split(",")],
-                   help="explicit comma-separated N_1D list")
-    p.add_argument("--n-min", dest="n_min", type=int)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--count", type=int, help="number of sweep points (default 7)")
-    p.add_argument("--spacing-mode", dest="spacing_mode", choices=["geometric", "linear"])
-    p.add_argument("--realizations", type=int, help="disorder realizations per point")
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("sdp", help="solve the product-state SDP relaxation")
-    _add_lattice_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--gamma-file", dest="gamma_file")
-    p.add_argument("--solver", choices=["lowrank", "projection"])
-    p.add_argument("--rank", type=int)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--tol", type=float)
-    p.set_defaults(func=cmd_sdp)
-
-    p = sub.add_parser("exact", help="sector-resolved exact maximal decay rate")
-    _add_lattice_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--gamma-file", dest="gamma_file")
-    p.add_argument("--max-dense-dim", dest="max_dense_dim", type=int)
-    p.set_defaults(func=cmd_exact)
-
-    p = sub.add_parser("kspace", help="spin-wave rates on the finite-array grid")
-    _add_common_flags(p)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--n", type=int, help="grid points per axis")
-    p.add_argument("--d", type=float)
-    p.add_argument("--pol-tag", dest="pol_tag", choices=["parallel", "perpendicular"])
-    p.add_argument("--reg-delta", dest="reg_delta", type=float,
-                   help="3D light-line regularizer (default: grid offset)")
-    p.set_defaults(func=cmd_kspace)
-
-    p = sub.add_parser("rydberg", help="collective-decay gate-error estimator")
-    _add_common_flags(p)
-    p.add_argument("--table", help="transition CSV: label,wavelength_um,gamma0_2pi_hz,nbar")
-    p.add_argument("--n-atoms", dest="n_atoms", type=int)
-    p.add_argument("--spacing-um", dest="spacing_um", type=float)
-    p.add_argument("--c6", type=float, help="C6 in 2*pi*GHz*um^6")
-    p.add_argument("--rabi", type=float, help="two-photon Rabi frequency in 2*pi*MHz")
-    p.add_argument("--dominant", help="label of the dominant collective transition")
-    p.add_argument("--exact-gamma-max-hz", dest="exact_gamma_max_hz", type=float,
-                   help="externally computed collective gamma_max in 2*pi*Hz")
-    p.set_defaults(func=cmd_rydberg)
+    for command, (func, text) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="JSON config file (flags override it)")
+        for key, rule in SCHEMAS[command].items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=_FLAG_TYPES[rule["type"]],
+                           choices=rule.get("enum"), help=rule.get("description"))
+        p.set_defaults(func=func)
     return parser
 
 

@@ -174,7 +174,7 @@ def build_export_matrices(array: AtomArray) -> CouplingMatrices:
 
 def validated_coupling(gamma) -> CouplingMatrices:
     """CouplingMatrices around an outside gamma: square, finite, symmetric and with a
-    uniform diagonal (gamma0), each to atol 1e-12, or PhysicsValidationError. The
+    uniform positive diagonal (gamma0), each to atol 1e-12, or PhysicsValidationError. The
     PSD check needs a spectrum, so callers run it on the one they compute."""
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1] or gamma.size == 0:
@@ -185,6 +185,8 @@ def validated_coupling(gamma) -> CouplingMatrices:
         raise PhysicsValidationError("coupling matrix is asymmetric")
     if np.ptp(np.diag(gamma)) > 1e-12:
         raise PhysicsValidationError("coupling matrix has a non-uniform diagonal")
+    if not gamma[0, 0] > 0:
+        raise PhysicsValidationError("coupling matrix diagonal (gamma0) is not positive")
     return CouplingMatrices(gamma=gamma, gamma0=float(gamma[0, 0]), n=gamma.shape[0])
 
 

@@ -183,21 +183,12 @@ class ExactResult:
     per_sector_max: list
     method: str  # "dense", "lanczos" or "dense+lanczos"
 
-    def to_dict(self):
-        return {
-            "rstar_exact": self.rstar_exact,
-            "argmax_sector": self.argmax_sector,
-            "per_sector_max": self.per_sector_max,
-            "method": self.method,
-        }
 
-
-def exact_rstar(mats: CouplingMatrices, max_dense_dim: int = MAX_DENSE_DIM,
-                force_method: str | None = None, tol: float = 1e-10,
+def exact_rstar(mats: CouplingMatrices, force_method: str | None = None, tol: float = 1e-10,
                 seed: int = 7, threads: int = 1) -> ExactResult:
     """Largest eigenvalue of the auxiliary Hamiltonian over all sectors.
 
-    Sectors with dimension <= max_dense_dim are solved densely, larger ones
+    Sectors with dimension <= MAX_DENSE_DIM are solved densely, larger ones
     with matrix-free Lanczos; force_method = "dense" | "lanczos" overrides.
     Sector solves are independent and can run on a thread pool.
     """
@@ -209,7 +200,7 @@ def exact_rstar(mats: CouplingMatrices, max_dense_dim: int = MAX_DENSE_DIM,
 
     def solve_sector(m_ground):
         basis = SectorBasis.build(n, m_ground)
-        use_dense = basis.dim <= max_dense_dim if force_method is None else force_method == "dense"
+        use_dense = basis.dim <= MAX_DENSE_DIM if force_method is None else force_method == "dense"
         if use_dense:
             h = build_sector_dense(mats, basis)
             return float(np.linalg.eigvalsh(h)[-1]), "dense"
@@ -243,10 +234,6 @@ class HaarStatistics:
     min: float
     max: float
     n_samples: int
-
-    def to_dict(self):
-        return {"mean": self.mean, "std": self.std, "min": self.min,
-                "max": self.max, "n_samples": self.n_samples}
 
 
 def haar_rate_samples(mats: CouplingMatrices, n_samples: int, seed: int = 0) -> HaarStatistics:

@@ -9,7 +9,7 @@ SeedSequence; a given seed fully determines every draw.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -76,16 +76,7 @@ class LatticeSpec:
         return np.asarray(self.polarization, dtype=float)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dimension": self.dimension,
-                "n_per_axis": self.n_per_axis,
-                "spacing": self.spacing,
-                "polarization": list(self.polarization),
-                "disorder_eta": self.disorder_eta,
-                "seed": self.seed,
-            }
-        )
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "LatticeSpec":

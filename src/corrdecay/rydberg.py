@@ -117,20 +117,6 @@ class RydbergReport:
     gate_error: float
     collective_mode: str  # "dicke" or "exact"
 
-    def to_dict(self):
-        return {
-            "n_atoms": self.n_atoms,
-            "v_nn_2pi_hz": self.v_nn_2pi_hz,
-            "gamma_collective_2pi_hz": self.gamma_collective_2pi_hz,
-            "gamma_ind_2pi_hz": self.gamma_ind_2pi_hz,
-            "gamma_sp_2pi_hz": self.gamma_sp_2pi_hz,
-            "gamma_bbr_2pi_hz": self.gamma_bbr_2pi_hz,
-            "gamma_tot_2pi_hz": self.gamma_tot_2pi_hz,
-            "chi": self.chi,
-            "gate_error": self.gate_error,
-            "collective_mode": self.collective_mode,
-        }
-
 
 def rydberg_report(inp: RydbergInput) -> RydbergReport:
     """Ratio chi of the per-atom decay to the blockade interaction, and the

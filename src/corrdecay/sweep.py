@@ -8,6 +8,7 @@ schedules the work.
 
 from __future__ import annotations
 
+import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -131,37 +132,25 @@ def run_sweep(plan: SweepPlan, threads: int = 1, on_row=None) -> SweepTable:
     them. Per-point failures are recorded in the row and the sweep continues.
     """
     dis = plan.disorder
-    r_count = 1 if (dis is None or dis.eta == 0) else dis.n_realizations
-    jobs = []  # (point_idx, realization_idx, n_1d, eta, seed)
+    eta = 0.0 if dis is None else dis.eta
+    r_count = 1 if eta == 0 else dis.n_realizations
+    jobs = []  # (n_1d, eta, seed), point-major
     for p_idx, n_1d in enumerate(plan.n_1d_values):
-        if r_count == 1:
-            jobs.append((p_idx, 0, n_1d, 0.0 if dis is None else dis.eta, 0))
-        else:
-            for r_idx in range(dis.n_realizations):
-                # stable per-(point, realization) seed, independent of scheduling
-                seed = int(
-                    np.random.SeedSequence(
-                        entropy=dis.seed, spawn_key=(p_idx, r_idx)
-                    ).generate_state(1)[0]
-                )
-                jobs.append((p_idx, r_idx, n_1d, dis.eta, seed))
-
-    results: dict = {}
-    table = SweepTable()
-    next_point = 0
+        for r_idx in range(r_count):
+            # stable per-(point, realization) seed, independent of scheduling
+            seed = 0 if eta == 0 else int(np.random.SeedSequence(
+                entropy=dis.seed, spawn_key=(p_idx, r_idx)).generate_state(1)[0])
+            jobs.append((n_1d, eta, seed))
 
     def _run(job):
-        p_idx, r_idx, n_1d, eta, seed = job
         try:
-            return p_idx, r_idx, ("ok", _evaluate_point(plan, n_1d, eta, seed))
+            return "ok", _evaluate_point(plan, *job)
         except Exception as exc:  # per-point failure must not kill the sweep
-            return p_idx, r_idx, ("error", f"{type(exc).__name__}: {exc}")
+            return "error", f"{type(exc).__name__}: {exc}"
 
-    def _aggregate(p_idx):
-        n_atoms = plan.n_1d_values[p_idx] ** plan.dimension
+    def _aggregate(n_atoms, outcomes):
         vals, errors = [], []
-        for r_idx in range(r_count):
-            status, payload = results[(p_idx, r_idx)]
+        for status, payload in outcomes:
             (vals if status == "ok" else errors).append(payload)
         if not vals:
             return SweepRow(n_atoms=n_atoms, value=float("nan"),
@@ -171,26 +160,21 @@ def run_sweep(plan: SweepPlan, threads: int = 1, on_row=None) -> SweepTable:
         err = f"partial: {'; '.join(errors)}" if errors else None
         return SweepRow(n_atoms=n_atoms, value=float(arr.mean()), stderr=stderr, error=err)
 
-    def _collect(p_idx, r_idx, outcome):
-        nonlocal next_point
-        results[(p_idx, r_idx)] = outcome
-        # emit every leading point whose ensemble is complete, in N order
-        while next_point < len(plan.n_1d_values) and all(
-            (next_point, r) in results for r in range(r_count)
-        ):
-            row = _aggregate(next_point)
+    table = SweepTable()
+
+    def _emit(outcomes):
+        # map yields in job order, so each point's realizations arrive together
+        for n_1d in plan.n_1d_values:
+            row = _aggregate(n_1d**plan.dimension, itertools.islice(outcomes, r_count))
             table.rows.append(row)
             if on_row is not None:
                 on_row(row)
-            next_point += 1
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for p_idx, r_idx, outcome in pool.map(_run, jobs):
-                _collect(p_idx, r_idx, outcome)
+            _emit(pool.map(_run, jobs))
     else:
-        for job in jobs:
-            _collect(*_run(job))
+        _emit(map(_run, jobs))
     return table
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrdecay.cli import main
+from corrdecay.cli import SCHEMAS, build_parser, main
 
 DATA = Path(__file__).parent / "data" / "rb87_53s_transitions.csv"
 
@@ -81,6 +82,7 @@ INVALID_MATRICES = {
     "nan": np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
     "nonuniform-diagonal": np.diag([1.0, 2.0, 1.0]),
     "non-psd": np.array([[1.0, 1.5], [1.5, 1.0]]),
+    "zero-diagonal": np.zeros((3, 3)),
 }
 
 
@@ -93,6 +95,49 @@ def test_gamma_file_rejects_invalid_matrix(tmp_path, command, kind):
     write_matrix_binary(INVALID_MATRICES[kind], mat_file)
     rc = main([command, "--gamma-file", str(mat_file), "--out", str(tmp_path)])
     assert rc == 3
+
+
+@pytest.mark.parametrize("command", ["sdp", "analyze"])
+def test_gamma_file_sdp_uses_its_gamma0(tmp_path, command):
+    from corrdecay.coupling import write_matrix_binary
+
+    a = np.random.default_rng(3).standard_normal((5, 3))
+    unit = a @ a.T / np.outer(np.linalg.norm(a, axis=1), np.linalg.norm(a, axis=1))
+    mat_file = tmp_path / "gamma.bin"
+    write_matrix_binary(2.0 * unit, mat_file)
+    assert main([command, "--gamma-file", str(mat_file), "--out", str(tmp_path)]) == 0
+    name = "sdp.json" if command == "sdp" else "analysis.json"
+    doc = json.loads((tmp_path / name).read_text())
+    sdp = doc if command == "sdp" else doc["sdp"]
+    # gamma0 = 2: rstar_estimate = value + N*gamma0/2, upper cap = N*gamma0 + 6*value
+    assert sdp["rstar_estimate"] == pytest.approx(sdp["value"] + 5, rel=1e-12)
+    assert sdp["rstar_upper_from_sdp"] == pytest.approx(10 + 6 * sdp["value"], rel=1e-12)
+
+
+def test_analyze_builds_the_array_once(tmp_path, monkeypatch):
+    from corrdecay import cli
+
+    calls = []
+
+    def counted(spec, _build=cli.build_array):
+        calls.append(spec)
+        return _build(spec)
+
+    monkeypatch.setattr(cli, "build_array", counted)
+    assert main(["analyze", "--dim", "1", "--n", "6", "--d", "0.3", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "momentum.csv").exists()
+    assert len(calls) == 1
+
+
+def test_scan_single_realization_follows_seed(tmp_path):
+    def table(seed, name):
+        out = tmp_path / name
+        assert main(["scan", "--dim", "1", "--d", "0.4", "--pol", "z", "--sizes", "6,10,14",
+                     "--eta", "0.05", "--seed", str(seed), "--out", str(out)]) == 0
+        return (out / "sweep.csv").read_bytes()
+
+    assert table(5, "a") != table(6, "b")
+    assert table(5, "c") == table(5, "a")
 
 
 @pytest.mark.parametrize("argv", [
@@ -158,6 +203,10 @@ def test_unused_option_rejected(tmp_path, argv):
     except SystemExit as exc:
         code = exc.code
     assert code == 2
+
+
+def test_scan_requires_spacing(tmp_path):
+    assert main(["scan", "--sizes", "4,6,8", "--out", str(tmp_path)]) == 2
 
 
 def test_scan_range_spec(tmp_path):
@@ -285,3 +334,18 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "coupling.csv").exists()
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_parser_follows_schema(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parser = sub.choices[command]
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    assert set(actions) == set(SCHEMAS[command])
+    for key, rule in SCHEMAS[command].items():
+        assert actions[key].option_strings == ["--" + key.replace("_", "-")]
+        assert actions[key].choices == rule.get("enum")
+        assert actions[key].help == rule.get("description")
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--help"])
+    assert exc.value.code == 0
