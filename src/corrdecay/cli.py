@@ -41,7 +41,7 @@ from .lattice import MAX_ATOMS, LatticeSpec, build_array
 from .rydberg import RydbergInput, read_transition_table, rydberg_report
 from .sdp import SdpProblem, round_to_product_state, sdp_certificates, solve_low_rank, solve_projection
 from .spectral import decompose, momentum_distribution, spectrum_to_csv
-from .sweep import DisorderSpec, SweepPlan, fit_table, run_sweep, sweep_sizes
+from .sweep import DisorderSpec, SweepPlan, csv_row_writer, fit_table, run_sweep, sweep_sizes
 
 DEFAULT_SEED = 20250810  # fixed fallback so omitted seeds stay reproducible
 
@@ -353,15 +353,8 @@ def cmd_scan(args) -> int:
     )
     out = _out_dir(config)
     with open(out / "sweep.csv", "w") as fh:
-        fh.write("n_atoms,value,stderr\n")
-
-        def stream_row(row):
-            se = "" if row.stderr is None else f"{row.stderr:.17g}"
-            fh.write(f"{row.n_atoms},{row.value:.17g},{se}\n")
-            fh.flush()
-
         table = run_sweep(plan, threads=config.get("threads", _default_threads()),
-                          on_row=stream_row)
+                          on_row=csv_row_writer(fh))
     outputs = [out / "sweep.csv"]
     clean = table.clean()
     if len(clean) >= 3:

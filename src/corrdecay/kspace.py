@@ -4,7 +4,11 @@ finite-grid estimates of the largest collective rate.
 Wavevectors are handled in units of k0 (light line at |u| = 1); the lattice
 constant enters through k0*d = 2*pi*d with d in lambda0 units. Reciprocal
 vectors g contribute whenever k + g falls inside the light cone; for 3D the
-rate is a regularized Lorentzian controlled by reg_delta.
+rate is a regularized Lorentzian controlled by reg_delta (3D only).
+
+One rate kernel, `_rates`, evaluates a whole (M, D) block of wavevectors
+against one shared list of reciprocal shifts with masked sums; `gamma_k` is
+that kernel on one point and `gamma_k_grid` is it on the retracted grid.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .errors import ConfigError, DivergentModeError
 POL_TAGS = ("parallel", "perpendicular")
 LIGHT_LINE_TOL = 1e-9  # |u| within this of 1 counts as on the light line (2D)
 PREFACTOR_DOMAIN_MAX = 0.5  # asymptotic alpha/beta formulas assume d <~ 0.5 lambda0
+RATE_BLOCK = 1 << 18  # (point, shift) pairs per pass of the rate kernel; bounds its temporaries
 
 
 @dataclass
@@ -43,13 +48,15 @@ class KSpaceRates:
                    header="kx,ky,kz,rate", comments="")
 
 
-def _check_args(dimension, spacing, pol_tag):
+def _check_args(dimension, spacing, pol_tag, reg_delta):
     if dimension not in (1, 2, 3):
         raise ConfigError(f"dimension must be 1, 2 or 3, got {dimension}")
     if not spacing > 0:
         raise ConfigError("spacing must be positive")
     if pol_tag not in POL_TAGS:
         raise ConfigError(f"pol_tag must be one of {POL_TAGS}")
+    if reg_delta is not None and (dimension != 3 or not reg_delta > 0):
+        raise ConfigError("reg_delta must be positive and applies to D = 3 rates only")
 
 
 def _recip_shifts(dimension, spacing, kmax_units):
@@ -62,6 +69,38 @@ def _recip_shifts(dimension, spacing, kmax_units):
     return np.column_stack([m.ravel() for m in mesh])
 
 
+def _rates(dimension, spacing, pol_tag, k, reg_delta):
+    """Gamma(k)/gamma0 of every row of k (M, D), and which rows have some k + g
+    on the light line (2D only; their rates are not meaningful)."""
+    kd = 2.0 * np.pi * spacing  # k0 * d
+    prefactor = {1: 3.0 * np.pi / ((2.0 if pol_tag == "parallel" else 4.0) * kd),
+                 2: 3.0 * np.pi / kd**2, 3: 6.0 * np.pi / kd**3}[dimension]
+    kmax = np.linalg.norm(k, axis=1).max() + 1.5
+    g = _recip_shifts(dimension, spacing, kmax)
+    g = g[np.linalg.norm(g, axis=1) <= kmax]  # farther shifts never reach the light sphere
+    rates = np.empty(len(k))
+    on_line = np.zeros(len(k), dtype=bool)
+    rows = max(1, RATE_BLOCK // len(g))
+    for start in range(0, len(k), rows):
+        block = slice(start, start + rows)
+        u = k[block, None, :] + g  # candidate k + g in k0 units, (b, G, D)
+        unorm2 = np.sum(u**2, axis=2)
+        sel = unorm2 <= 1.0 + 1e-15 if dimension == 1 else unorm2 < 1.0
+        u2 = unorm2[sel]
+        terms = np.zeros_like(unorm2)  # masked sum: shifts outside the light cone add 0
+        if dimension == 1:
+            terms[sel] = 1.0 - u2 if pol_tag == "parallel" else 1.0 + u2
+        elif dimension == 2:
+            on_line[block] = np.any(np.abs(unorm2 - 1.0) < LIGHT_LINE_TOL, axis=1)
+            # in-plane polarization along x
+            num = 1.0 - u[..., 0][sel] ** 2 if pol_tag == "parallel" else u2
+            terms[sel] = num / np.sqrt(1.0 - u2)
+        else:  # cutoff shell: the closed light sphere; polarization along z
+            terms[sel] = reg_delta * (1.0 - u[..., 2][sel] ** 2) / ((1.0 - u2) ** 2 + reg_delta**2)
+        rates[block] = prefactor * terms.sum(axis=1)
+    return rates, on_line
+
+
 def gamma_k(dimension: int, spacing: float, pol_tag: str, k, reg_delta: float | None = None) -> float:
     """Transition rate Gamma(k)/gamma0 of an infinite D-dimensional array.
 
@@ -69,50 +108,18 @@ def gamma_k(dimension: int, spacing: float, pol_tag: str, k, reg_delta: float | 
     Brillouin zone. For D = 2 a wavevector exactly on the light line raises
     DivergentModeError; for D = 3 a positive reg_delta is required.
     """
-    _check_args(dimension, spacing, pol_tag)
+    _check_args(dimension, spacing, pol_tag, reg_delta)
     u0 = np.atleast_1d(np.asarray(k, dtype=float))
     if u0.size != dimension:
         raise ConfigError(f"k must have {dimension} components")
     if np.any(np.abs(u0) > 0.5 / spacing * (1 + 1e-12)):
         raise ConfigError("k outside the first Brillouin zone")
-    kd = 2.0 * np.pi * spacing  # k0 * d
-
-    g = _recip_shifts(dimension, spacing, kmax_units=np.linalg.norm(u0) + 1.5)
-    u = u0[None, :] + g  # candidate k + g in k0 units
-    unorm2 = np.sum(u**2, axis=1)
-
-    if dimension == 1:
-        sel = unorm2 <= 1.0 + 1e-15
-        u2 = unorm2[sel]
-        if pol_tag == "parallel":
-            return float(3.0 * np.pi / (2.0 * kd) * np.sum(1.0 - u2))
-        return float(3.0 * np.pi / (4.0 * kd) * np.sum(1.0 + u2))
-
-    if dimension == 2:
-        on_line = np.abs(unorm2 - 1.0) < LIGHT_LINE_TOL
-        if np.any(on_line):
-            raise DivergentModeError(f"wavevector {u0} + g lies on the light line")
-        sel = unorm2 < 1.0
-        if not np.any(sel):
-            return 0.0
-        u2 = unorm2[sel]
-        root = np.sqrt(1.0 - u2)
-        if pol_tag == "parallel":
-            pol_axis = u[sel, 0]  # in-plane polarization along x
-            num = 1.0 - pol_axis**2
-        else:
-            num = u2
-        return float(3.0 * np.pi / kd**2 * np.sum(num / root))
-
-    if reg_delta is None or not reg_delta > 0:
+    if dimension == 3 and reg_delta is None:
         raise ConfigError("D = 3 rates need a positive reg_delta regularizer")
-    sel = unorm2 < 1.0  # cutoff shell: the closed light sphere
-    if not np.any(sel):
-        return 0.0
-    pol_axis = u[sel, 2]  # polarization along one array axis (z)
-    num = reg_delta * (1.0 - pol_axis**2)
-    den = (1.0 - unorm2[sel]) ** 2 + reg_delta**2
-    return float(6.0 * np.pi / kd**3 * np.sum(num / den))
+    rates, on_line = _rates(dimension, spacing, pol_tag, u0.reshape(1, dimension), reg_delta)
+    if on_line[0]:
+        raise DivergentModeError(f"wavevector {u0} + g lies on the light line")
+    return float(rates[0])
 
 
 def _grid_axis_1d(spacing, n):
@@ -132,75 +139,62 @@ def default_reg_delta(spacing: float, n_per_axis: int) -> float:
     return 2.0 * np.pi / (2.0 * np.pi * spacing * (n_per_axis + 1.0))
 
 
-def gamma_k_grid(dimension, spacing, pol_tag, n_per_axis, reg_delta=None,
-                 offset: float | None = None) -> KSpaceRates:
+def gamma_k_grid(dimension, spacing, pol_tag, n_per_axis, reg_delta=None) -> KSpaceRates:
     """Sample Gamma(k) on the finite-array wavevector grid (N_1D points per axis).
 
     A finite array cannot resolve momenta closer to the light line than its
-    grid scale, so for D >= 2 every sampled wavevector is kept at least
-    `offset` away from it (radially retracted if needed); offset defaults to
-    the grid bound 2*pi/(k0 d (N_1D + 1)). This makes the estimate a
-    deterministic function of (D, d, N_1D) instead of a Diophantine accident
-    of where mesh points land relative to the divergence.
+    grid scale, so for D >= 2 every sampled wavevector is kept at least the
+    grid offset 2*pi/(k0 d (N_1D + 1)) away from it (radially retracted if
+    needed). This makes the estimate a deterministic function of (D, d, N_1D)
+    instead of a Diophantine accident of where mesh points land relative to
+    the divergence. All points go through the rate kernel in one pass.
     """
-    _check_args(dimension, spacing, pol_tag)
+    _check_args(dimension, spacing, pol_tag, reg_delta)
     if n_per_axis < 2:
         raise ConfigError("n_per_axis must be >= 2")
     if dimension == 1:
-        axes = [_grid_axis_1d(spacing, n_per_axis)]
+        kvecs = k_eval = _grid_axis_1d(spacing, n_per_axis)[:, None]
     else:
-        axes = [_grid_axis_offset(spacing, n_per_axis)] * dimension
-    if offset is None:
-        offset = default_reg_delta(spacing, n_per_axis)
+        mesh = np.meshgrid(*[_grid_axis_offset(spacing, n_per_axis)] * dimension, indexing="ij")
+        kvecs = np.column_stack([m.ravel() for m in mesh])
+        bz_edge = 0.5 / spacing
+        k_eval = np.clip(_retract_from_light_line(kvecs, spacing,
+                                                  default_reg_delta(spacing, n_per_axis)),
+                         -bz_edge, bz_edge)
     if dimension == 3 and reg_delta is None:
         reg_delta = default_reg_delta(spacing, n_per_axis)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    kvecs = np.column_stack([m.ravel() for m in mesh])
-    rates = np.empty(kvecs.shape[0])
-    nudge = 1e-6 / (spacing * n_per_axis)
-    bz_edge = 0.5 / spacing
-    for idx, kv in enumerate(kvecs):
-        kv_eval = kv if dimension == 1 else np.clip(
-            _retract_from_light_line(kv, spacing, offset), -bz_edge, bz_edge
-        )
-        try:
-            rates[idx] = gamma_k(dimension, spacing, pol_tag, kv_eval, reg_delta)
-        except DivergentModeError:
-            shrink = 1.0 - nudge / max(np.linalg.norm(kv_eval), nudge)
-            rates[idx] = gamma_k(dimension, spacing, pol_tag, kv_eval * shrink, reg_delta)
-    return KSpaceRates(
-        dimension=dimension,
-        spacing=spacing,
-        pol_tag=pol_tag,
-        kvecs=kvecs,
-        rates=rates,
-        reg_delta=reg_delta,
-    )
+    rates, on_line = _rates(dimension, spacing, pol_tag, k_eval, reg_delta)
+    if np.any(on_line):
+        # a point still on a folded light line: shrink it radially by a tiny nudge
+        nudge = 1e-6 / (spacing * n_per_axis)
+        flagged = k_eval[on_line]
+        shrink = 1.0 - nudge / np.maximum(np.linalg.norm(flagged, axis=1), nudge)
+        rates[on_line], still = _rates(dimension, spacing, pol_tag,
+                                       flagged * shrink[:, None], reg_delta)
+        if np.any(still):
+            raise DivergentModeError("grid wavevector + g lies on the light line")
+    return KSpaceRates(dimension, spacing, pol_tag, kvecs, rates, reg_delta)
 
 
-def _retract_from_light_line(kv, spacing, offset):
-    """Pull |k + g| out of the band (1 - offset, 1 + offset) around the light line.
+def _retract_from_light_line(kvecs, spacing, offset):
+    """Pull every |k + g| out of the band (1 - offset, 1 + offset) around the light line.
 
-    Checked against every reciprocal shift so folded copies of the divergence
-    are regularized too; the retraction moves k radially about -g.
+    Each point is checked against every reciprocal shift in turn, so folded
+    copies of the divergence are regularized too; the retraction moves k
+    radially about -g.
     """
-    for g in _recip_shifts(kv.size, spacing, kmax_units=np.linalg.norm(kv) + 1.5):
-        u = kv + g
-        norm = np.linalg.norm(u)
-        if abs(norm - 1.0) < offset:
-            target = 1.0 - offset
-            if norm < 1e-12:
-                continue
-            kv = u * (target / norm) - g
-    return kv
+    k = kvecs.copy()
+    for g in _recip_shifts(k.shape[1], spacing, np.linalg.norm(k, axis=1).max() + 1.5):
+        u = k + g
+        norm = np.linalg.norm(u, axis=1)
+        move = (np.abs(norm - 1.0) < offset) & (norm >= 1e-12)
+        k[move] = u[move] * ((1.0 - offset) / norm[move])[:, None] - g
+    return k
 
 
-def gamma_max_finite_grid(dimension, spacing, pol_tag, n_per_axis, reg_delta=None,
-                          offset: float | None = None) -> float:
+def gamma_max_finite_grid(dimension, spacing, pol_tag, n_per_axis, reg_delta=None) -> float:
     """Grid-based estimate of the largest collective rate of an N_1D^D array."""
-    return float(
-        gamma_k_grid(dimension, spacing, pol_tag, n_per_axis, reg_delta, offset).rates.max()
-    )
+    return float(gamma_k_grid(dimension, spacing, pol_tag, n_per_axis, reg_delta).rates.max())
 
 
 @dataclass

@@ -59,9 +59,7 @@ class SdpSolution:
     factor: np.ndarray
     rank: int
     iterations: int
-    grad_residual: float
     feasibility_max_diag: float
-    solver_tag: str
     converged: bool
     rstar_estimate: float
     rstar_upper_from_sdp: float
@@ -92,7 +90,7 @@ def default_rank(n: int) -> int:
     return max(2, math.ceil(math.sqrt(2.0 * n)))
 
 
-def _solution_from_factor(problem, v, iterations, grad_res, tag, converged, gamma0):
+def _solution_from_factor(problem, v, iterations, converged, gamma0):
     value = _objective(problem.gtilde, v)
     diag = float(np.sum(v**2, axis=1).max())
     n = problem.n
@@ -101,9 +99,7 @@ def _solution_from_factor(problem, v, iterations, grad_res, tag, converged, gamm
         factor=v,
         rank=v.shape[1],
         iterations=iterations,
-        grad_residual=grad_res,
         feasibility_max_diag=diag,
-        solver_tag=tag,
         converged=converged,
         rstar_estimate=value + 0.5 * n * gamma0,
         rstar_upper_from_sdp=n * gamma0 + 6.0 * value,
@@ -138,10 +134,8 @@ def _ascend(gtilde, v, max_iters, tol):
         if it >= CONVERGENCE_WINDOW:
             span = max(history[-CONVERGENCE_WINDOW:]) - min(history[-CONVERGENCE_WINDOW:])
             if span <= tol * max(1.0, abs(f)):
-                grad_res = float(np.linalg.norm(_project_rows(v + grad) - v))
-                return best_v, best_f, iterations, grad_res, True
-    grad_res = float(np.linalg.norm(_project_rows(v + grad) - v))
-    return best_v, best_f, iterations, grad_res, False
+                return best_v, best_f, iterations, True
+    return best_v, best_f, iterations, False
 
 
 def solve_low_rank(problem: SdpProblem, rank: int | None = None, seed: int = 0,
@@ -161,7 +155,7 @@ def solve_low_rank(problem: SdpProblem, rank: int | None = None, seed: int = 0,
     rng = _rng(seed)
     v0 = rng.standard_normal((n, r))
     v0 /= np.linalg.norm(v0, axis=1, keepdims=True)
-    v, f, iters, grad_res, converged = _ascend(problem.gtilde, v0, max_iters, tol)
+    v, f, iters, converged = _ascend(problem.gtilde, v0, max_iters, tol)
     total_iters = iters
 
     escape_ok = None
@@ -170,17 +164,17 @@ def solve_low_rank(problem: SdpProblem, rank: int | None = None, seed: int = 0,
         for _ in range(3):
             bump = 1e-3 * rng.standard_normal((n, 1))
             v_up = _project_rows(np.hstack([v, bump]))
-            v2, f2, iters2, grad_res2, conv2 = _ascend(problem.gtilde, v_up, max_iters, tol)
+            v2, f2, iters2, conv2 = _ascend(problem.gtilde, v_up, max_iters, tol)
             total_iters += iters2
             if f2 <= f + 1e-6 * max(1.0, abs(f)):
                 break
             # escaped a spurious local maximum: adopt and re-verify
             escape_ok = False
-            v, f, grad_res, converged = v2, f2, grad_res2, conv2
+            v, f, converged = v2, f2, conv2
         else:
             escape_ok = False
 
-    sol = _solution_from_factor(problem, v, total_iters, grad_res, "lowrank", converged, gamma0)
+    sol = _solution_from_factor(problem, v, total_iters, converged, gamma0)
     sol.rank_escape_verified = escape_ok
     return sol
 
@@ -237,10 +231,7 @@ def solve_projection(problem: SdpProblem, max_iters: int = 20000,
     factor = vecs[:, keep] * np.sqrt(vals[keep])
     if factor.shape[1] == 0:
         factor = np.zeros((n, 1))
-    sol = _solution_from_factor(problem, factor, iterations,
-                                float(np.linalg.norm(x - z)), "projection",
-                                converged, gamma0)
-    return sol
+    return _solution_from_factor(problem, factor, iterations, converged, gamma0)
 
 
 @dataclass

@@ -49,7 +49,6 @@ class SweepPlan:
     quantity: str = "gamma_max"
     disorder: DisorderSpec | None = None
     sdp_seed: int = 0
-    sdp_tol: float = 1e-8
 
     def __post_init__(self):
         if self.quantity not in QUANTITIES:
@@ -79,10 +78,21 @@ class SweepTable:
 
     def to_csv(self, path):
         with open(path, "w") as fh:
-            fh.write("n_atoms,value,stderr\n")
+            write_row = csv_row_writer(fh)
             for r in self.rows:
-                se = "" if r.stderr is None else f"{r.stderr:.17g}"
-                fh.write(f"{r.n_atoms},{r.value:.17g},{se}\n")  # failed rows hold nan
+                write_row(r)
+
+
+def csv_row_writer(fh):
+    """Write the sweep CSV header to fh and return the callback that appends one row."""
+    fh.write("n_atoms,value,stderr\n")
+
+    def write_row(row: SweepRow):
+        se = "" if row.stderr is None else f"{row.stderr:.17g}"
+        fh.write(f"{row.n_atoms},{row.value:.17g},{se}\n")  # failed rows hold nan
+        fh.flush()
+
+    return write_row
 
 
 def sweep_sizes(n_min: int, n_max: int, count: int, mode: str = "geometric") -> list:
@@ -116,9 +126,7 @@ def _evaluate_point(plan: SweepPlan, n_1d: int, eta: float, seed: int) -> float:
     if plan.quantity == "gamma_max":
         return gamma_max_only(mats)
     if plan.quantity == "sdp_estimate":
-        sol = solve_low_rank(SdpProblem.from_coupling(mats), seed=plan.sdp_seed,
-                             tol=plan.sdp_tol)
-        return sol.rstar_estimate
+        return solve_low_rank(SdpProblem.from_coupling(mats), seed=plan.sdp_seed).rstar_estimate
     report = bounds_report(decompose(mats), mats)
     return report.lb_best if plan.quantity == "lb_best" else report.ub
 

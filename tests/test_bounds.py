@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dicke_mats, mats_from_gamma, random_unit_diag_psd
 from corrdecay.bounds import (
@@ -19,7 +21,7 @@ from corrdecay.bounds import (
     typical_rate,
 )
 from corrdecay.errors import ConfigError
-from corrdecay.exactdiag import dicke_rstar
+from corrdecay.exactdiag import dicke_rstar, exact_rstar
 from corrdecay.spectral import decompose
 
 
@@ -237,3 +239,15 @@ def test_observable_bounds():
 def test_typical_rate():
     assert typical_rate(8, 1.0) == 4.0
     assert typical_rate(0, 1.0) == 0.0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1))
+def test_bound_sandwich_property(n, seed):
+    # lb_best <= r_star <= ub for any valid decoherence matrix
+    mats = mats_from_gamma(random_unit_diag_psd(n, np.random.default_rng(seed)))
+    rep = bounds_report(decompose(mats), mats)
+    exact = exact_rstar(mats).rstar_exact
+    slack = 1e-8 * max(1.0, exact)
+    assert rep.lb_best <= exact + slack
+    assert exact <= rep.ub + slack

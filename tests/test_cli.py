@@ -269,6 +269,22 @@ def test_kspace_command(tmp_path):
     assert len(lines) == 65
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kspace_reg_delta_rejected_below_3d(tmp_path, dim):
+    # the regularizer only enters 3D rates; elsewhere it would be recorded but unused
+    assert main(["kspace", "--dim", str(dim), "--n", "8", "--d", "0.3", "--reg-delta", "0.5",
+                 "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "kspace.json").exists()
+
+
+def test_kspace_outputs_repeat_byte_identical(tmp_path):
+    argv = ["kspace", "--dim", "3", "--n", "6", "--d", "0.4", "--pol-tag", "perpendicular"]
+    for name in ("a", "b"):
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+    for name in ("kspace.csv", "kspace.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_rydberg_command(tmp_path):
     rc = main(["rydberg", "--table", str(DATA), "--n-atoms", "160",
                "--spacing-um", "2.0", "--c6", "28.8", "--rabi", "4.6",

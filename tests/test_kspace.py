@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from corrdecay import kspace
 from corrdecay.errors import ConfigError, DivergentModeError
 from corrdecay.kspace import (
     asymptotic_prefactors,
@@ -117,3 +120,140 @@ def test_scaling_exponent_table():
     assert np.isclose(scaling_exponent_general(4, 4), 0.25)
     with pytest.raises(ConfigError):
         scaling_exponent_general(3, 2)
+
+
+# Reference: the earlier point-by-point implementation, kept verbatim in
+# behaviour. Each wavevector gets its own reciprocal-shift list, a scalar
+# retraction loop, a scalar rate and an exception-driven light-line retry.
+def _reference_shifts(dimension, spacing, kmax_units):
+    nmax = int(math.floor(kmax_units * spacing)) + 1
+    axis = np.arange(-nmax, nmax + 1) / spacing
+    mesh = np.meshgrid(*([axis] * dimension), indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
+
+
+def _reference_gamma_k(dimension, spacing, pol_tag, u0, reg_delta):
+    kd = 2.0 * np.pi * spacing
+    u = u0[None, :] + _reference_shifts(dimension, spacing, np.linalg.norm(u0) + 1.5)
+    unorm2 = np.sum(u**2, axis=1)
+    if dimension == 1:
+        u2 = unorm2[unorm2 <= 1.0 + 1e-15]
+        if pol_tag == "parallel":
+            return float(3.0 * np.pi / (2.0 * kd) * np.sum(1.0 - u2))
+        return float(3.0 * np.pi / (4.0 * kd) * np.sum(1.0 + u2))
+    sel = unorm2 < 1.0
+    if dimension == 2:
+        if np.any(np.abs(unorm2 - 1.0) < kspace.LIGHT_LINE_TOL):
+            raise DivergentModeError("on the light line")
+        num = 1.0 - u[sel, 0] ** 2 if pol_tag == "parallel" else unorm2[sel]
+        return float(3.0 * np.pi / kd**2 * np.sum(num / np.sqrt(1.0 - unorm2[sel])))
+    num = reg_delta * (1.0 - u[sel, 2] ** 2)
+    den = (1.0 - unorm2[sel]) ** 2 + reg_delta**2
+    return float(6.0 * np.pi / kd**3 * np.sum(num / den))
+
+
+def _reference_retract(kv, spacing, offset):
+    for g in _reference_shifts(kv.size, spacing, np.linalg.norm(kv) + 1.5):
+        u = kv + g
+        norm = np.linalg.norm(u)
+        if abs(norm - 1.0) < offset and norm >= 1e-12:
+            kv = u * ((1.0 - offset) / norm) - g
+    return kv
+
+
+def _reference_grid(dimension, spacing, pol_tag, n):
+    """Wavevectors, rates and the number of light-line retries of the per-point loop."""
+    if dimension == 1:
+        axes = [(-0.5 + np.arange(1, n + 1) / (n + 1.0)) / spacing]
+    else:
+        axes = [(-0.5 + (np.arange(n) + 0.5) / n) / spacing] * dimension
+    kvecs = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+    offset = default_reg_delta(spacing, n)
+    reg_delta = offset if dimension == 3 else None
+    nudge = 1e-6 / (spacing * n)
+    bz_edge = 0.5 / spacing
+    rates, retries = np.empty(len(kvecs)), 0
+    for idx, kv in enumerate(kvecs):
+        kv_eval = kv if dimension == 1 else np.clip(
+            _reference_retract(kv, spacing, offset), -bz_edge, bz_edge)
+        try:
+            rates[idx] = _reference_gamma_k(dimension, spacing, pol_tag, kv_eval, reg_delta)
+        except DivergentModeError:
+            retries += 1
+            shrink = 1.0 - nudge / max(np.linalg.norm(kv_eval), nudge)
+            rates[idx] = _reference_gamma_k(dimension, spacing, pol_tag, kv_eval * shrink,
+                                            reg_delta)
+    return kvecs, rates, retries
+
+
+GRID_CASES = [
+    (1, 0.4, 40), (2, 0.4, 14), (3, 0.4, 6),  # one shift inside the light cone
+    (1, 1.3, 40), (2, 1.3, 15), (3, 1.2, 6),  # several shifts inside it
+    (2, 0.5, 5),  # reaches the light-line nudge
+]
+
+
+@pytest.mark.parametrize("pol_tag", ["parallel", "perpendicular"])
+@pytest.mark.parametrize("dimension, spacing, n", GRID_CASES)
+def test_grid_matches_per_point_reference(dimension, spacing, n, pol_tag):
+    grid = gamma_k_grid(dimension, spacing, pol_tag, n)
+    kvecs, expect, _ = _reference_grid(dimension, spacing, pol_tag, n)
+    np.testing.assert_array_equal(grid.kvecs, kvecs)
+    rates = grid.rates
+    assert np.all(np.abs(rates - expect) <= np.maximum(1e-12 * np.abs(expect), 1e-15))
+    if dimension == 1:
+        np.testing.assert_array_equal(rates, expect)
+
+
+@pytest.mark.parametrize("pol_tag", ["parallel", "perpendicular"])
+def test_grid_light_line_nudge_reached(pol_tag, monkeypatch):
+    # the reference retries some points; the grid shrinks exactly those, in one
+    # more kernel call
+    *_, retries = _reference_grid(2, 0.5, pol_tag, 5)
+    assert retries > 0
+    flagged = []
+
+    def spy(*args):
+        rates, on_line = kernel(*args)
+        flagged.append(int(on_line.sum()))
+        return rates, on_line
+
+    kernel = kspace._rates
+    monkeypatch.setattr(kspace, "_rates", spy)
+    gamma_k_grid(2, 0.5, pol_tag, 5)
+    assert flagged == [retries, 0]
+
+
+def test_grid_is_one_kernel_pass(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(len(args[3]))  # points in the (M, D) block
+        return kernel(*args)
+
+    kernel = kspace._rates
+    monkeypatch.setattr(kspace, "_rates", spy)
+    gamma_k_grid(3, 0.4, "parallel", 8)
+    assert calls == [8**3]
+
+
+def test_rate_blocks_do_not_change_rates(monkeypatch):
+    whole = gamma_k_grid(3, 1.2, "parallel", 6).rates
+    monkeypatch.setattr(kspace, "RATE_BLOCK", 7)  # a few points per pass
+    np.testing.assert_array_equal(gamma_k_grid(3, 1.2, "parallel", 6).rates, whole)
+
+
+@pytest.mark.parametrize("dimension, k", [(1, [0.1]), (2, [0.1, 0.2])])
+def test_reg_delta_rejected_below_3d(dimension, k):
+    with pytest.raises(ConfigError):
+        gamma_k(dimension, 0.4, "parallel", k, reg_delta=0.1)
+    with pytest.raises(ConfigError):
+        gamma_k_grid(dimension, 0.4, "parallel", 8, reg_delta=0.1)
+
+
+def test_3d_reg_delta_must_be_positive():
+    for bad in (0.0, -0.1, float("nan")):
+        with pytest.raises(ConfigError):
+            gamma_k(3, 0.4, "parallel", [0.1, 0.2, 0.3], reg_delta=bad)
+        with pytest.raises(ConfigError):
+            gamma_k_grid(3, 0.4, "parallel", 4, reg_delta=bad)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dicke_mats, mats_from_gamma, random_unit_diag_psd
 from corrdecay.coupling import build_coupling_matrices
@@ -149,3 +151,17 @@ def test_spectrum_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "index,eigenvalue"
     assert len(lines) == 4
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-6, 1.0))
+def test_weyl_stability_property(n, seed, scale):
+    # |gamma_max(Gamma + E) - gamma_max(Gamma)| <= ||E||_2 for symmetric E
+    rng = np.random.default_rng(seed)
+    gamma = random_unit_diag_psd(n, rng)
+    e = scale * rng.standard_normal((n, n))
+    e = e + e.T
+    np.fill_diagonal(e, 0.0)
+    shift = gamma_max_only(mats_from_gamma(gamma + e)) - gamma_max_only(mats_from_gamma(gamma))
+    assert abs(shift) <= float(np.linalg.norm(e, 2)) + 1e-12 * n
