@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentEmittersError, PhysicsValidationError, SelfTermError
-from .lattice import MAX_ATOMS, AtomArray
+from .lattice import MAX_ATOMS, AtomArray, LatticeSpec, grid_points
 
 K0 = 2.0 * np.pi  # resonant wavenumber in lambda0 units
 GAMMA0 = 1.0  # single-emitter decay rate, the internal unit of all rates
@@ -116,9 +116,29 @@ class PsdDiagnostic:
         }
 
 
-def _pair_matrix(positions, pol, kernel, diagonal) -> np.ndarray:
-    """kernel(k0*r, (r_hat . p)^2) for every pair of an (N, 3) position list, with
-    the given diagonal. Raises CoincidentEmittersError if two emitters overlap."""
+def _kernel_values(sep, self_at, pol, kernel, locate) -> np.ndarray:
+    """kernel(k0*|r|, (r_hat . p)^2) for every separation r along the last axis of sep. The
+    zero separations at self_at get a placeholder for the caller to overwrite; any other r
+    within COINCIDENT_TOL raises CoincidentEmittersError on the pair locate(its index)."""
+    dist = np.linalg.norm(sep, axis=-1)
+    dist[self_at] = 1.0
+    bad = np.argwhere(dist <= COINCIDENT_TOL)
+    if bad.size:
+        raise CoincidentEmittersError(*locate(bad[0]))
+    return kernel(K0 * dist, (sep @ pol) ** 2 / dist**2)
+
+
+def _lattice_spec(array: AtomArray) -> LatticeSpec | None:
+    """The spec of an ordered array (positions exactly its spec's lattice), else None."""
+    spec = array.source_spec
+    lattice = grid_points(np.arange(spec.n_per_axis, dtype=float) * spec.spacing, spec.dimension)
+    return spec if spec.disorder_eta == 0 and np.array_equal(array.positions, lattice) else None
+
+
+def _pair_matrix(positions, pol, kernel, diagonal, lattice=None) -> np.ndarray:
+    """kernel(k0*r, (r_hat . p)^2) for every pair of an (N, 3) position list, with the given
+    diagonal: from the offsets of `lattice` when given (the positions must be that lattice),
+    else by the blocked pair loop. Raises CoincidentEmittersError if two emitters overlap."""
     pos = np.asarray(positions, dtype=float)
     n = pos.shape[0]
     if n < 1:
@@ -128,19 +148,16 @@ def _pair_matrix(positions, pol, kernel, diagonal) -> np.ndarray:
     pol = np.asarray(pol, dtype=float)
     if abs(np.linalg.norm(pol) - 1.0) > 1e-12:
         raise PhysicsValidationError("polarization must be a unit vector")
+    if lattice is not None:
+        return _offset_matrix(lattice, pol, kernel, diagonal)
 
     out = np.empty((n, n))
     for start in range(0, n, PAIR_BLOCK):
         stop = min(start + PAIR_BLOCK, n)
-        sep = pos[start:stop, None, :] - pos[None, :, :]  # (b, n, 3)
-        dist = np.linalg.norm(sep, axis=2)
         local = np.arange(start, stop)
-        dist[local - start, local] = 1.0  # placeholder; diagonal set analytically below
-        bad = np.argwhere(dist <= COINCIDENT_TOL)
-        if bad.size:
-            i, j = int(bad[0, 0]) + start, int(bad[0, 1])
-            raise CoincidentEmittersError(i, j)
-        out[start:stop] = kernel(K0 * dist, (sep @ pol) ** 2 / dist**2)
+        out[start:stop] = _kernel_values(pos[start:stop, None, :] - pos[None, :, :],  # (b, n, 3)
+                                         (local - start, local), pol, kernel,
+                                         lambda b: (int(b[0]) + start, int(b[1])))
 
     # one value per unordered pair: mirror the strict upper triangle
     iu = np.triu_indices(n, k=1)
@@ -149,18 +166,44 @@ def _pair_matrix(positions, pol, kernel, diagonal) -> np.ndarray:
     return out
 
 
+def _offset_matrix(spec: LatticeSpec, pol, kernel, diagonal) -> np.ndarray:
+    """_pair_matrix of the lattice of spec from one kernel call per lattice offset: the pair
+    value depends only on m = a_i - a_j of the sites' integer coordinates, so numbering m in
+    base 2n - 1 makes entry (i, j) table[code_i - code_j + center], gathered PAIR_BLOCK rows
+    at a time."""
+    n, dim = spec.n_per_axis, spec.dimension
+    sep = grid_points(np.arange(1 - n, n, dtype=float) * spec.spacing, dim)  # m*d, by code
+    center = len(sep) // 2  # the zero offset
+    # a coincident offset means d <= COINCIDENT_TOL, so the nearest sites 0 and 1 coincide
+    half = _kernel_values(sep[: center + 1], center, pol, kernel, lambda b: (0, 1))
+    half[center] = diagonal
+    table = np.concatenate([half, half[:center][::-1]])  # -m mirrors m, as i > j mirrors i < j
+    codes = np.ravel_multi_index(np.unravel_index(np.arange(n**dim), (n,) * dim),
+                                 (2 * n - 1,) * dim)
+    out = np.empty((n**dim, n**dim))
+    for start in range(0, n**dim, PAIR_BLOCK):
+        rows = codes[start:start + PAIR_BLOCK, None] + center
+        np.take(table, rows - codes, out=out[start:start + PAIR_BLOCK])
+    return out
+
+
 def build_coupling_matrices(array: AtomArray, pol=None) -> CouplingMatrices:
     """Gamma for all pairs of `array`; jmat is left unset.
 
-    pol defaults to the polarization of the array's source spec. Raises
+    pol defaults to the polarization of the array's source spec. An ordered array is
+    built from its lattice offsets, any other by build_coupling_from_positions. Raises
     CoincidentEmittersError with the offending indices if two emitters overlap.
     """
     pol = array.source_spec.pol_vector if pol is None else pol
-    return build_coupling_from_positions(array.positions, pol)
+    lattice = _lattice_spec(array)
+    if lattice is None:
+        return build_coupling_from_positions(array.positions, pol)
+    gamma = _pair_matrix(array.positions, pol, _gamma_kernel, GAMMA0, lattice)
+    return CouplingMatrices(gamma=gamma, gamma0=GAMMA0, n=gamma.shape[0])
 
 
 def build_coupling_from_positions(positions: np.ndarray, pol) -> CouplingMatrices:
-    """Gamma for an explicit (N, 3) position list in lambda0 units."""
+    """Gamma for an explicit (N, 3) position list in lambda0 units (the pair loop)."""
     gamma = _pair_matrix(positions, pol, _gamma_kernel, GAMMA0)
     return CouplingMatrices(gamma=gamma, gamma0=GAMMA0, n=gamma.shape[0])
 
@@ -168,7 +211,8 @@ def build_coupling_from_positions(positions: np.ndarray, pol) -> CouplingMatrice
 def build_export_matrices(array: AtomArray) -> CouplingMatrices:
     """Gamma and jmat of `array` for the coupling export, the one reader of jmat."""
     mats = build_coupling_matrices(array)
-    mats.jmat = _pair_matrix(array.positions, array.source_spec.pol_vector, _j_kernel, 0.0)
+    mats.jmat = _pair_matrix(array.positions, array.source_spec.pol_vector, _j_kernel, 0.0,
+                             _lattice_spec(array))
     return mats
 
 

@@ -124,24 +124,22 @@ class AtomArray:
         return float(dist[:, 1].min())
 
 
-def generate_lattice(spec: LatticeSpec) -> AtomArray:
-    """Ordered positions on the square lattice defined by `spec`.
+def grid_points(axis, dimension: int) -> np.ndarray:
+    """(len(axis)**D, 3) points of the square grid with coordinates `axis` on each
+    axis: 1D runs along z, 2D fills the xy plane, 3D is cubic; the first axis varies
+    slowest."""
+    pos = np.zeros((len(axis) ** dimension, 3))
+    mesh = np.meshgrid(*[axis] * dimension, indexing="ij")
+    for column, coords in zip([2] if dimension == 1 else range(dimension), mesh):
+        pos[:, column] = coords.ravel()
+    return pos
 
-    1D chains run along z, 2D arrays fill the xy plane, 3D arrays are cubic;
-    the origin sits at a lattice corner. Pure function of the spec.
-    """
-    n, d = spec.n_per_axis, spec.spacing
-    axis = np.arange(n, dtype=float) * d
-    if spec.dimension == 1:
-        pos = np.zeros((n, 3))
-        pos[:, 2] = axis
-    elif spec.dimension == 2:
-        xx, yy = np.meshgrid(axis, axis, indexing="ij")
-        pos = np.column_stack([xx.ravel(), yy.ravel(), np.zeros(n * n)])
-    else:
-        xx, yy, zz = np.meshgrid(axis, axis, axis, indexing="ij")
-        pos = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
-    return AtomArray(positions=pos, source_spec=spec)
+
+def generate_lattice(spec: LatticeSpec) -> AtomArray:
+    """Ordered positions of `spec`: grid_points of the axis 0, d, ..., (n-1) d, so the
+    origin sits at a lattice corner. Pure function of the spec."""
+    axis = np.arange(spec.n_per_axis, dtype=float) * spec.spacing
+    return AtomArray(positions=grid_points(axis, spec.dimension), source_spec=spec)
 
 
 def apply_position_disorder(array: AtomArray, disorder_eta: float, seed: int) -> AtomArray:

@@ -72,39 +72,6 @@ def gamma_max_only(mats: CouplingMatrices) -> float:
     return float(np.linalg.eigvalsh(mats.gamma)[-1])
 
 
-def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:
-    """Cyclic Jacobi rotations; independent cross-check of the LAPACK path.
-
-    Intended for N <= 200. Returns eigenvalues sorted descending.
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    if n > 200:
-        raise PhysicsValidationError("Jacobi oracle is limited to N <= 200")
-    scale = np.abs(a).max() or 1.0
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= tol * scale * n:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol * scale:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = 1.0 if theta == 0.0 else np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                # rotate rows/columns p and q in place
-                row_p, row_q = a[p].copy(), a[q].copy()
-                a[p] = c * row_p - s * row_q
-                a[q] = s * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-    return np.sort(np.diag(a))[::-1]
-
-
 @dataclass
 class MomentumDistribution:
     """Discrete momentum-space weight of a real-space mode on an ordered lattice.
@@ -160,13 +127,6 @@ def momentum_distribution(dominant_vec, array: AtomArray) -> MomentumDistributio
         for axis_idx in range(dim):
             kvecs[:, axis_idx] = mesh[axis_idx].ravel()
     return MomentumDistribution(kvecs=kvecs, weights=weights.ravel())
-
-
-def eigen_residual(mats: CouplingMatrices, summary: SpectralSummary) -> float:
-    """||gamma v - gamma_max v|| / ||gamma||_2 for the reported dominant pair
-    (gamma is symmetric: its 2-norm is its largest |eigenvalue|)."""
-    r = mats.gamma @ summary.dominant_vec - summary.gamma_max * summary.dominant_vec
-    return float(np.linalg.norm(r) / np.abs(summary.eigenvalues[[0, -1]]).max())
 
 
 def spectrum_to_csv(summary: SpectralSummary, path):

@@ -76,12 +76,6 @@ class SweepTable:
     def clean(self):
         return [r for r in self.rows if r.error is None]
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            write_row = csv_row_writer(fh)
-            for r in self.rows:
-                write_row(r)
-
 
 def csv_row_writer(fh):
     """Write the sweep CSV header to fh and return the callback that appends one row."""

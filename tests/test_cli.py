@@ -277,6 +277,12 @@ def test_kspace_reg_delta_rejected_below_3d(tmp_path, dim):
     assert not (tmp_path / "kspace.json").exists()
 
 
+@pytest.mark.parametrize("n", ["4", "2"])
+def test_kspace_grid_offset_past_light_line_exits_2(tmp_path, n):
+    assert main(["kspace", "--dim", "2", "--n", n, "--d", "0.1", "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "kspace.json").exists()
+
+
 def test_kspace_outputs_repeat_byte_identical(tmp_path):
     argv = ["kspace", "--dim", "3", "--n", "6", "--d", "0.4", "--pol-tag", "perpendicular"]
     for name in ("a", "b"):

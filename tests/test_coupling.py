@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import mats_from_gamma, random_small_lattice
+from corrdecay import coupling
 from corrdecay.coupling import (
+    COINCIDENT_TOL,
+    _j_kernel,
+    _pair_matrix,
+    build_coupling_from_positions,
     build_coupling_matrices,
     build_export_matrices,
     coupling_pair,
@@ -15,7 +20,7 @@ from corrdecay.coupling import (
     write_matrix_binary,
 )
 from corrdecay.errors import CoincidentEmittersError, PhysicsValidationError, SelfTermError
-from corrdecay.lattice import LatticeSpec, build_array, generate_lattice
+from corrdecay.lattice import AtomArray, LatticeSpec, build_array, generate_lattice
 
 
 def transverse_kernel(x):
@@ -176,12 +181,80 @@ def test_psd_identity_and_handbuilt_failure():
 
 
 def test_coincident_positions_reported_with_indices():
-    from corrdecay.coupling import build_coupling_from_positions
-
     pos = np.array([[0, 0, 0], [0, 0, 0.4], [0, 0, 0.0]])
     with pytest.raises(CoincidentEmittersError) as err:
         build_coupling_from_positions(pos, np.array([1.0, 0, 0]))
     assert set(err.value.indices) == {0, 2}
+
+
+OBLIQUE = tuple(np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0))  # every axis: signed offsets matter
+
+
+@pytest.mark.parametrize("pol", [(0, 0, 1.0), OBLIQUE], ids=["z", "oblique"])
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_ordered_build_matches_pair_loop(dimension, n, pol):
+    arr = generate_lattice(LatticeSpec(dimension=dimension, n_per_axis=n, spacing=0.37,
+                                       polarization=pol))
+    mats = build_export_matrices(arr)
+    np.testing.assert_allclose(mats.gamma, build_coupling_from_positions(arr.positions, pol).gamma,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mats.jmat, _pair_matrix(arr.positions, pol, _j_kernel, 0.0),
+                               rtol=0, atol=1e-12)
+    assert np.array_equal(mats.gamma, mats.gamma.T) and np.array_equal(mats.jmat, mats.jmat.T)
+    assert np.all(np.diag(mats.gamma) == mats.gamma0) and np.all(np.diag(mats.jmat) == 0.0)
+
+
+def kernel_points(monkeypatch, array):
+    # separations the Gamma kernel is evaluated on in one build of `array`
+    seen = []
+
+    def spy(x, c2):
+        seen.append(np.size(x))
+        return kernel(x, c2)
+
+    kernel = coupling._gamma_kernel
+    monkeypatch.setattr(coupling, "_gamma_kernel", spy)
+    gamma = build_coupling_matrices(array).gamma
+    return sum(seen), gamma
+
+
+def test_ordered_build_is_one_kernel_call_per_offset(monkeypatch):
+    arr = generate_lattice(LatticeSpec(dimension=2, n_per_axis=6, spacing=0.3))
+    points, _ = kernel_points(monkeypatch, arr)
+    assert points == (11**2 + 1) // 2  # offsets m and -m share one value; m = 0 is the diagonal
+
+
+def test_perturbed_handbuilt_array_takes_pair_loop(monkeypatch):
+    spec = LatticeSpec(dimension=2, n_per_axis=4, spacing=0.3, polarization=OBLIQUE)
+    pos = generate_lattice(spec).positions.copy()
+    pos[5, 0] += 1e-9
+    arr = AtomArray(positions=pos, source_spec=spec)  # disorder_eta = 0, yet off the lattice
+    points, gamma = kernel_points(monkeypatch, arr)
+    assert points == 16**2
+    assert np.array_equal(gamma, build_coupling_from_positions(pos, OBLIQUE).gamma)
+    np.testing.assert_array_equal(build_export_matrices(arr).jmat,
+                                  _pair_matrix(pos, OBLIQUE, _j_kernel, 0.0))
+
+
+def test_disordered_array_takes_pair_loop():
+    spec = LatticeSpec(dimension=2, n_per_axis=4, spacing=0.3, disorder_eta=0.05, seed=3)
+    arr = build_array(spec)
+    assert np.array_equal(build_coupling_matrices(arr).gamma,
+                          build_coupling_from_positions(arr.positions, spec.pol_vector).gamma)
+
+
+@pytest.mark.parametrize("perturb", [False, True], ids=["ordered", "pair-loop"])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_coincident_lattice_rejected_on_both_paths(dimension, perturb):
+    spec = LatticeSpec(dimension=dimension, n_per_axis=3, spacing=1e-13)
+    pos = generate_lattice(spec).positions.copy()
+    if perturb:
+        pos[-1, 2] += 1e-14
+    with pytest.raises(CoincidentEmittersError) as err:
+        build_coupling_matrices(AtomArray(positions=pos, source_spec=spec))
+    i, j = err.value.indices
+    assert i != j and np.linalg.norm(pos[i] - pos[j]) <= COINCIDENT_TOL
 
 
 def test_csv_roundtrip(tmp_path):

@@ -257,3 +257,16 @@ def test_3d_reg_delta_must_be_positive():
             gamma_k(3, 0.4, "parallel", [0.1, 0.2, 0.3], reg_delta=bad)
         with pytest.raises(ConfigError):
             gamma_k_grid(3, 0.4, "parallel", 4, reg_delta=bad)
+
+
+@pytest.mark.parametrize("n", [4, 2])  # d (N_1D + 1) = 0.5 and 0.3: the offset is >= 1
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_grid_offset_past_light_line_rejected(dimension, n):
+    assert default_reg_delta(0.1, n) >= 1.0
+    with pytest.raises(ConfigError, match="light line"):
+        gamma_max_finite_grid(dimension, 0.1, "parallel", n)
+
+
+def test_grid_offset_just_below_one_accepted():
+    assert default_reg_delta(0.1, 10) < 1.0  # d (N_1D + 1) = 1.1
+    assert gamma_max_finite_grid(2, 0.1, "parallel", 10) > 0
