@@ -16,13 +16,7 @@ from .bounds import (
     spin_wave_rate,
     typical_rate,
 )
-from .coupling import (
-    CouplingMatrices,
-    build_coupling_matrices,
-    coupling_pair,
-    green_tensor,
-    validate_psd,
-)
+from .coupling import CouplingMatrices, build_coupling_matrices, validate_psd
 from .errors import (
     CertificateError,
     ConfigError,
@@ -81,7 +75,6 @@ __all__ = [
     "build_coupling_matrices",
     "burst_slope",
     "burst_time",
-    "coupling_pair",
     "crossover_n_crit",
     "decompose",
     "delocalization_delta",
@@ -91,7 +84,6 @@ __all__ = [
     "gamma_k",
     "gamma_max_finite_grid",
     "generate_lattice",
-    "green_tensor",
     "haar_rate_samples",
     "markov_limit",
     "momentum_distribution",

@@ -230,7 +230,6 @@ def _write_manifest(out_dir: Path, command: str, config: dict, outputs: list, t0
         "versions": {
             "corrdecay": __version__,
             "numpy": np.__version__,
-            "scipy": _scipy_version(),
             "python": sys.version.split()[0],
         },
         "wall_time_s": time.time() - t0,
@@ -239,12 +238,6 @@ def _write_manifest(out_dir: Path, command: str, config: dict, outputs: list, t0
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n")
     return path
-
-
-def _scipy_version() -> str:
-    import scipy
-
-    return scipy.__version__
 
 
 def _out_dir(config: dict) -> Path:

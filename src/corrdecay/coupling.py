@@ -1,4 +1,4 @@
-"""Free-space dyadic propagator and the N x N coherent/dissipative coupling matrices.
+"""Free-space radiation kernels and the N x N coherent/dissipative coupling matrices.
 
 Rates are in units of the single-emitter decay rate gamma0 (fixed to 1
 internally), lengths in units of lambda0 (k0 = 2*pi). For a real dipole
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentEmittersError, PhysicsValidationError, SelfTermError
+from .errors import CoincidentEmittersError, PhysicsValidationError
 from .lattice import MAX_ATOMS, AtomArray, LatticeSpec, grid_points
 
 K0 = 2.0 * np.pi  # resonant wavenumber in lambda0 units
@@ -36,24 +36,6 @@ COINCIDENT_TOL = 1e-12  # separations below this (in lambda0) are treated as coi
 PAIR_BLOCK = 512  # rows per pass of the pair loop; bounds its (PAIR_BLOCK, N, 3) temporaries
 
 _BINARY_MAGIC = b"CDMATRX1"  # 8 bytes; followed by uint64 N, then N*N float64 row-major
-
-
-def green_tensor(r) -> np.ndarray:
-    """Free-space dyadic Green's tensor G(r, omega0) at the resonance frequency.
-
-    r is a 3-vector in lambda0 units; returns a complex symmetric 3x3 matrix.
-    The self-term diverges and is never evaluated (diagonal couplings are set
-    analytically to gamma0), so zero separation raises SelfTermError.
-    """
-    r = np.asarray(r, dtype=float)
-    dist = float(np.linalg.norm(r))
-    if dist <= COINCIDENT_TOL:
-        raise SelfTermError("self-term requested: G(0) is singular")
-    x = K0 * dist
-    rhat = r / dist
-    outer = np.outer(rhat, rhat)
-    pref = np.exp(1j * x) / (4.0 * np.pi * K0**2 * dist**3)
-    return pref * ((x**2 + 1j * x - 1.0) * np.eye(3) + (-(x**2) - 3j * x + 3.0) * outer)
 
 
 def _gamma_kernel(x, c2):
@@ -70,17 +52,6 @@ def _j_kernel(x, c2):
     t = -0.75 * ((x**2 - 1.0) * cx - x * sx) / x**3
     l = -1.5 * (cx + x * sx) / x**3
     return t + (l - t) * c2
-
-
-def coupling_pair(ri, rj, pol) -> tuple[float, float]:
-    """(J_ij, Gamma_ij) for one emitter pair, in units of gamma0.
-
-    J_ij = -(3*pi/k0) p.Re G.p and Gamma_ij = (6*pi/k0) p.Im G.p, with p the
-    real unit polarization vector.
-    """
-    pos = np.array([ri, rj], dtype=float)
-    return (float(_pair_matrix(pos, pol, _j_kernel, 0.0)[0, 1]),
-            float(_pair_matrix(pos, pol, _gamma_kernel, GAMMA0)[0, 1]))
 
 
 @dataclass
@@ -245,20 +216,16 @@ def offdiagonal_sum(mats: CouplingMatrices) -> float:
 
 
 def write_coupling_csv(mats: CouplingMatrices, path):
-    """Dense pair listing with header i,j,gamma,jcoupling (N^2 rows, row-major).
+    """Dense pair listing with header i,j,gamma,jcoupling (N^2 rows, row-major), values
+    as %.17g so they read back exactly.
 
     mats.jmat must be set, as build_export_matrices does.
     """
-    pairs = np.divmod(np.arange(mats.n**2), mats.n)
-    table = np.column_stack([*pairs, mats.gamma.ravel(), mats.jmat.ravel()])
-    np.savetxt(
-        path,
-        table,
-        fmt=["%d", "%d", "%.17g", "%.17g"],
-        delimiter=",",
-        header="i,j,gamma,jcoupling",
-        comments="",
-    )
+    i, j = np.divmod(np.arange(mats.n**2), mats.n)
+    rows = zip(i.tolist(), j.tolist(), mats.gamma.ravel().tolist(), mats.jmat.ravel().tolist())
+    with open(path, "w") as fh:
+        fh.write("i,j,gamma,jcoupling\n")
+        fh.writelines(map("%d,%d,%.17g,%.17g\n".__mod__, rows))
 
 
 def read_coupling_csv(path) -> CouplingMatrices:

@@ -148,13 +148,15 @@ def gamma_k_grid(dimension, spacing, pol_tag, n_per_axis, reg_delta=None) -> KSp
     needed). This makes the estimate a deterministic function of (D, d, N_1D)
     instead of a Diophantine accident of where mesh points land relative to
     the divergence. All points go through the rate kernel in one pass. The
-    offset must stay below 1, so D >= 2 needs d (N_1D + 1) > 1.
+    offset, which is also the 1D grid step, must stay below the light-line
+    radius 1, so every D needs d (N_1D + 1) > 1: a coarser 1D grid has no
+    point inside the light cone, and a D >= 2 retraction would overshoot it.
     """
     _check_args(dimension, spacing, pol_tag, reg_delta)
     if n_per_axis < 2:
         raise ConfigError("n_per_axis must be >= 2")
-    if dimension > 1 and default_reg_delta(spacing, n_per_axis) >= 1.0:
-        raise ConfigError("grid offset reaches the light line: D >= 2 grids need d (N_1D + 1) > 1")
+    if default_reg_delta(spacing, n_per_axis) >= 1.0:
+        raise ConfigError("grid offset reaches the light line: grids need d (N_1D + 1) > 1")
     if dimension == 1:
         kvecs = k_eval = _grid_axis_1d(spacing, n_per_axis)[:, None]
     else:

@@ -12,7 +12,6 @@ import json
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConfigError, PhysicsValidationError
 
@@ -117,12 +116,6 @@ class AtomArray:
     def n_atoms(self) -> int:
         return self.positions.shape[0]
 
-    def min_pair_distance(self) -> float:
-        if self.n_atoms < 2:
-            return np.inf
-        dist, _ = cKDTree(self.positions).query(self.positions, k=2)
-        return float(dist[:, 1].min())
-
 
 def grid_points(axis, dimension: int) -> np.ndarray:
     """(len(axis)**D, 3) points of the square grid with coordinates `axis` on each
@@ -147,8 +140,8 @@ def apply_position_disorder(array: AtomArray, disorder_eta: float, seed: int) ->
 
     Displacements are isotropic in 3D even for 1D/2D lattices (tweezer-style
     position noise). disorder_eta = 0 returns the input unchanged; a fixed
-    seed makes the output bit-reproducible. Draws are not clipped, so a
-    pathological overlap is rejected rather than repaired.
+    seed makes the output bit-reproducible. Draws are not clipped, so two
+    emitters displaced onto the same point are rejected rather than repaired.
     """
     if disorder_eta < 0:
         raise ConfigError("disorder_eta must be non-negative")
@@ -158,7 +151,7 @@ def apply_position_disorder(array: AtomArray, disorder_eta: float, seed: int) ->
     offsets = _rng(seed).normal(0.0, sigma, size=array.positions.shape)
     new_spec = replace(array.source_spec, disorder_eta=disorder_eta, seed=seed)
     out = AtomArray(positions=array.positions + offsets, source_spec=new_spec)
-    if out.n_atoms > 1 and out.min_pair_distance() <= 0.0:
+    if np.unique(out.positions, axis=0).shape[0] < out.n_atoms:
         raise PhysicsValidationError("disorder draw produced coincident emitters")
     return out
 

@@ -283,6 +283,12 @@ def test_kspace_grid_offset_past_light_line_exits_2(tmp_path, n):
     assert not (tmp_path / "kspace.json").exists()
 
 
+def test_kspace_1d_grid_offset_past_light_line_exits_2(tmp_path):
+    # d (N_1D + 1) = 0.5: the 1D grid step exceeds the light-cone radius
+    assert main(["kspace", "--dim", "1", "--n", "4", "--d", "0.1", "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "kspace.json").exists()
+
+
 def test_kspace_outputs_repeat_byte_identical(tmp_path):
     argv = ["kspace", "--dim", "3", "--n", "6", "--d", "0.4", "--pol-tag", "perpendicular"]
     for name in ("a", "b"):
@@ -356,6 +362,34 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "coupling.csv").exists()
+
+
+COLD_START = """
+import sys
+from corrdecay.cli import main
+from corrdecay.coupling import build_export_matrices, write_coupling_csv
+from corrdecay.lattice import LatticeSpec, build_array
+
+out = sys.argv[1]
+spec = LatticeSpec(dimension=2, n_per_axis=4, spacing=0.4, disorder_eta=0.05, seed=3)
+write_coupling_csv(build_export_matrices(build_array(spec)), out + "/coupling.csv")
+for argv in (["gamma", "--dim", "2", "--n", "4", "--d", "0.4", "--eta", "0.05",
+              "--output-format", "both"],
+             ["analyze", "--dim", "1", "--n", "4", "--d", "0.3", "--pol", "z"],
+             ["kspace", "--dim", "3", "--n", "4", "--d", "0.4"]):
+    assert main(argv + ["--out", out + "/" + argv[0]]) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cold_start_imports_no_scipy(tmp_path):
+    # a fresh interpreter runs the disordered export and the CLI on numpy alone
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "coupling.csv").exists() and (tmp_path / "gamma" / "coupling.csv").exists()
+    assert "scipy" not in json.loads((tmp_path / "gamma" / "manifest.json").read_text())["versions"]
 
 
 @pytest.mark.parametrize("command", sorted(SCHEMAS))

@@ -5,13 +5,15 @@ from conftest import mats_from_gamma, random_small_lattice
 from corrdecay import coupling
 from corrdecay.coupling import (
     COINCIDENT_TOL,
+    GAMMA0,
+    K0,
+    CouplingMatrices,
+    _gamma_kernel,
     _j_kernel,
     _pair_matrix,
     build_coupling_from_positions,
     build_coupling_matrices,
     build_export_matrices,
-    coupling_pair,
-    green_tensor,
     offdiagonal_sum,
     read_coupling_csv,
     read_matrix_binary,
@@ -21,6 +23,35 @@ from corrdecay.coupling import (
 )
 from corrdecay.errors import CoincidentEmittersError, PhysicsValidationError, SelfTermError
 from corrdecay.lattice import AtomArray, LatticeSpec, build_array, generate_lattice
+
+
+def green_tensor(r) -> np.ndarray:
+    """Oracle: free-space dyadic Green's tensor G(r, omega0) at the resonance frequency.
+
+    r is a 3-vector in lambda0 units; returns a complex symmetric 3x3 matrix.
+    The self-term diverges and is never evaluated (diagonal couplings are set
+    analytically to gamma0), so zero separation raises SelfTermError.
+    """
+    r = np.asarray(r, dtype=float)
+    dist = float(np.linalg.norm(r))
+    if dist <= COINCIDENT_TOL:
+        raise SelfTermError("self-term requested: G(0) is singular")
+    x = K0 * dist
+    rhat = r / dist
+    outer = np.outer(rhat, rhat)
+    pref = np.exp(1j * x) / (4.0 * np.pi * K0**2 * dist**3)
+    return pref * ((x**2 + 1j * x - 1.0) * np.eye(3) + (-(x**2) - 3j * x + 3.0) * outer)
+
+
+def coupling_pair(ri, rj, pol) -> tuple[float, float]:
+    """(J_ij, Gamma_ij) for one emitter pair through the pair loop, in units of gamma0.
+
+    J_ij = -(3*pi/k0) p.Re G.p and Gamma_ij = (6*pi/k0) p.Im G.p, with p the
+    real unit polarization vector.
+    """
+    pos = np.array([ri, rj], dtype=float)
+    return (float(_pair_matrix(pos, pol, _j_kernel, 0.0)[0, 1]),
+            float(_pair_matrix(pos, pol, _gamma_kernel, GAMMA0)[0, 1]))
 
 
 def transverse_kernel(x):
@@ -266,6 +297,39 @@ def test_csv_roundtrip(tmp_path):
     back = read_coupling_csv(path)
     np.testing.assert_allclose(back.gamma, mats.gamma, rtol=1e-15)
     np.testing.assert_allclose(back.jmat, mats.jmat, rtol=1e-15)
+
+
+def savetxt_csv(mats, path):
+    # the writer's former np.savetxt call, kept as the byte-level oracle
+    pairs = np.divmod(np.arange(mats.n**2), mats.n)
+    table = np.column_stack([*pairs, mats.gamma.ravel(), mats.jmat.ravel()])
+    np.savetxt(path, table, fmt=["%d", "%d", "%.17g", "%.17g"], delimiter=",",
+               header="i,j,gamma,jcoupling", comments="")
+
+
+def hand_built_export():
+    # negative entries, 1e-300, 1e16 and negative zeros
+    gamma = np.array([[1.0, -0.25, 1e-300], [-0.25, 1.0, 1e16], [1e-300, 1e16, 1.0]])
+    jmat = np.array([[-0.0, -1e16, 0.0], [-1e16, -0.0, -3.5e-7], [0.0, -3.5e-7, -0.0]])
+    return CouplingMatrices(gamma=gamma, gamma0=1.0, n=3, jmat=jmat)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: chain_mats(1, 0.4, (0, 0, 1.0), build=build_export_matrices),
+    lambda: build_export_matrices(build_array(LatticeSpec(
+        dimension=2, n_per_axis=5, spacing=0.37, polarization=(0.6, 0.0, 0.8),
+        disorder_eta=0.05, seed=11))),
+    hand_built_export,
+], ids=["n1", "disordered-2d", "hand-built"])
+def test_csv_bytes_match_savetxt(tmp_path, make):
+    mats = make()
+    write_coupling_csv(mats, tmp_path / "new.csv")
+    savetxt_csv(mats, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    back = read_coupling_csv(tmp_path / "new.csv")
+    for got, want in ((back.gamma, mats.gamma), (back.jmat, mats.jmat)):
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("edit", [

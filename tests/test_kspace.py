@@ -260,8 +260,9 @@ def test_3d_reg_delta_must_be_positive():
 
 
 @pytest.mark.parametrize("n", [4, 2])  # d (N_1D + 1) = 0.5 and 0.3: the offset is >= 1
-@pytest.mark.parametrize("dimension", [2, 3])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_grid_offset_past_light_line_rejected(dimension, n):
+    # in 1D the offset is the grid step: no wavevector would lie inside the light cone
     assert default_reg_delta(0.1, n) >= 1.0
     with pytest.raises(ConfigError, match="light line"):
         gamma_max_finite_grid(dimension, 0.1, "parallel", n)

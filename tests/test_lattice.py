@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from corrdecay.errors import ConfigError
+from corrdecay import lattice
+from corrdecay.errors import ConfigError, PhysicsValidationError
 from corrdecay.lattice import (
     LatticeSpec,
     apply_position_disorder,
@@ -122,6 +123,29 @@ def test_spec_json_roundtrip():
         LatticeSpec.from_json('{"dimension": 1}')
 
 
-def test_min_pair_distance():
-    arr = generate_lattice(spec(3, 3, 0.25))
-    assert np.isclose(arr.min_pair_distance(), 0.25)
+class _Displacements:
+    """Stands in for the disorder generator: returns fixed displacements."""
+
+    def __init__(self, offsets):
+        self.offsets = offsets
+
+    def normal(self, loc, scale, size):
+        assert self.offsets.shape == size
+        return self.offsets
+
+
+@pytest.mark.parametrize("dim,n,moved,target", [(1, 3, 1, 0), (2, 3, 0, 8), (3, 2, 6, 1)])
+def test_disorder_rejects_coincident_draw(monkeypatch, dim, n, moved, target):
+    # a draw that carries one emitter exactly onto another is rejected, not repaired
+    ordered = generate_lattice(spec(dim, n, 0.5))
+    assert apply_position_disorder(ordered, 0.1, 7).n_atoms == ordered.n_atoms  # a normal draw
+    offsets = np.zeros_like(ordered.positions)
+    offsets[moved] = ordered.positions[target] - ordered.positions[moved]
+    monkeypatch.setattr(lattice, "_rng", lambda seed, *subkeys: _Displacements(offsets))
+    with pytest.raises(PhysicsValidationError, match="coincident emitters"):
+        apply_position_disorder(ordered, 0.1, 7)
+    # a near miss is distinct points here; the coupling build's COINCIDENT_TOL check owns it
+    offsets[moved, 0] += 1e-15
+    near = apply_position_disorder(ordered, 0.1, 7)
+    assert not np.array_equal(near.positions[moved], near.positions[target])
+
