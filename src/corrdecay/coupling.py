@@ -187,17 +187,26 @@ def build_export_matrices(array: AtomArray) -> CouplingMatrices:
     return mats
 
 
+def check_coupling_matrix(gamma: np.ndarray, n: int | None = None) -> None:
+    """PhysicsValidationError unless gamma is a nonempty square matrix (n x n when n is
+    given) with finite entries, symmetric to atol 1e-12."""
+    gamma = np.asarray(gamma)
+    if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1] or gamma.size == 0:
+        raise PhysicsValidationError(f"coupling matrix of shape {gamma.shape} is not square")
+    if n is not None and gamma.shape[0] != n:
+        raise PhysicsValidationError(f"coupling matrix of shape {gamma.shape} is not {n} x {n}")
+    if not np.all(np.isfinite(gamma)):
+        raise PhysicsValidationError("coupling matrix holds non-finite entries")
+    if not np.allclose(gamma, gamma.T, atol=1e-12):
+        raise PhysicsValidationError("coupling matrix is asymmetric")
+
+
 def validated_coupling(gamma) -> CouplingMatrices:
     """CouplingMatrices around an outside gamma: square, finite, symmetric and with a
     uniform positive diagonal (gamma0), each to atol 1e-12, or PhysicsValidationError. The
     PSD check needs a spectrum, so callers run it on the one they compute."""
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1] or gamma.size == 0:
-        raise PhysicsValidationError(f"coupling matrix of shape {gamma.shape} is not square")
-    if not np.all(np.isfinite(gamma)):
-        raise PhysicsValidationError("coupling matrix holds non-finite entries")
-    if not np.allclose(gamma, gamma.T, atol=1e-12):
-        raise PhysicsValidationError("coupling matrix is asymmetric")
+    check_coupling_matrix(gamma)
     if np.ptp(np.diag(gamma)) > 1e-12:
         raise PhysicsValidationError("coupling matrix has a non-uniform diagonal")
     if not gamma[0, 0] > 0:

@@ -5,9 +5,9 @@ The auxiliary Hamiltonian sum_ij Gamma_ij sigma+_i sigma-_j conserves the
 excitation number, so it block-diagonalizes into sectors labelled by m, the
 number of de-excited qubits (m = 0 is fully excited). Sector bases are
 bitmasks (bit i set = qubit i excited) sorted ascending, with searchsorted
-index lookup and the per-qubit occupancy computed once per basis. One hop
-kernel, _hops, drives both the matrix-free matvec and the dense sector
-build; Haar sampling pushes blocks of samples through the matvec. Note this
+index lookup. Each basis builds its Gamma-independent hop table once; the
+table drives both the matrix-free matvec and the dense sector build, and
+Haar sampling pushes blocks of samples through the matvec. Note this
 is a 2^N-space diagonalization; the N x N matrix eigenproblem lives in
 spectral.py and is a different, much cheaper beast.
 """
@@ -21,12 +21,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .coupling import CouplingMatrices
+from .coupling import CouplingMatrices, check_coupling_matrix
 from .errors import ConfigError, SolverConvergenceError
 from .lattice import _rng
 
-MAX_QUBITS = 24  # C(24,12) ~ 2.7e6 is the largest tractable sector
-MAX_DENSE_DIM = 4096
+MAX_QUBITS = 22  # largest N measured: a d = 0.2 chain takes 143 s and 884 MiB (2 cores, OpenBLAS)
+MAX_DENSE_DIM = 400  # measured dense/Lanczos crossover: about 450 (chains, N = 11-17)
 MAX_QUBITS_HAAR = 14
 HAAR_BLOCK = 64  # Haar samples per block; a block holds HAAR_BLOCK * 2^N amplitudes
 
@@ -36,8 +36,8 @@ class SectorBasis:
     """Computational basis of one excitation sector of N qubits.
 
     The bitmask -> position index map is realized by binary search over the
-    sorted mask array (see position()). The occupancy (occ) is computed once
-    and read by every operator application.
+    sorted mask array (see position()). The hop table (hops) is built once per
+    basis and read by every operator application.
     """
 
     n: int
@@ -49,10 +49,28 @@ class SectorBasis:
         return self.states.size
 
     @cached_property
-    def occ(self) -> np.ndarray:
-        """(n, dim) bool; occ[i] flags the states with qubit i excited."""
-        bits = np.arange(self.n, dtype=np.uint64)[:, None]
-        return ((self.states >> bits) & np.uint64(1)).astype(bool)
+    def hops(self) -> tuple[np.ndarray, np.ndarray]:
+        """Single-excitation hops to and from the sector one excitation below.
+
+        Returns int32 tables (down, up), independent of Gamma. down[j, t] is the
+        index of state t of the sector below with qubit j excited, or dim where
+        qubit j is already excited in t. up[s, a] is i * dim_below + t, where i
+        is the a-th excited qubit of state s (ascending) and t is s with qubit i
+        de-excited. Every pair hop sigma+_i sigma-_j passes through one state t
+        of the sector below, so the two tables, 4 * (n * dim_below + n_excited *
+        dim) bytes, stand for all dim * n_excited * (n - n_excited) pair hops:
+        1.1 bytes per hop in the middle sector at N = 20 (1.9 at N = 13).
+        """
+        n_exc = self.n - self.m_ground
+        bits = np.arange(self.n, dtype=np.uint64)
+        occ = ((self.states[:, None] >> bits) & np.uint64(1)).astype(bool)
+        excited = np.nonzero(occ)[1].reshape(self.dim, n_exc)  # ascending per state
+        lowered = self.states[:, None] ^ (np.uint64(1) << excited.astype(np.uint64))
+        below = SectorBasis(self.n, self.m_ground + 1, np.unique(lowered))
+        up = excited * below.dim + below.position(lowered)
+        down = np.full(self.n * below.dim, self.dim, dtype=np.int32)
+        down[up.ravel()] = np.arange(self.dim).repeat(n_exc)
+        return down.reshape(self.n, below.dim), up.astype(np.int32)
 
     @classmethod
     def build(cls, n: int, m_ground: int) -> "SectorBasis":
@@ -73,52 +91,44 @@ class SectorBasis:
         return np.searchsorted(self.states, mask)
 
 
-def _diagonal(gamma: np.ndarray, basis: SectorBasis) -> np.ndarray:
-    """Sum of Gamma_ii over the excited qubits of each basis state."""
-    diag = np.zeros(basis.dim)
-    for i in range(basis.n):
-        diag[basis.occ[i]] += gamma[i, i]
-    return diag
-
-
-def _hops(gamma: np.ndarray, basis: SectorBasis):
-    """Yield (amp, src, dst) for every nonzero hop of one excitation from j to i.
-
-    src indexes the states with j excited and i not, dst the states they move
-    to; amp = Gamma_ij (hard-core hop, no signs). Nothing is stored, so the
-    memory per hop is O(dim).
-    """
-    occ, states = basis.occ, basis.states
-    for j in range(basis.n):
-        for i in range(basis.n):
-            amp = gamma[i, j]
-            if i == j or amp == 0.0:
-                continue
-            src = np.flatnonzero(occ[j] & ~occ[i])
-            if src.size:
-                yield amp, src, basis.position(states[src] ^ np.uint64((1 << i) | (1 << j)))
-
-
 def sector_matvec(mats: CouplingMatrices, basis: SectorBasis, v: np.ndarray) -> np.ndarray:
     """Apply the auxiliary Hamiltonian restricted to one sector, matrix-free.
 
-    v is one vector of length dim or a (dim, k) block of k vectors.
+    v is one vector of length dim or a (dim, k) block of k vectors, real or
+    complex. Every pair term sigma+_i sigma-_j (the diagonal i = j included)
+    runs through the sector one excitation below, from the cached hop table:
+    gather sigma-_j v for every qubit j, mix the qubits with one Gamma product,
+    and gather sigma+_i of the result back. Per vector this allocates about
+    2 * n * dim_below + n_excited * dim amplitudes, and nothing per pair hop.
     """
     v = np.asarray(v)
     if v.shape[0] != basis.dim:
         raise ConfigError("vector length does not match sector dimension")
-    diag = _diagonal(mats.gamma, basis)
-    out = (diag if v.ndim == 1 else diag[:, None]) * v
-    for amp, src, dst in _hops(mats.gamma, basis):
-        out[dst] += amp * v[src]
-    return out
+    down, up = basis.hops
+    cols = v.reshape(basis.dim, -1)
+    padded = np.concatenate([cols, np.zeros((1, cols.shape[1]), cols.dtype)])
+    # padded[down] is sigma-_j v for every qubit j, (n, dim_below, k), zero where j is not
+    # excited; the Gamma product mixes it into sum_j Gamma_ij sigma-_j v for every qubit i
+    mixed = mats.gamma @ padded[down].reshape(basis.n, -1)
+    out = mixed.reshape(-1, cols.shape[1])[up].sum(axis=1)
+    return out.reshape(v.shape)
 
 
 def build_sector_dense(mats: CouplingMatrices, basis: SectorBasis) -> np.ndarray:
-    """Dense sector matrix, assembled from the same hops as sector_matvec."""
-    h = np.diag(_diagonal(mats.gamma, basis))
-    for amp, src, dst in _hops(mats.gamma, basis):
-        h[dst, src] += amp
+    """Dense sector matrix, assembled from the same hop table as sector_matvec.
+
+    Entry (s, s') is Gamma_ij when s' becomes s by moving one excitation from j
+    to i; the diagonal sums Gamma_ii over the excited qubits, in ascending order.
+    """
+    down, up = basis.hops
+    raised, below = np.divmod(up, down.shape[1] or 1)  # qubit i and state t of each up hop
+    src = down[:, below]  # (n, dim, n_excited): t with qubit j excited, for every qubit j
+    dst = np.broadcast_to(np.arange(basis.dim)[:, None], src.shape)
+    amp = mats.gamma[raised, np.arange(basis.n)[:, None, None]]  # Gamma_ij
+    hop = src < basis.dim
+    h = np.zeros((basis.dim, basis.dim))
+    # np.add.at adds in index order: j ascending gives the diagonal its ascending Gamma_ii sum
+    np.add.at(h, (dst[hop], src[hop]), amp[hop])
     return h
 
 
@@ -126,29 +136,36 @@ def lanczos_largest(matvec, dim: int, tol: float = 1e-10, max_iter: int = 300,
                     seed: int = 0, restarts: int = 3):
     """Largest eigenvalue by Lanczos with full reorthogonalization.
 
-    Restart-free up to max_iter steps; a breakdown (vanishing residual before
-    convergence) retries with a fresh seeded start. Returns (value, iterations).
+    Restart-free up to max_iter steps. A breakdown (vanishing residual before
+    convergence: the Krylov space is invariant) retries with a fresh seeded
+    start, and two starts in a row that break down at the same value return it;
+    a sector whose Hamiltonian is a multiple of the identity (Gamma = gamma0 I)
+    breaks down at the first step from every start. The Krylov basis lives in
+    one preallocated (min(dim, max_iter), dim) array whose rows are written as
+    the iteration reaches them. Returns (value, iterations).
     """
     if dim == 1:
         e = np.zeros(1)
         e[0] = 1.0
         return float(matvec(e)[0]), 1
+    krylov = np.empty((min(dim, max_iter), dim))
+    breakdown = None  # value of the previous start's breakdown
     for attempt in range(restarts):
         rng = _rng(seed, attempt)
         q = rng.standard_normal(dim)
         q /= np.linalg.norm(q)
-        basis_vecs = [q]
+        krylov[0] = q
         alphas, betas = [], []
         theta_prev = None
         for it in range(1, max_iter + 1):
-            w = matvec(basis_vecs[-1])
-            alpha = float(np.dot(basis_vecs[-1], w))
+            w = matvec(krylov[it - 1])
+            alpha = float(np.dot(krylov[it - 1], w))
             alphas.append(alpha)
-            w = w - alpha * basis_vecs[-1]
-            if len(basis_vecs) > 1:
-                w = w - betas[-1] * basis_vecs[-2]
-            # full reorthogonalization: small dims make the cost irrelevant
-            vstack = np.asarray(basis_vecs)
+            w = w - alpha * krylov[it - 1]
+            if it > 1:
+                w = w - betas[-1] * krylov[it - 2]
+            # full reorthogonalization against the it basis vectors so far
+            vstack = krylov[:it]
             w = w - vstack.T @ (vstack @ w)
             beta = float(np.linalg.norm(w))
             tmat = np.diag(alphas)
@@ -166,11 +183,14 @@ def lanczos_largest(matvec, dim: int, tol: float = 1e-10, max_iter: int = 300,
             if beta <= 1e-14 * scale:
                 if len(alphas) >= dim:  # exact invariant subspace covers everything
                     return theta, it
+                if breakdown is not None and abs(theta - breakdown) <= tol * scale:
+                    return theta, it
+                breakdown = theta
                 break  # breakdown: retry with a fresh start
-            if len(basis_vecs) >= min(dim, max_iter):
+            if it >= krylov.shape[0]:
                 return theta, it
             betas.append(beta)
-            basis_vecs.append(w / beta)
+            krylov[it] = w / beta
     raise SolverConvergenceError("Lanczos failed to converge after seeded restarts")
 
 
@@ -197,6 +217,7 @@ def exact_rstar(mats: CouplingMatrices, force_method: str | None = None, tol: fl
         raise ConfigError(f"exact diagonalization is limited to N <= {MAX_QUBITS}")
     if force_method not in (None, "dense", "lanczos"):
         raise ConfigError("force_method must be None, 'dense' or 'lanczos'")
+    check_coupling_matrix(mats.gamma, n)
 
     def solve_sector(m_ground):
         basis = SectorBasis.build(n, m_ground)
@@ -248,6 +269,7 @@ def haar_rate_samples(mats: CouplingMatrices, n_samples: int, seed: int = 0) -> 
         raise ConfigError(f"Haar sampling is limited to N <= {MAX_QUBITS_HAAR}")
     if n_samples < 1:
         raise ConfigError("n_samples must be positive")
+    check_coupling_matrix(mats.gamma, n)
     sectors = [SectorBasis.build(n, m_ground) for m_ground in range(n + 1)]
     rng = _rng(seed)
     rates = np.empty(n_samples)

@@ -23,23 +23,17 @@ def dicke_mats(n):
 
 
 def full_space_hamiltonian(gamma):
-    """Independent oracle: the 2^N x 2^N decay Hamiltonian from Kronecker products."""
+    """Independent oracle: the 2^N x 2^N decay Hamiltonian sum_ij Gamma_ij s+_i s-_j,
+    entry by entry on the bitmask states (bit q set = qubit q excited)."""
     n = gamma.shape[0]
-    sp = np.array([[0.0, 0.0], [1.0, 0.0]])  # raising op in (|g>, |e>) ordering
-    sm = sp.T
-    eye = np.eye(2)
-
-    def embed(op, site):
-        out = np.array([[1.0]])
-        for q in range(n - 1, -1, -1):
-            out = np.kron(out, op if q == site else eye)
-        return out
-
-    dim = 2**n
-    h = np.zeros((dim, dim))
-    for i in range(n):
-        for j in range(n):
-            h += gamma[i, j] * (embed(sp, i) @ embed(sm, j))
+    states = np.arange(2**n)
+    h = np.zeros((2**n, 2**n))
+    for j in range(n):
+        src = states[(states >> j) & 1 == 1]  # s-_j needs qubit j excited
+        lowered = src ^ (1 << j)
+        for i in range(n):
+            free = (lowered >> i) & 1 == 0  # s+_i needs qubit i de-excited
+            h[lowered[free] | (1 << i), src[free]] += gamma[i, j]
     return h
 
 

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dicke_mats, full_space_hamiltonian, mats_from_gamma, random_unit_diag_psd
-from corrdecay.coupling import build_coupling_matrices
-from corrdecay.errors import ConfigError
+from corrdecay.coupling import CouplingMatrices, build_coupling_matrices
+from corrdecay.errors import ConfigError, PhysicsValidationError
 from corrdecay.exactdiag import (
+    MAX_QUBITS,
     SectorBasis,
     build_sector_dense,
     dicke_rstar,
@@ -97,6 +98,71 @@ def test_sector_operator_property(n, seed):
             np.testing.assert_allclose(h, full[np.ix_(idx, idx)], atol=1e-12)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_matvec_matches_reference(n, rng):
+    # against the reference double loop, not the shared hop table: one real and one
+    # complex vector, and one complex (dim, k) block
+    g = random_unit_diag_psd(n, rng)
+    mats = mats_from_gamma(g)
+    for m_ground in range(n + 1):
+        basis = SectorBasis.build(n, m_ground)
+        h = reference_sector_dense(g, basis)
+        real = rng.standard_normal(basis.dim)
+        block = rng.standard_normal((basis.dim, 4)) + 1j * rng.standard_normal((basis.dim, 4))
+        for v in (real, real + 1j * rng.standard_normal(basis.dim), block):
+            out = sector_matvec(mats, basis, v)
+            assert out.shape == v.shape and out.dtype == v.dtype
+            np.testing.assert_allclose(out, h @ v, atol=1e-12)
+
+
+def test_hop_table_built_once(monkeypatch):
+    # the table is the only caller of position(): a solve that runs 8x the iterations
+    # must not look up more states
+    calls = []
+    position = SectorBasis.position
+
+    def counted(self, mask):
+        calls.append(np.size(mask))
+        return position(self, mask)
+
+    monkeypatch.setattr(SectorBasis, "position", counted)
+    mats = chain_mats(10)
+    seen = []
+    for max_iter in (5, 40):
+        basis = SectorBasis.build(10, 5)
+        calls.clear()
+        _, iterations = lanczos_largest(lambda v: sector_matvec(mats, basis, v), basis.dim,
+                                        max_iter=max_iter, seed=0)
+        seen.append((iterations, list(calls)))
+    assert [it for it, _ in seen] == [5, 40]
+    assert seen[0][1] == seen[1][1] == [252 * 5]
+
+
+def bad_gamma_mats(case):
+    if case == "shape":  # a 5 x 5 matrix that says it holds 4 qubits
+        return CouplingMatrices(gamma=np.eye(5), gamma0=1.0, n=4)
+    gamma = np.eye(4)
+    if case == "asymmetric":
+        gamma[0, 1] = 0.9
+    else:
+        gamma[1, 2] = gamma[2, 1] = np.nan
+    return mats_from_gamma(gamma)
+
+
+@pytest.mark.parametrize("case", ["asymmetric", "nan", "shape"])
+def test_gamma_validated_before_sector_work(case, monkeypatch):
+    def no_sector_work(*args):
+        raise AssertionError("a sector basis was built before gamma was checked")
+
+    monkeypatch.setattr(SectorBasis, "build", no_sector_work)
+    mats = bad_gamma_mats(case)
+    for force_method in (None, "dense", "lanczos"):
+        with pytest.raises(PhysicsValidationError):
+            exact_rstar(mats, force_method=force_method)
+    with pytest.raises(PhysicsValidationError):
+        haar_rate_samples(mats, 10, seed=0)
+
+
 def test_matvec_hermitian(rng):
     mats = chain_mats(7)
     basis = SectorBasis.build(7, 3)
@@ -155,6 +221,16 @@ def test_lanczos_against_full_space_oracle(rng):
     assert abs(res.rstar_exact - oracle) <= 1e-9 * oracle
 
 
+def test_lanczos_degenerate_sectors():
+    # every start vector is an eigenvector of a Gamma = I sector, and Dicke sectors have
+    # few distinct levels: Lanczos breaks down early from every start
+    n = 8
+    assert exact_rstar(mats_from_gamma(np.eye(n)), force_method="lanczos").rstar_exact == \
+        pytest.approx(n, rel=1e-12)
+    assert exact_rstar(dicke_mats(n), force_method="lanczos").rstar_exact == \
+        pytest.approx(dicke_rstar(n), rel=1e-10)
+
+
 def test_lanczos_kernel_on_explicit_matrix(rng):
     a = rng.standard_normal((40, 40))
     h = 0.5 * (a + a.T)
@@ -164,7 +240,7 @@ def test_lanczos_kernel_on_explicit_matrix(rng):
 
 def test_size_guard():
     with pytest.raises(ConfigError):
-        exact_rstar(mats_from_gamma(np.eye(25)))
+        exact_rstar(mats_from_gamma(np.eye(MAX_QUBITS + 1)))
 
 
 def test_haar_single_qubit_half_excitation():
