@@ -3,9 +3,9 @@
 Subcommands: gamma, analyze, scan, sdp, exact, kspace, rydberg.
 Exit codes: 0 success, 2 config error, 3 physics-validation error,
 4 solver non-convergence. Config precedence: flags > --config file > defaults.
-Every run writes a manifest (config hash, seed, versions, wall time) next to
-its outputs. Omitted seeds fall back to a fixed documented constant, never
-the wall clock.
+Every run that writes a file also writes a manifest (config hash, seed,
+versions, wall time) next to its outputs, even when it then fails. Omitted
+seeds fall back to a fixed documented constant, never the wall clock.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -58,11 +58,10 @@ _LATTICE_KEYS = {
     "seed": {"type": "integer", "description": f"RNG seed (default {DEFAULT_SEED})"},
 }
 
-_GLOBAL_KEYS = {
-    "threads": {"type": "integer", "minimum": 1,
-                "description": "worker threads (default $CORRDECAY_THREADS or 1)"},
-    "out": {"type": "string", "description": "output directory (default .)"},
-}
+_THREADS_KEY = {"threads": {"type": "integer", "minimum": 1,
+                            "description": "worker threads (default $CORRDECAY_THREADS or 1)"}}
+
+_GLOBAL_KEYS = {"out": {"type": "string", "description": "output directory (default .)"}}
 
 _GAMMA_FILE_KEY = {"gamma_file": {"type": "string", "description": "binary gamma matrix input"}}
 
@@ -75,6 +74,7 @@ SCHEMAS = {
     },
     "analyze": {
         **_LATTICE_KEYS,
+        **_THREADS_KEY,
         **_GLOBAL_KEYS,
         **_GAMMA_FILE_KEY,
         "exact_max_n": {"type": "integer", "minimum": 2, "maximum": MAX_QUBITS,
@@ -85,6 +85,7 @@ SCHEMAS = {
     },
     "scan": {
         **{key: rule for key, rule in _LATTICE_KEYS.items() if key != "n"},
+        **_THREADS_KEY,
         **_GLOBAL_KEYS,
         "quantity": {"type": "string", "enum": ["gamma_max", "sdp_estimate", "lb_best", "ub"]},
         "sizes": {"type": "array", "items": {"type": "integer", "minimum": 1},
@@ -108,6 +109,7 @@ SCHEMAS = {
     },
     "exact": {
         **_LATTICE_KEYS,
+        **_THREADS_KEY,
         **_GLOBAL_KEYS,
         **_GAMMA_FILE_KEY,
     },
@@ -138,24 +140,13 @@ SCHEMAS = {
 }
 
 
-def _validate_config(command: str, config: dict) -> None:
+def _merge_config(args: argparse.Namespace) -> dict:
+    """Config file keys overridden by every flag given, validated against the
+    command's schema, which rejects extras."""
     import jsonschema
 
-    schema = {
-        "type": "object",
-        "properties": SCHEMAS[command],
-        "additionalProperties": False,
-    }
-    try:
-        jsonschema.validate(config, schema)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
-
-
-def _merge_config(command: str, args: argparse.Namespace) -> dict:
-    """Config file keys overridden by every flag given; the schema rejects extras."""
     config = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
@@ -164,8 +155,16 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
             raise ConfigError("config file must hold a JSON object")
         config.update(loaded)
     config.update({name: value for name, value in vars(args).items()
-                   if value is not None and name not in ("command", "func", "config")})
-    _validate_config(command, config)
+                   if value is not None and name not in ("command", "config")})
+    schema = {
+        "type": "object",
+        "properties": SCHEMAS[args.command],
+        "additionalProperties": False,
+    }
+    try:
+        jsonschema.validate(config, schema)
+    except jsonschema.ValidationError as exc:
+        raise ConfigError(f"config schema violation: {exc.message}") from exc
     return config
 
 
@@ -204,8 +203,11 @@ def _lattice_from_config(config: dict) -> LatticeSpec:
 
 def _coupling_from_config(config: dict):
     """(coupling matrices, atom array) from a lattice spec, or (matrices, None) from
-    a binary matrix file."""
+    a binary matrix file, next to which only the solvers' seed may be given."""
     if "gamma_file" in config:
+        unused = [key for key in _LATTICE_KEYS if key in config and key != "seed"]
+        if unused:
+            raise ConfigError(f"gamma_file excludes the lattice keys {', '.join(unused)}")
         return validated_coupling(read_matrix_binary(config["gamma_file"])), None
     array = build_array(_lattice_from_config(config))
     return build_coupling_matrices(array), array
@@ -219,7 +221,26 @@ def _require_psd(min_eigenvalue: float, mats) -> PsdDiagnostic:
     return diag
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, outputs: list, t0: float):
+@dataclass
+class Run:
+    """Where one command writes: its output directory, created with the first file,
+    and every file written there in order, which main lists in the manifest."""
+
+    out: Path
+    outputs: list = field(default_factory=list)
+
+    def path(self, name: str) -> Path:
+        """Path of a new output file in the output directory, recorded as an output."""
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(self.out / name)
+        return self.outputs[-1]
+
+    def write_json(self, name: str, doc) -> None:
+        self.path(name).write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def _write_manifest(run: Run, command: str, config: dict, wall_time_s: float) -> None:
+    """manifest.json of a run; its outputs are the files the command wrote, in order."""
     digest = hashlib.sha256(
         json.dumps(config, sort_keys=True, default=str).encode()
     ).hexdigest()
@@ -232,51 +253,31 @@ def _write_manifest(out_dir: Path, command: str, config: dict, outputs: list, t0
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
-        "wall_time_s": time.time() - t0,
-        "outputs": [str(p) for p in outputs],
+        "wall_time_s": wall_time_s,
+        "outputs": [str(p) for p in run.outputs],
     })
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return path
+    run.write_json("manifest.json", manifest)
 
 
-def _out_dir(config: dict) -> Path:
-    out = Path(config.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_gamma(args) -> int:
-    t0 = time.time()
-    config = _merge_config("gamma", args)
+def cmd_gamma(config: dict, run: Run) -> int:
     spec = _lattice_from_config(config)
     mats = build_export_matrices(build_array(spec))
     diag = validate_psd(mats)
-    out = _out_dir(config)
-    outputs = []
     fmt = config.get("output_format", "csv")
     if fmt in ("csv", "both"):
-        write_coupling_csv(mats, out / "coupling.csv")
-        outputs.append(out / "coupling.csv")
+        write_coupling_csv(mats, run.path("coupling.csv"))
     if fmt in ("binary", "both"):
-        write_matrix_binary(mats.gamma, out / "gamma.bin")
-        write_matrix_binary(mats.jmat, out / "jmat.bin")
-        outputs += [out / "gamma.bin", out / "jmat.bin"]
-    (out / "psd.json").write_text(json.dumps(diag.to_dict(), indent=2) + "\n")
-    outputs.append(out / "psd.json")
-    (out / "lattice.json").write_text(spec.to_json() + "\n")
-    outputs.append(out / "lattice.json")
-    _write_manifest(out, "gamma", config, outputs, t0)
+        write_matrix_binary(mats.gamma, run.path("gamma.bin"))
+        write_matrix_binary(mats.jmat, run.path("jmat.bin"))
+    run.write_json("psd.json", diag.to_dict())
+    run.path("lattice.json").write_text(spec.to_json() + "\n")
     _require_psd(diag.min_eigenvalue, mats)
-    print(f"wrote {len(outputs)} files to {out} (N = {mats.n})")
+    print(f"wrote {len(run.outputs)} files to {run.out} (N = {mats.n})")
     return 0
 
 
-def cmd_analyze(args) -> int:
-    t0 = time.time()
-    config = _merge_config("analyze", args)
+def cmd_analyze(config: dict, run: Run) -> int:
     mats, array = _coupling_from_config(config)
-    threads = config.get("threads", _default_threads())
     summary = decompose(mats)
     diag = _require_psd(summary.eigenvalues[-1], mats)
     bounds = bounds_report(summary, mats)
@@ -304,22 +305,16 @@ def cmd_analyze(args) -> int:
         sdp_certificates(problem, sol, summary.gamma_max, mats.gamma0)
         doc["sdp"] = sol.to_dict()
     if mats.n <= config.get("exact_max_n", 14):
-        doc["exact"] = asdict(exact_rstar(mats, threads=threads))
-    out = _out_dir(config)
-    (out / "analysis.json").write_text(json.dumps(doc, indent=2) + "\n")
-    spectrum_to_csv(summary, out / "spectrum.csv")
-    outputs = [out / "analysis.json", out / "spectrum.csv"]
+        doc["exact"] = asdict(exact_rstar(mats, threads=config.get("threads", _default_threads())))
+    run.write_json("analysis.json", doc)
+    spectrum_to_csv(summary, run.path("spectrum.csv"))
     if array is not None and array.source_spec.disorder_eta == 0:
-        momentum_distribution(summary.dominant_vec, array).to_csv(out / "momentum.csv")
-        outputs.append(out / "momentum.csv")
-    _write_manifest(out, "analyze", config, outputs, t0)
-    print(f"analysis written to {out / 'analysis.json'}")
+        momentum_distribution(summary.dominant_vec, array).to_csv(run.path("momentum.csv"))
+    print(f"analysis written to {run.out / 'analysis.json'}")
     return 0
 
 
-def cmd_scan(args) -> int:
-    t0 = time.time()
-    config = _merge_config("scan", args)
+def cmd_scan(config: dict, run: Run) -> int:
     _require(config, "d")
     if "sizes" in config:
         sizes = config["sizes"]
@@ -344,53 +339,43 @@ def cmd_scan(args) -> int:
         disorder=disorder,
         sdp_seed=config.get("seed", DEFAULT_SEED),
     )
-    out = _out_dir(config)
-    with open(out / "sweep.csv", "w") as fh:
+    with open(run.path("sweep.csv"), "w") as fh:
         table = run_sweep(plan, threads=config.get("threads", _default_threads()),
                           on_row=csv_row_writer(fh))
-    outputs = [out / "sweep.csv"]
-    clean = table.clean()
-    if len(clean) >= 3:
+    if len(table.clean()) >= 3:
         fit = fit_table(table)
-        (out / "fit.json").write_text(fit.to_json() + "\n")
-        outputs.append(out / "fit.json")
+        run.path("fit.json").write_text(fit.to_json() + "\n")
         print(f"fit: alpha = {fit.alpha:.4f} +- {fit.alpha_ci_1sigma:.4f}, "
               f"beta = {fit.beta:.4f}, r^2 = {fit.r_squared:.4f}, accepted = {fit.accepted}")
     failed = [r for r in table.rows if r.error is not None]
     if failed:
         print(f"{len(failed)} sweep rows flagged: {failed[0].error}", file=sys.stderr)
-    _write_manifest(out, "scan", config, outputs, t0)
     return 0
 
 
-def cmd_sdp(args) -> int:
-    t0 = time.time()
-    config = _merge_config("sdp", args)
+def cmd_sdp(config: dict, run: Run) -> int:
+    lowrank = config.get("solver", "lowrank") == "lowrank"
+    if "rank" in config and not lowrank:
+        raise ConfigError("rank applies to the lowrank solver only")
     mats, _ = _coupling_from_config(config)
     rates = np.linalg.eigvalsh(mats.gamma)
     _require_psd(rates[0], mats)
     problem = SdpProblem.from_coupling(mats)
-    kwargs = {}
-    if "max_iters" in config:
-        kwargs["max_iters"] = config["max_iters"]
-    if "tol" in config:
-        kwargs["tol"] = config["tol"]
-    if config.get("solver", "lowrank") == "lowrank":
+    limits = {key: config[key] for key in ("max_iters", "tol") if key in config}
+    if lowrank:
         sol = solve_low_rank(problem, rank=config.get("rank"),
-                             seed=config.get("seed", DEFAULT_SEED), gamma0=mats.gamma0, **kwargs)
+                             seed=config.get("seed", DEFAULT_SEED), gamma0=mats.gamma0, **limits)
     else:
-        sol = solve_projection(problem, gamma0=mats.gamma0, **kwargs)
+        sol = solve_projection(problem, gamma0=mats.gamma0, **limits)
     cert = sdp_certificates(problem, sol, float(rates[-1]), mats.gamma0)
     rounding = round_to_product_state(sol, problem)
     doc = sol.to_dict()
     doc["certificates"] = cert
     doc["rounded_product_value"] = rounding.value
     doc["rounded_rstar_witness"] = rounding.value + 0.5 * mats.n * mats.gamma0
-    out = _out_dir(config)
-    (out / "sdp.json").write_text(json.dumps(doc, indent=2) + "\n")
-    np.savetxt(out / "product_angles.csv", rounding.angles[:, None], fmt="%.17g",
+    run.write_json("sdp.json", doc)
+    np.savetxt(run.path("product_angles.csv"), rounding.angles[:, None], fmt="%.17g",
                delimiter=",", header="phi", comments="")
-    _write_manifest(out, "sdp", config, [out / "sdp.json", out / "product_angles.csv"], t0)
     if not sol.converged:
         print("solver returned best-so-far without converging", file=sys.stderr)
         return 4
@@ -398,28 +383,21 @@ def cmd_sdp(args) -> int:
     return 0
 
 
-def cmd_exact(args) -> int:
-    t0 = time.time()
-    config = _merge_config("exact", args)
+def cmd_exact(config: dict, run: Run) -> int:
     mats, _ = _coupling_from_config(config)
     _require_psd(np.linalg.eigvalsh(mats.gamma)[0], mats)
     result = exact_rstar(mats, seed=config.get("seed", DEFAULT_SEED),
                          threads=config.get("threads", _default_threads()))
-    out = _out_dir(config)
-    (out / "exact.json").write_text(json.dumps(asdict(result), indent=2) + "\n")
-    _write_manifest(out, "exact", config, [out / "exact.json"], t0)
+    run.write_json("exact.json", asdict(result))
     print(f"rstar_exact = {result.rstar_exact:.9f} (sector m = {result.argmax_sector})")
     return 0
 
 
-def cmd_kspace(args) -> int:
-    t0 = time.time()
-    config = _merge_config("kspace", args)
+def cmd_kspace(config: dict, run: Run) -> int:
     _require(config, "dim", "n", "d")
     grid = gamma_k_grid(config["dim"], config["d"], config.get("pol_tag", "parallel"),
                         config["n"], config.get("reg_delta"))
-    out = _out_dir(config)
-    grid.to_csv(out / "kspace.csv")
+    grid.to_csv(run.path("kspace.csv"))
     summary = {
         "dimension": grid.dimension,
         "n_per_axis": config["n"],
@@ -427,15 +405,12 @@ def cmd_kspace(args) -> int:
         "gamma_max_grid": float(grid.rates.max()),
         "reg_delta": grid.reg_delta,
     }
-    (out / "kspace.json").write_text(json.dumps(summary, indent=2) + "\n")
-    _write_manifest(out, "kspace", config, [out / "kspace.csv", out / "kspace.json"], t0)
+    run.write_json("kspace.json", summary)
     print(f"grid gamma_max = {summary['gamma_max_grid']:.6f}")
     return 0
 
 
-def cmd_rydberg(args) -> int:
-    t0 = time.time()
-    config = _merge_config("rydberg", args)
+def cmd_rydberg(config: dict, run: Run) -> int:
     _require(config, "table", "n_atoms", "spacing_um", "c6", "rabi", "dominant")
     rows = read_transition_table(config["table"])
     inp = RydbergInput(
@@ -448,21 +423,16 @@ def cmd_rydberg(args) -> int:
         exact_gamma_max_2pi_hz=config.get("exact_gamma_max_hz"),
     )
     report = rydberg_report(inp)
-    out = _out_dir(config)
-    (out / "rydberg.json").write_text(json.dumps(asdict(report), indent=2) + "\n")
-    _write_manifest(out, "rydberg", config, [out / "rydberg.json"], t0)
+    run.write_json("rydberg.json", asdict(report))
     print(f"chi = {report.chi:.6e}, gate_error = {report.gate_error:.6e}")
     return 0
 
 
 def _default_threads() -> int:
-    env = os.environ.get("CORRDECAY_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
+    try:
+        return max(1, int(os.environ.get("CORRDECAY_THREADS", "1")))
+    except ValueError:
+        return 1
 
 
 COMMANDS = {
@@ -492,21 +462,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"corrdecay {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (func, text) in COMMANDS.items():
+    for command, (_, text) in COMMANDS.items():
         p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="JSON config file (flags override it)")
         for key, rule in SCHEMAS[command].items():
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=_FLAG_TYPES[rule["type"]],
                            choices=rule.get("enum"), help=rule.get("description"))
-        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command. Any run that wrote a file gets its manifest.json, also when
+    the command then fails."""
+    args = build_parser().parse_args(argv)
+    t0 = time.time()
     try:
-        return args.func(args)
+        config = _merge_config(args)
+        run = Run(Path(config.get("out", ".")))
+        try:
+            return COMMANDS[args.command][0](config, run)
+        finally:
+            if run.outputs:
+                _write_manifest(run, args.command, config, time.time() - t0)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -132,66 +132,48 @@ def build_sector_dense(mats: CouplingMatrices, basis: SectorBasis) -> np.ndarray
     return h
 
 
-def lanczos_largest(matvec, dim: int, tol: float = 1e-10, max_iter: int = 300,
-                    seed: int = 0, restarts: int = 3):
+def lanczos_largest(matvec, dim: int, tol: float = 1e-10, max_iter: int = 300, seed: int = 0):
     """Largest eigenvalue by Lanczos with full reorthogonalization.
 
-    Restart-free up to max_iter steps. A breakdown (vanishing residual before
-    convergence: the Krylov space is invariant) retries with a fresh seeded
-    start, and two starts in a row that break down at the same value return it;
-    a sector whose Hamiltonian is a multiple of the identity (Gamma = gamma0 I)
-    breaks down at the first step from every start. The Krylov basis lives in
-    one preallocated (min(dim, max_iter), dim) array whose rows are written as
-    the iteration reaches them. Returns (value, iterations).
+    Restart-free. A breakdown (vanishing residual: the Krylov space is invariant)
+    returns the top Ritz value, which is the top eigenvalue because the random start
+    overlaps every eigenspace; a sector whose Hamiltonian is a multiple of the
+    identity (Gamma = gamma0 I) breaks down at the first step. The Krylov basis and
+    the tridiagonal matrix live in preallocated arrays, min(dim, max_iter) rows each,
+    filled as the iteration reaches them. Returns (value, iterations); raises
+    SolverConvergenceError when max_iter < dim steps pass without convergence.
     """
-    if dim == 1:
-        e = np.zeros(1)
-        e[0] = 1.0
-        return float(matvec(e)[0]), 1
-    krylov = np.empty((min(dim, max_iter), dim))
-    breakdown = None  # value of the previous start's breakdown
-    for attempt in range(restarts):
-        rng = _rng(seed, attempt)
-        q = rng.standard_normal(dim)
-        q /= np.linalg.norm(q)
-        krylov[0] = q
-        alphas, betas = [], []
-        theta_prev = None
-        for it in range(1, max_iter + 1):
-            w = matvec(krylov[it - 1])
-            alpha = float(np.dot(krylov[it - 1], w))
-            alphas.append(alpha)
-            w = w - alpha * krylov[it - 1]
-            if it > 1:
-                w = w - betas[-1] * krylov[it - 2]
-            # full reorthogonalization against the it basis vectors so far
-            vstack = krylov[:it]
-            w = w - vstack.T @ (vstack @ w)
-            beta = float(np.linalg.norm(w))
-            tmat = np.diag(alphas)
-            if betas:
-                off = np.asarray(betas)
-                tmat += np.diag(off, 1) + np.diag(off, -1)
-            evals, evecs = np.linalg.eigh(tmat)
-            theta = float(evals[-1])
-            resid = beta * abs(evecs[-1, -1])
-            scale = max(abs(theta), 1.0)
-            if resid <= tol * scale and theta_prev is not None and \
-                    abs(theta - theta_prev) <= tol * scale:
-                return theta, it
-            theta_prev = theta
-            if beta <= 1e-14 * scale:
-                if len(alphas) >= dim:  # exact invariant subspace covers everything
-                    return theta, it
-                if breakdown is not None and abs(theta - breakdown) <= tol * scale:
-                    return theta, it
-                breakdown = theta
-                break  # breakdown: retry with a fresh start
-            if it >= krylov.shape[0]:
-                return theta, it
-            betas.append(beta)
+    steps = min(dim, max_iter)
+    krylov = np.empty((steps, dim))
+    tmat = np.zeros((steps, steps))
+    q = _rng(seed, 0).standard_normal(dim)
+    krylov[0] = q / np.linalg.norm(q)
+    theta_prev = None
+    for it in range(1, steps + 1):
+        w = matvec(krylov[it - 1])
+        alpha = tmat[it - 1, it - 1] = float(np.dot(krylov[it - 1], w))
+        w = w - alpha * krylov[it - 1]
+        if it > 1:
+            w = w - tmat[it - 1, it - 2] * krylov[it - 2]
+        # full reorthogonalization against the it basis vectors so far
+        vstack = krylov[:it]
+        w = w - vstack.T @ (vstack @ w)
+        beta = float(np.linalg.norm(w))
+        evals, evecs = np.linalg.eigh(tmat[:it, :it])
+        theta = float(evals[-1])
+        resid = beta * abs(evecs[-1, -1])
+        scale = max(abs(theta), 1.0)
+        if resid <= tol * scale and theta_prev is not None and \
+                abs(theta - theta_prev) <= tol * scale:
+            return theta, it
+        if beta <= 1e-14 * scale or it == dim:  # the Krylov space is invariant
+            return theta, it
+        theta_prev = theta
+        if it < steps:
+            tmat[it, it - 1] = tmat[it - 1, it] = beta
             krylov[it] = w / beta
-    raise SolverConvergenceError("Lanczos failed to converge after seeded restarts")
+    raise SolverConvergenceError(f"Lanczos did not converge in {max_iter} steps "
+                                 f"(sector dimension {dim})")
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import subprocess
 import sys
@@ -189,20 +190,64 @@ def test_scan_empty_sizes_rejected(tmp_path):
     assert err.value.code == 2
 
 
+RYDBERG = ["rydberg", "--table", str(DATA), "--n-atoms", "160", "--spacing-um", "2.0",
+           "--c6", "28.8", "--rabi", "4.6", "--dominant", "53S12-52P32"]
+
+
 @pytest.mark.parametrize("argv", [
     ["scan", "--dim", "1", "--d", "0.4", "--sizes", "4,8,16", "--n", "5"],
     ["analyze", "--dim", "1", "--n", "4", "--d", "0.4", "--output-format", "csv"],
     ["kspace", "--dim", "1", "--n", "16", "--d", "0.25", "--seed", "1"],
-    ["rydberg", "--table", str(DATA), "--n-atoms", "160", "--spacing-um", "2.0",
-     "--c6", "28.8", "--rabi", "4.6", "--dominant", "53S12-52P32", "--seed", "1"],
-], ids=["scan-n", "analyze-output-format", "kspace-seed", "rydberg-seed"])
+    RYDBERG + ["--seed", "1"],
+    ["gamma", "--dim", "1", "--n", "3", "--d", "0.5", "--threads", "4"],
+    ["sdp", "--dim", "1", "--n", "6", "--d", "0.4", "--threads", "4"],
+    ["kspace", "--dim", "1", "--n", "8", "--d", "0.3", "--threads", "4"],
+    RYDBERG + ["--threads", "4"],
+    ["analyze", "--gamma-file", "GAMMA_FILE", "--dim", "2", "--n", "5", "--d", "0.9",
+     "--eta", "0.3"],
+    ["sdp", "--gamma-file", "GAMMA_FILE", "--dim", "2"],
+    ["exact", "--gamma-file", "GAMMA_FILE", "--dim", "2"],
+    ["sdp", "--dim", "1", "--n", "6", "--d", "0.4", "--solver", "projection", "--rank", "3"],
+], ids=["scan-n", "analyze-output-format", "kspace-seed", "rydberg-seed", "gamma-threads",
+        "sdp-threads", "kspace-threads", "rydberg-threads", "analyze-gamma-file-lattice",
+        "sdp-gamma-file-dim", "exact-gamma-file-dim", "sdp-projection-rank"])
 def test_unused_option_rejected(tmp_path, argv):
-    # argparse (no such flag) and the schema (flag unused by the command) both exit 2
+    # argparse (no such flag), the schema (flag unused by the command) and the command
+    # (flag unused next to another one) all exit 2, before anything is written
+    from corrdecay.coupling import write_matrix_binary
+
+    gamma_file = tmp_path / "gamma.bin"
+    write_matrix_binary(np.eye(4), gamma_file)
+    argv = [str(gamma_file) if arg == "GAMMA_FILE" else arg for arg in argv]
     try:
-        code = main(argv + ["--out", str(tmp_path)])
+        code = main(argv + ["--out", str(tmp_path / "out")])
     except SystemExit as exc:
         code = exc.code
     assert code == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, code, outputs", [
+    (["gamma", "--dim", "3", "--n", "3", "--d", "1e-7"], 3,
+     ["coupling.csv", "psd.json", "lattice.json"]),
+    (["sdp", "--dim", "1", "--n", "40", "--d", "0.4", "--max-iters", "3"], 4,
+     ["sdp.json", "product_angles.csv"]),
+], ids=["gamma-not-psd", "sdp-unconverged"])
+def test_failed_run_keeps_manifest(tmp_path, argv, code, outputs):
+    assert main(argv + ["--out", str(tmp_path)]) == code
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["outputs"] == [str(tmp_path / name) for name in outputs]
+
+
+def test_exact_unconverged_lanczos_exits_4(tmp_path, monkeypatch):
+    # N = 12 solves its middle sectors by Lanczos; 5 steps cannot converge there
+    from corrdecay import exactdiag
+
+    monkeypatch.setattr(exactdiag, "lanczos_largest",
+                        functools.partial(exactdiag.lanczos_largest, max_iter=5))
+    out = tmp_path / "out"
+    assert main(["exact", "--dim", "1", "--n", "12", "--d", "0.2", "--out", str(out)]) == 4
+    assert not out.exists()
 
 
 def test_scan_requires_spacing(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import dicke_mats, full_space_hamiltonian, mats_from_gamma, random_unit_diag_psd
 from corrdecay.coupling import CouplingMatrices, build_coupling_matrices
-from corrdecay.errors import ConfigError, PhysicsValidationError
+from corrdecay.errors import ConfigError, PhysicsValidationError, SolverConvergenceError
 from corrdecay.exactdiag import (
     MAX_QUBITS,
     SectorBasis,
@@ -116,8 +116,7 @@ def test_matvec_matches_reference(n, rng):
 
 
 def test_hop_table_built_once(monkeypatch):
-    # the table is the only caller of position(): a solve that runs 8x the iterations
-    # must not look up more states
+    # the table is the only caller of position(): 8x the matvecs must not look up more states
     calls = []
     position = SectorBasis.position
 
@@ -128,14 +127,22 @@ def test_hop_table_built_once(monkeypatch):
     monkeypatch.setattr(SectorBasis, "position", counted)
     mats = chain_mats(10)
     seen = []
-    for max_iter in (5, 40):
+    for matvecs in (5, 40):
         basis = SectorBasis.build(10, 5)
         calls.clear()
-        _, iterations = lanczos_largest(lambda v: sector_matvec(mats, basis, v), basis.dim,
-                                        max_iter=max_iter, seed=0)
-        seen.append((iterations, list(calls)))
-    assert [it for it, _ in seen] == [5, 40]
-    assert seen[0][1] == seen[1][1] == [252 * 5]
+        v = np.ones(basis.dim)
+        for _ in range(matvecs):
+            sector_matvec(mats, basis, v)
+        seen.append(list(calls))
+    assert seen == [[252 * 5], [252 * 5]]
+
+
+def test_lanczos_unconverged_raises():
+    # max_iter < dim steps without convergence is an error, not a silent Ritz value
+    mats = chain_mats(10)
+    basis = SectorBasis.build(10, 5)
+    with pytest.raises(SolverConvergenceError):
+        lanczos_largest(lambda v: sector_matvec(mats, basis, v), basis.dim, max_iter=5, seed=0)
 
 
 def bad_gamma_mats(case):
