@@ -213,6 +213,12 @@ def _coupling_from_config(config: dict):
     return build_coupling_matrices(array), array
 
 
+def _reject_unread_seed(config: dict, where: str) -> None:
+    """ConfigError for a seed where only a disorder draw (eta > 0) would read it."""
+    if "seed" in config and not config.get("eta", 0.0) > 0:
+        raise ConfigError(f"{where} reads seed only for a disorder draw (eta > 0)")
+
+
 def _require_psd(min_eigenvalue: float, mats) -> PsdDiagnostic:
     """PSD diagnostic from a spectrum the command computes anyway; fails with exit 3."""
     diag = PsdDiagnostic(float(min_eigenvalue), PSD_TOLERANCE * mats.gamma0)
@@ -260,6 +266,7 @@ def _write_manifest(run: Run, command: str, config: dict, wall_time_s: float) ->
 
 
 def cmd_gamma(config: dict, run: Run) -> int:
+    _reject_unread_seed(config, "gamma")
     spec = _lattice_from_config(config)
     mats = build_export_matrices(build_array(spec))
     diag = validate_psd(mats)
@@ -357,6 +364,8 @@ def cmd_sdp(config: dict, run: Run) -> int:
     lowrank = config.get("solver", "lowrank") == "lowrank"
     if "rank" in config and not lowrank:
         raise ConfigError("rank applies to the lowrank solver only")
+    if not lowrank:
+        _reject_unread_seed(config, "sdp --solver projection")
     mats, _ = _coupling_from_config(config)
     rates = np.linalg.eigvalsh(mats.gamma)
     _require_psd(rates[0], mats)

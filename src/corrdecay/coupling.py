@@ -189,7 +189,7 @@ def build_export_matrices(array: AtomArray) -> CouplingMatrices:
 
 def check_coupling_matrix(gamma: np.ndarray, n: int | None = None) -> None:
     """PhysicsValidationError unless gamma is a nonempty square matrix (n x n when n is
-    given) with finite entries, symmetric to atol 1e-12."""
+    given) with finite entries, symmetric and with a uniform diagonal, each to atol 1e-12."""
     gamma = np.asarray(gamma)
     if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1] or gamma.size == 0:
         raise PhysicsValidationError(f"coupling matrix of shape {gamma.shape} is not square")
@@ -199,6 +199,8 @@ def check_coupling_matrix(gamma: np.ndarray, n: int | None = None) -> None:
         raise PhysicsValidationError("coupling matrix holds non-finite entries")
     if not np.allclose(gamma, gamma.T, atol=1e-12):
         raise PhysicsValidationError("coupling matrix is asymmetric")
+    if np.ptp(np.diag(gamma)) > 1e-12:
+        raise PhysicsValidationError("coupling matrix has a non-uniform diagonal")
 
 
 def validated_coupling(gamma) -> CouplingMatrices:
@@ -207,8 +209,6 @@ def validated_coupling(gamma) -> CouplingMatrices:
     PSD check needs a spectrum, so callers run it on the one they compute."""
     gamma = np.asarray(gamma, dtype=float)
     check_coupling_matrix(gamma)
-    if np.ptp(np.diag(gamma)) > 1e-12:
-        raise PhysicsValidationError("coupling matrix has a non-uniform diagonal")
     if not gamma[0, 0] > 0:
         raise PhysicsValidationError("coupling matrix diagonal (gamma0) is not positive")
     return CouplingMatrices(gamma=gamma, gamma0=float(gamma[0, 0]), n=gamma.shape[0])

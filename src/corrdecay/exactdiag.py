@@ -7,14 +7,15 @@ number of de-excited qubits (m = 0 is fully excited). Sector bases are
 bitmasks (bit i set = qubit i excited) sorted ascending, with searchsorted
 index lookup. Each basis builds its Gamma-independent hop table once; the
 table drives both the matrix-free matvec and the dense sector build, and
-Haar sampling pushes blocks of samples through the matvec. Note this
-is a 2^N-space diagonalization; the N x N matrix eigenproblem lives in
-spectral.py and is a different, much cheaper beast.
+Haar sampling pushes blocks of samples through the matvec. Flipping every
+qubit maps sector m onto sector N - m up to a shift by gamma0 (N - 2m), so
+exact_rstar solves only m <= N/2. Note this is a 2^N-space diagonalization;
+the N x N matrix eigenproblem lives in spectral.py and is a different, much
+cheaper beast.
 """
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,10 +26,11 @@ from .coupling import CouplingMatrices, check_coupling_matrix
 from .errors import ConfigError, SolverConvergenceError
 from .lattice import _rng
 
-MAX_QUBITS = 22  # largest N measured: a d = 0.2 chain takes 143 s and 884 MiB (2 cores, OpenBLAS)
+MAX_QUBITS = 23  # largest N measured: a d = 0.2 chain takes 176 s and 920 MiB (2 cores, OpenBLAS)
 MAX_DENSE_DIM = 400  # measured dense/Lanczos crossover: about 450 (chains, N = 11-17)
 MAX_QUBITS_HAAR = 14
 HAAR_BLOCK = 64  # Haar samples per block; a block holds HAAR_BLOCK * 2^N amplitudes
+LANCZOS_CHECK = 4  # Lanczos steps between convergence tests, each one tridiagonal eigh
 
 
 @dataclass
@@ -76,15 +78,8 @@ class SectorBasis:
     def build(cls, n: int, m_ground: int) -> "SectorBasis":
         if not 0 <= m_ground <= n:
             raise ConfigError(f"m_ground = {m_ground} outside [0, {n}]")
-        n_exc = n - m_ground
-        masks = []
-        for bits in itertools.combinations(range(n), n_exc):
-            mask = 0
-            for b in bits:
-                mask |= 1 << b
-            masks.append(mask)
-        states = np.sort(np.asarray(masks, dtype=np.uint64))
-        return cls(n=n, m_ground=m_ground, states=states)
+        states = np.arange(1 << n, dtype=np.uint64)
+        return cls(n=n, m_ground=m_ground, states=states[np.bitwise_count(states) == n - m_ground])
 
     def position(self, mask) -> np.ndarray:
         """Index of each bitmask within the sorted sector basis."""
@@ -133,45 +128,41 @@ def build_sector_dense(mats: CouplingMatrices, basis: SectorBasis) -> np.ndarray
 
 
 def lanczos_largest(matvec, dim: int, tol: float = 1e-10, max_iter: int = 300, seed: int = 0):
-    """Largest eigenvalue by Lanczos with full reorthogonalization.
+    """Largest eigenvalue by the plain three-term Lanczos recurrence.
 
-    Restart-free. A breakdown (vanishing residual: the Krylov space is invariant)
-    returns the top Ritz value, which is the top eigenvalue because the random start
-    overlaps every eigenspace; a sector whose Hamiltonian is a multiple of the
-    identity (Gamma = gamma0 I) breaks down at the first step. The Krylov basis and
-    the tridiagonal matrix live in preallocated arrays, min(dim, max_iter) rows each,
-    filled as the iteration reaches them. Returns (value, iterations); raises
-    SolverConvergenceError when max_iter < dim steps pass without convergence.
+    Restart-free, and it keeps two Lanczos vectors, not the Krylov basis. Without
+    reorthogonalization, converged Ritz values grow ghost copies, but a ghost copies the
+    top value and never moves it, so only the top value is tested: its residual and
+    its change since the last test, every LANCZOS_CHECK steps. A breakdown (vanishing
+    residual: the Krylov space is invariant) returns the top Ritz value, which is the
+    top eigenvalue because the random start overlaps every eigenspace; a sector whose
+    Hamiltonian is a multiple of the identity (Gamma = gamma0 I) breaks down at the
+    first step. Returns (value, iterations); raises SolverConvergenceError when
+    max_iter < dim steps pass without convergence.
     """
     steps = min(dim, max_iter)
-    krylov = np.empty((steps, dim))
-    tmat = np.zeros((steps, steps))
-    q = _rng(seed, 0).standard_normal(dim)
-    krylov[0] = q / np.linalg.norm(q)
-    theta_prev = None
+    tmat = np.zeros((steps + 1, steps + 1))  # lower triangle; the spare row takes the last beta
+    q_prev, q = np.zeros(dim), _rng(seed, 0).standard_normal(dim)
+    q /= np.linalg.norm(q)
+    theta_prev, bound, beta = None, 1.0, 0.0
     for it in range(1, steps + 1):
-        w = matvec(krylov[it - 1])
-        alpha = tmat[it - 1, it - 1] = float(np.dot(krylov[it - 1], w))
-        w = w - alpha * krylov[it - 1]
-        if it > 1:
-            w = w - tmat[it - 1, it - 2] * krylov[it - 2]
-        # full reorthogonalization against the it basis vectors so far
-        vstack = krylov[:it]
-        w = w - vstack.T @ (vstack @ w)
-        beta = float(np.linalg.norm(w))
-        evals, evecs = np.linalg.eigh(tmat[:it, :it])
-        theta = float(evals[-1])
-        resid = beta * abs(evecs[-1, -1])
-        scale = max(abs(theta), 1.0)
-        if resid <= tol * scale and theta_prev is not None and \
-                abs(theta - theta_prev) <= tol * scale:
-            return theta, it
-        if beta <= 1e-14 * scale or it == dim:  # the Krylov space is invariant
-            return theta, it
-        theta_prev = theta
-        if it < steps:
-            tmat[it, it - 1] = tmat[it - 1, it] = beta
-            krylov[it] = w / beta
+        w = matvec(q) - beta * q_prev
+        alpha = tmat[it - 1, it - 1] = float(np.dot(q, w))
+        w -= alpha * q
+        beta_prev, beta = beta, float(np.linalg.norm(w))
+        tmat[it, it - 1] = beta
+        # Gershgorin bound on |theta|: the breakdown scale between tridiagonal solves
+        bound = max(bound, abs(alpha) + beta_prev + beta)
+        invariant = beta <= 1e-14 * bound or it == dim
+        if invariant or it % LANCZOS_CHECK == 0 or it == steps:
+            evals, evecs = np.linalg.eigh(tmat[:it, :it])
+            theta = float(evals[-1])
+            scale = max(abs(theta), 1.0)
+            if invariant or beta * abs(evecs[-1, -1]) <= tol * scale and \
+                    theta_prev is not None and abs(theta - theta_prev) <= tol * scale:
+                return theta, it
+            theta_prev = theta
+        q_prev, q = q, w / beta
     raise SolverConvergenceError(f"Lanczos did not converge in {max_iter} steps "
                                  f"(sector dimension {dim})")
 
@@ -190,9 +181,13 @@ def exact_rstar(mats: CouplingMatrices, force_method: str | None = None, tol: fl
                 seed: int = 7, threads: int = 1) -> ExactResult:
     """Largest eigenvalue of the auxiliary Hamiltonian over all sectors.
 
-    Sectors with dimension <= MAX_DENSE_DIM are solved densely, larger ones
-    with matrix-free Lanczos; force_method = "dense" | "lanczos" overrides.
-    Sector solves are independent and can run on a thread pool.
+    Only the sectors m_ground <= N/2 are solved: with the uniform diagonal gamma0
+    that check_coupling_matrix enforces, flipping every qubit gives
+    spec(m) = spec(N - m) + gamma0 (N - 2m), so each other entry of per_sector_max
+    is derived from its partner and lies below it. Sectors with dimension <=
+    MAX_DENSE_DIM are solved densely, larger ones with matrix-free Lanczos;
+    force_method = "dense" | "lanczos" overrides. Sector solves are independent
+    and can run on a thread pool.
     """
     n = mats.n
     if n > MAX_QUBITS:
@@ -214,10 +209,12 @@ def exact_rstar(mats: CouplingMatrices, force_method: str | None = None, tol: fl
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve_sector, range(n + 1)))
+            solved = list(pool.map(solve_sector, range(n // 2 + 1)))
     else:
-        solved = [solve_sector(m) for m in range(n + 1)]
+        solved = [solve_sector(m) for m in range(n // 2 + 1)]
     per_sector = [value for value, _ in solved]
+    gamma0 = float(mats.gamma[0, 0])
+    per_sector += [per_sector[n - m] + gamma0 * (n - 2 * m) for m in range(n // 2 + 1, n + 1)]
     methods = {method for _, method in solved}
     argmax = int(np.argmax(per_sector))
     return ExactResult(

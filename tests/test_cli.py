@@ -167,7 +167,7 @@ def test_manifest_seed_only_for_seeded_commands(tmp_path):
         assert main(argv + ["--out", str(tmp_path / str(i))]) == 0
         assert "seed" not in json.loads((tmp_path / str(i) / "manifest.json").read_text())
     out = tmp_path / "gamma"
-    assert main(["gamma", "--dim", "1", "--n", "3", "--d", "0.5", "--seed", "17",
+    assert main(["gamma", "--dim", "1", "--n", "3", "--d", "0.5", "--eta", "0.05", "--seed", "17",
                  "--out", str(out)]) == 0
     assert json.loads((out / "manifest.json").read_text())["seed"] == 17
 
@@ -208,9 +208,15 @@ RYDBERG = ["rydberg", "--table", str(DATA), "--n-atoms", "160", "--spacing-um", 
     ["sdp", "--gamma-file", "GAMMA_FILE", "--dim", "2"],
     ["exact", "--gamma-file", "GAMMA_FILE", "--dim", "2"],
     ["sdp", "--dim", "1", "--n", "6", "--d", "0.4", "--solver", "projection", "--rank", "3"],
+    ["gamma", "--dim", "1", "--n", "4", "--d", "0.4", "--seed", "5"],
+    ["gamma", "--dim", "1", "--n", "4", "--d", "0.4", "--eta", "0", "--seed", "5"],
+    ["sdp", "--dim", "1", "--n", "6", "--d", "0.4", "--solver", "projection", "--seed", "9"],
+    ["sdp", "--gamma-file", "GAMMA_FILE", "--solver", "projection", "--seed", "9"],
 ], ids=["scan-n", "analyze-output-format", "kspace-seed", "rydberg-seed", "gamma-threads",
         "sdp-threads", "kspace-threads", "rydberg-threads", "analyze-gamma-file-lattice",
-        "sdp-gamma-file-dim", "exact-gamma-file-dim", "sdp-projection-rank"])
+        "sdp-gamma-file-dim", "exact-gamma-file-dim", "sdp-projection-rank",
+        "gamma-ordered-seed", "gamma-eta0-seed", "sdp-projection-seed",
+        "sdp-projection-gamma-file-seed"])
 def test_unused_option_rejected(tmp_path, argv):
     # argparse (no such flag), the schema (flag unused by the command) and the command
     # (flag unused next to another one) all exit 2, before anything is written

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,16 @@ def test_sector_sizes():
     assert np.all(np.diff(basis.states.astype(np.int64)) > 0)
     with pytest.raises(ConfigError):
         SectorBasis.build(4, 5)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_build_matches_combinations(n):
+    # the former Python enumeration, kept as a reference: sorted masks of every subset
+    for m_ground in range(n + 1):
+        masks = [sum(1 << b for b in bits) for bits in itertools.combinations(range(n), n - m_ground)]
+        states = SectorBasis.build(n, m_ground).states
+        assert states.dtype == np.uint64
+        np.testing.assert_array_equal(states, np.sort(np.asarray(masks, dtype=np.uint64)))
 
 
 def test_two_atom_dicke_sector_matrix():
@@ -98,6 +110,59 @@ def test_sector_operator_property(n, seed):
             np.testing.assert_allclose(h, full[np.ix_(idx, idx)], atol=1e-12)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_particle_hole_pairing_property(n, seed):
+    # flipping every qubit: spec(m) = spec(n - m) + gamma0 (n - 2m), checked densely
+    g = random_unit_diag_psd(n, np.random.default_rng(seed))
+    mats = mats_from_gamma(0.5 * (g + g.T))
+    top = [np.linalg.eigvalsh(build_sector_dense(mats, SectorBasis.build(n, m)))[-1]
+           for m in range(n + 1)]
+    for m in range(n + 1):
+        partner = top[n - m] + mats.gamma[0, 0] * (n - 2 * m)
+        assert abs(top[m] - partner) <= 1e-12 * max(1.0, abs(top[m]))
+
+
+def all_sector_dense_max(mats):
+    """Top eigenvalue of every sector, each solved densely: the reference for the pairing."""
+    return [float(np.linalg.eigvalsh(build_sector_dense(mats, SectorBasis.build(mats.n, m)))[-1])
+            for m in range(mats.n + 1)]
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_per_sector_max_matches_all_sector_solve(n, rng):
+    for mats in (chain_mats(n), mats_from_gamma(random_unit_diag_psd(n, rng)), dicke_mats(n)):
+        res = exact_rstar(mats)
+        reference = all_sector_dense_max(mats)
+        np.testing.assert_allclose(res.per_sector_max, reference, rtol=1e-12, atol=1e-12)
+        assert res.argmax_sector <= n // 2
+        assert res.rstar_exact == res.per_sector_max[res.argmax_sector] == max(res.per_sector_max)
+
+
+def test_exact_rstar_solves_half_the_sectors(monkeypatch):
+    built = []
+    build = SectorBasis.build
+
+    def counted(n, m_ground):
+        built.append(m_ground)
+        return build(n, m_ground)
+
+    monkeypatch.setattr(SectorBasis, "build", counted)
+    res = exact_rstar(chain_mats(12))
+    assert built == list(range(7))
+    assert len(res.per_sector_max) == 13
+
+
+@pytest.mark.parametrize("n", range(10, 15))
+def test_lanczos_matches_eigvalsh_on_chain_sectors(n):
+    mats = chain_mats(n)
+    for m_ground in (n // 2 - 1, n // 2):
+        basis = SectorBasis.build(n, m_ground)
+        exact = np.linalg.eigvalsh(build_sector_dense(mats, basis))[-1]
+        value, _ = lanczos_largest(lambda v: sector_matvec(mats, basis, v), basis.dim, seed=7)
+        assert abs(value - exact) <= 1e-10 * exact
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_matvec_matches_reference(n, rng):
     # against the reference double loop, not the shared hop table: one real and one
@@ -151,12 +216,14 @@ def bad_gamma_mats(case):
     gamma = np.eye(4)
     if case == "asymmetric":
         gamma[0, 1] = 0.9
+    elif case == "nonuniform-diagonal":
+        gamma[3, 3] = 1.5
     else:
         gamma[1, 2] = gamma[2, 1] = np.nan
     return mats_from_gamma(gamma)
 
 
-@pytest.mark.parametrize("case", ["asymmetric", "nan", "shape"])
+@pytest.mark.parametrize("case", ["asymmetric", "nan", "shape", "nonuniform-diagonal"])
 def test_gamma_validated_before_sector_work(case, monkeypatch):
     def no_sector_work(*args):
         raise AssertionError("a sector basis was built before gamma was checked")
