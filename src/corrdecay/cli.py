@@ -103,7 +103,7 @@ SCHEMAS = {
         **_GLOBAL_KEYS,
         **_GAMMA_FILE_KEY,
         "solver": {"type": "string", "enum": ["lowrank", "projection"]},
-        "rank": {"type": "integer", "minimum": 2},
+        "rank": {"type": "integer", "minimum": 2, "description": "starting rank (default 8)"},
         "max_iters": {"type": "integer", "minimum": 1},
         "tol": {"type": "number", "exclusiveMinimum": 0},
     },
@@ -213,10 +213,11 @@ def _coupling_from_config(config: dict):
     return build_coupling_matrices(array), array
 
 
-def _reject_unread_seed(config: dict, where: str) -> None:
-    """ConfigError for a seed where only a disorder draw (eta > 0) would read it."""
-    if "seed" in config and not config.get("eta", 0.0) > 0:
-        raise ConfigError(f"{where} reads seed only for a disorder draw (eta > 0)")
+def _reads_seed(command: str, config: dict) -> bool:
+    """Whether a run draws from its seed; gamma and sdp --solver projection only for eta > 0."""
+    if command == "gamma" or config.get("solver") == "projection":
+        return config.get("eta", 0.0) > 0
+    return "seed" in SCHEMAS[command]
 
 
 def _require_psd(min_eigenvalue: float, mats) -> PsdDiagnostic:
@@ -251,7 +252,7 @@ def _write_manifest(run: Run, command: str, config: dict, wall_time_s: float) ->
         json.dumps(config, sort_keys=True, default=str).encode()
     ).hexdigest()
     manifest = {"command": command, "config": config, "config_sha256": digest}
-    if "seed" in SCHEMAS[command]:
+    if _reads_seed(command, config):
         manifest["seed"] = config.get("seed", DEFAULT_SEED)
     manifest.update({
         "versions": {
@@ -266,7 +267,6 @@ def _write_manifest(run: Run, command: str, config: dict, wall_time_s: float) ->
 
 
 def cmd_gamma(config: dict, run: Run) -> int:
-    _reject_unread_seed(config, "gamma")
     spec = _lattice_from_config(config)
     mats = build_export_matrices(build_array(spec))
     diag = validate_psd(mats)
@@ -364,8 +364,6 @@ def cmd_sdp(config: dict, run: Run) -> int:
     lowrank = config.get("solver", "lowrank") == "lowrank"
     if "rank" in config and not lowrank:
         raise ConfigError("rank applies to the lowrank solver only")
-    if not lowrank:
-        _reject_unread_seed(config, "sdp --solver projection")
     mats, _ = _coupling_from_config(config)
     rates = np.linalg.eigvalsh(mats.gamma)
     _require_psd(rates[0], mats)
@@ -487,6 +485,8 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         config = _merge_config(args)
+        if "seed" in config and not _reads_seed(args.command, config):
+            raise ConfigError(f"{args.command} reads seed only for a disorder draw (eta > 0)")
         run = Run(Path(config.get("out", ".")))
         try:
             return COMMANDS[args.command][0](config, run)

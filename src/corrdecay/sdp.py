@@ -2,9 +2,9 @@
 
     maximize (1/4) Tr(Gtilde X)   over   X >= 0 (PSD), X_ii <= 1,
 
-with Gtilde the coupling matrix minus its diagonal. Two self-contained
-solvers: a low-rank factorized ascent (primary) and a full-matrix splitting
-method (reference oracle), plus a rank-2 rounding back to product states.
+with Gtilde the coupling matrix minus its diagonal. A low-rank ascent, its rank
+grown while a dual bound leaves a gap (primary), a full-matrix splitting method
+(reference oracle), and a rank-2 rounding back to product states.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from .lattice import _rng
 CONVERGENCE_WINDOW = 25  # iterations over which the relative objective must settle
 DEFAULT_TOL = 1e-8
 PROJECTION_MAX_N = 400  # the reference solver eigendecomposes every iteration
+START_RANK = 8  # the optimum's numerical rank is 4-20 on the chains and planes measured
+GAP_TOL = 1e-3  # relative dual gap above which the low-rank solver doubles the rank
+GROWTH_SCALE = 0.5  # rms row norm of the columns added when the rank grows
 
 
 @dataclass
@@ -48,14 +51,15 @@ class SdpProblem:
 
 @dataclass
 class SdpSolution:
-    """Solver output: objective value, Gram factor and convergence data.
+    """Solver output: objective value, its dual bound, Gram factor and convergence data.
 
-    rstar_estimate = value + N*gamma0/2 embeds the optimum into a half-excited
-    product state; rstar_upper_from_sdp = N*gamma0 + 6*value is the certified
-    upper bound on the true maximal rate.
+    The SDP optimum lies in [value, dual_bound]. rstar_estimate = value + N*gamma0/2
+    embeds the factor into a half-excited product state; rstar_upper_from_sdp =
+    N*gamma0 + 6*dual_bound is the certified upper bound on the true maximal rate.
     """
 
     value: float
+    dual_bound: float
     factor: np.ndarray
     rank: int
     iterations: int
@@ -64,20 +68,16 @@ class SdpSolution:
     rstar_estimate: float
     rstar_upper_from_sdp: float
     rank_escape_verified: bool | None = None
+    rounds: int = 1
+
+    @property
+    def gap(self) -> float:  # relative: (dual_bound - value) / max(1, value)
+        return (self.dual_bound - self.value) / max(1.0, self.value)
 
     def to_dict(self):
-        return {
-            "value": self.value,
-            "rank": self.rank,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "rstar_estimate": self.rstar_estimate,
-            "rstar_upper_from_sdp": self.rstar_upper_from_sdp,
-        }
-
-
-def _objective(gtilde, v):
-    return 0.25 * float(np.sum(v * (gtilde @ v)))
+        keys = ("value", "dual_bound", "gap", "rank", "rounds", "iterations", "converged",
+                "rstar_estimate", "rstar_upper_from_sdp")
+        return {key: getattr(self, key) for key in keys}
 
 
 def _project_rows(v):
@@ -85,24 +85,40 @@ def _project_rows(v):
     return v / np.maximum(np.linalg.norm(v, axis=1), 1.0)[:, None]
 
 
-def default_rank(n: int) -> int:
-    """ceil(sqrt(2N)): above the rank bound where factorized ascent is safe."""
-    return max(2, math.ceil(math.sqrt(2.0 * n)))
+def _certificate(gtilde, v):
+    """(value, dual bound) of a factor V; see dual_bound. The value sums the rows
+    that y clips at 0 in the same order, so value <= bound holds exactly."""
+    rows = 0.25 * np.einsum("ij,ij->i", gtilde @ v, v)
+    y = np.maximum(rows, 0.0)
+    s = -0.25 * gtilde
+    s.flat[:: len(y) + 1] += y
+    lam = float(np.linalg.eigvalsh(s)[0])
+    return float(rows.sum()), float(y.sum()) + len(y) * max(0.0, -lam)
 
 
-def _solution_from_factor(problem, v, iterations, converged, gamma0):
-    value = _objective(problem.gtilde, v)
-    diag = float(np.sum(v**2, axis=1).max())
-    n = problem.n
+def dual_bound(gtilde, v) -> float:
+    """Upper bound on the SDP optimum from any factor V with rows ||v_i|| <= 1.
+
+    With C = Gtilde/4, y_i = max(0, (C V V^T)_ii) and S = Diag(y) - C, the point
+    y + max(0, -lambda_min(S)) is dual feasible: by weak duality sum(y) +
+    N max(0, -lambda_min(S)) bounds every (1/4) Tr(Gtilde X). One values-only eigvalsh.
+    """
+    return _certificate(gtilde, v)[1]
+
+
+def _solution(v, value, dual, iterations, converged, gamma0, **extra):
+    n = v.shape[0]
     return SdpSolution(
         value=value,
+        dual_bound=dual,
         factor=v,
         rank=v.shape[1],
         iterations=iterations,
-        feasibility_max_diag=diag,
+        feasibility_max_diag=float(np.sum(v**2, axis=1).max()),
         converged=converged,
         rstar_estimate=value + 0.5 * n * gamma0,
-        rstar_upper_from_sdp=n * gamma0 + 6.0 * value,
+        rstar_upper_from_sdp=n * gamma0 + 6.0 * dual,
+        **extra,
     )
 
 
@@ -115,14 +131,12 @@ def _ascend(gtilde, v, max_iters, tol):
     best_f = f = 0.5 * float(np.sum(v * grad))
     best_v = v.copy()
     history = [f]
-    iterations = 0
+    it = 0
     for it in range(1, max_iters + 1):
-        iterations = it
         v_new = _project_rows(v + step * grad)
         grad_new = 0.5 * (gtilde @ v_new)
         dv = v_new - v
-        dg = grad_new - grad
-        denom = float(np.sum(dv * dg))
+        denom = float(np.sum(dv * (grad_new - grad)))
         num = float(np.sum(dv * dv))
         if abs(denom) > 1e-300:
             step = min(max(abs(num / denom), 1e-3 / spectral_scale), 1e6 / spectral_scale)
@@ -134,49 +148,45 @@ def _ascend(gtilde, v, max_iters, tol):
         if it >= CONVERGENCE_WINDOW:
             span = max(history[-CONVERGENCE_WINDOW:]) - min(history[-CONVERGENCE_WINDOW:])
             if span <= tol * max(1.0, abs(f)):
-                return best_v, best_f, iterations, True
-    return best_v, best_f, iterations, False
+                return best_v, it, True
+    return best_v, it, False
 
 
 def solve_low_rank(problem: SdpProblem, rank: int | None = None, seed: int = 0,
                    max_iters: int = 20000, tol: float = DEFAULT_TOL,
-                   rank_escape: bool = True, gamma0: float = 1.0) -> SdpSolution:
+                   gamma0: float = 1.0) -> SdpSolution:
     """Factorized solver: ascend (1/4) Tr(Gtilde V V^T) over rows ||v_i|| <= 1.
 
-    Rows start uniform on the unit sphere (seeded, deterministic). After
-    convergence at the working rank the solve is repeated warm-started at
-    rank + 1; agreement within 1e-6 relative certifies no local-maximum
-    escape was available (rank_escape_verified).
+    Rows start uniform on the unit sphere (seeded) at rank min(START_RANK, N) or
+    the given rank. Each ascent stops by the objective-span rule; while the dual
+    gap then exceeds GAP_TOL the rank doubles (up to N) with seeded random
+    columns, warm-started. max_iters bounds all rounds together. converged: the last
+    ascent settled and closed the gap; rank_escape_verified: the gap closed.
     """
     n = problem.n
-    r = default_rank(n) if rank is None else rank
-    if not 2 <= r <= n:
-        raise ConfigError(f"rank must be in [2, {n}]")
+    r = min(START_RANK, n) if rank is None else rank
+    if not 1 <= r <= n:
+        raise ConfigError(f"rank must be in [1, {n}]")
     rng = _rng(seed)
-    v0 = rng.standard_normal((n, r))
-    v0 /= np.linalg.norm(v0, axis=1, keepdims=True)
-    v, f, iters, converged = _ascend(problem.gtilde, v0, max_iters, tol)
-    total_iters = iters
+    v = rng.standard_normal((n, r))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    total_iters = rounds = 0
+    while True:
+        v, iters, settled = _ascend(problem.gtilde, v, max_iters - total_iters, tol)
+        total_iters += iters
+        rounds += 1
+        value, dual = _certificate(problem.gtilde, v)
+        closed = (dual - value) / max(1.0, value) <= GAP_TOL
+        if closed or not settled or r == n or total_iters >= max_iters:
+            break
+        # seeded random new columns; the warm-started ascent grows their
+        # component along negative curvature of S, as a power iteration would
+        grown = min(2 * r, n)
+        block = rng.standard_normal((n, grown - r)) * (GROWTH_SCALE / math.sqrt(grown - r))
+        v, r = _project_rows(np.hstack([v, block])), grown
 
-    escape_ok = None
-    if rank_escape and converged:
-        escape_ok = True
-        for _ in range(3):
-            bump = 1e-3 * rng.standard_normal((n, 1))
-            v_up = _project_rows(np.hstack([v, bump]))
-            v2, f2, iters2, conv2 = _ascend(problem.gtilde, v_up, max_iters, tol)
-            total_iters += iters2
-            if f2 <= f + 1e-6 * max(1.0, abs(f)):
-                break
-            # escaped a spurious local maximum: adopt and re-verify
-            escape_ok = False
-            v, f, converged = v2, f2, conv2
-        else:
-            escape_ok = False
-
-    sol = _solution_from_factor(problem, v, total_iters, converged, gamma0)
-    sol.rank_escape_verified = escape_ok
-    return sol
+    return _solution(v, value, dual, total_iters, settled and closed, gamma0,
+                     rank_escape_verified=closed, rounds=rounds)
 
 
 def solve_projection(problem: SdpProblem, max_iters: int = 20000,
@@ -198,17 +208,15 @@ def solve_projection(problem: SdpProblem, max_iters: int = 20000,
     u = np.zeros((n, n))
     history = []
     converged = False
-    iterations = 0
+    it = 0
     for it in range(1, max_iters + 1):
-        iterations = it
         # PSD step: argmax <C,X> - rho/2 ||X - Z + U||^2 over the PSD cone
         vals, vecs = np.linalg.eigh(z - u + c / rho)
         pos = vals > 0
         x = (vecs[:, pos] * vals[pos]) @ vecs[:, pos].T
         # diagonal step: clip X_ii + U_ii to <= 1 (off-diagonal unconstrained)
         z = x + u
-        dz = np.diag(z).copy()
-        np.fill_diagonal(z, np.minimum(dz, 1.0))
+        np.fill_diagonal(z, np.minimum(np.diag(z), 1.0))
         u = u + x - z
         f = 0.25 * float(np.sum(problem.gtilde * z))
         history.append(f)
@@ -219,19 +227,15 @@ def solve_projection(problem: SdpProblem, max_iters: int = 20000,
                 converged = True
                 break
 
-    # exact feasible point: clip eigenvalues, then rescale the diagonal
+    # exact feasible point: a factor of the eigenvalue-clipped Z, rows with
+    # X_ii > 1 scaled onto the unit ball (X -> D X D with D_ii = 1/sqrt(X_ii))
     vals, vecs = np.linalg.eigh(0.5 * (z + z.T))
-    pos = vals > 0
-    x_feas = (vecs[:, pos] * vals[pos]) @ vecs[:, pos].T
-    diag = np.diag(x_feas)
-    scale = np.where(diag > 1.0, 1.0 / np.sqrt(np.maximum(diag, 1e-300)), 1.0)
-    x_feas = x_feas * np.outer(scale, scale)
-    vals, vecs = np.linalg.eigh(x_feas)
     keep = vals > 1e-12 * max(vals.max(initial=0.0), 1.0)
-    factor = vecs[:, keep] * np.sqrt(vals[keep])
+    factor = _project_rows(vecs[:, keep] * np.sqrt(vals[keep]))
     if factor.shape[1] == 0:
         factor = np.zeros((n, 1))
-    return _solution_from_factor(problem, factor, iterations, converged, gamma0)
+    value, dual = _certificate(problem.gtilde, factor)
+    return _solution(factor, value, dual, it, converged, gamma0)
 
 
 @dataclass
@@ -248,40 +252,34 @@ def round_to_product_state(solution: SdpSolution, problem: SdpProblem,
     normalize each row to a planar unit spin, then polish by single-spin
     updates until no move improves the XY objective by more than tol.
 
-    The rounded value is a true product-state witness, so it never exceeds
-    the SDP optimum. It can exceed the reported solution.value, which stops
-    short of the optimum, by up to the solver's stopping tolerance (about
-    1e-9 relative at the default tol=1e-8).
+    The rounded value is a feasible rank-2 point, so it never exceeds the SDP
+    optimum and hence never exceeds solution.dual_bound. It can exceed
+    solution.value, which is a lower bound that stops short of the optimum
+    (measured: 2.3e-7 relative on the N=2000 x-chain at the default tol=1e-8).
     """
     v = solution.factor
     if v is None or v.ndim != 2:
         raise ConfigError("solution carries no factor to round")
-    # top-2 right-singular directions of the factor
+    # top-2 right-singular directions of the factor (a rank-1 factor pads with 0)
     _, _, vt = np.linalg.svd(v, full_matrices=False)
-    basis = vt[: min(2, vt.shape[0])].T
-    s = v @ basis
-    if s.shape[1] < 2:
-        s = np.column_stack([s, np.zeros(problem.n)])
-    norms = np.linalg.norm(s, axis=1)
-    s[norms < 1e-12] = np.array([1.0, 0.0])
+    s = np.zeros((problem.n, 2))
+    s[:, : min(2, vt.shape[0])] = v @ vt[:2].T
+    s[np.linalg.norm(s, axis=1) < 1e-12] = (1.0, 0.0)
     s /= np.linalg.norm(s, axis=1, keepdims=True)
 
     gtilde = problem.gtilde
-    x = np.ascontiguousarray(s[:, 0])
-    y = np.ascontiguousarray(s[:, 1])
+    x, y = np.ascontiguousarray(s.T)
     for _ in range(max_sweeps):
         improved = False
         for i, row in enumerate(gtilde):
-            bx = float(row @ x)
-            by = float(row @ y)
+            bx, by = float(row @ x), float(row @ y)
             nrm = math.hypot(bx, by)
             if nrm < 1e-300:
                 continue
             # moving spin i to b/|b| changes the objective by (|b| - s_i.b)/2
             gain = 0.5 * (nrm - (x[i] * bx + y[i] * by))
             if gain > tol:
-                x[i] = bx / nrm
-                y[i] = by / nrm
+                x[i], y[i] = bx / nrm, by / nrm
                 improved = True
         if not improved:
             break
@@ -291,24 +289,25 @@ def round_to_product_state(solution: SdpSolution, problem: SdpProblem,
 
 def sdp_certificates(problem: SdpProblem, solution: SdpSolution, gamma_max: float,
                      gamma0: float = 1.0, slack: float = 1e-6) -> dict:
-    """Check the trace-inequality cap value <= (N/4)(gamma_max - gamma0).
+    """Check the trace-inequality cap value <= (N/4)(gamma_max - gamma0) and
+    value <= dual_bound.
 
-    A violation beyond the slack means the solver returned an infeasible
-    point and is treated as a hard error.
+    A violation (of the cap beyond the slack) means the solver returned an
+    infeasible point or a wrong bound and is treated as a hard error.
     """
     cap = 0.25 * problem.n * (gamma_max - gamma0)
-    if solution.value > cap + slack:
-        raise CertificateError(
-            f"SDP value {solution.value:.9g} exceeds the analytic cap {cap:.9g}"
-        )
-    if solution.feasibility_max_diag > 1.0 + 1e-8:
-        raise CertificateError(
-            f"factor diagonal {solution.feasibility_max_diag:.9g} violates X_ii <= 1"
-        )
+    value, diag, dual = solution.value, solution.feasibility_max_diag, solution.dual_bound
+    if value > cap + slack:
+        raise CertificateError(f"SDP value {value:.9g} exceeds the analytic cap {cap:.9g}")
+    if diag > 1.0 + 1e-8:
+        raise CertificateError(f"factor diagonal {diag:.9g} violates X_ii <= 1")
+    if dual < value:
+        raise CertificateError(f"dual bound {dual:.9g} is below the SDP value {value:.9g}")
     return {
         "cap": cap,
-        "value": solution.value,
-        "cap_slack": cap - solution.value,
+        "value": value,
+        "dual_bound": dual,
+        "cap_slack": cap - value,
         "rstar_estimate": solution.rstar_estimate,
         "rstar_upper_from_sdp": solution.rstar_upper_from_sdp,
     }

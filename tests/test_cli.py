@@ -1,6 +1,7 @@
 import argparse
 import functools
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -110,9 +111,10 @@ def test_gamma_file_sdp_uses_its_gamma0(tmp_path, command):
     name = "sdp.json" if command == "sdp" else "analysis.json"
     doc = json.loads((tmp_path / name).read_text())
     sdp = doc if command == "sdp" else doc["sdp"]
-    # gamma0 = 2: rstar_estimate = value + N*gamma0/2, upper cap = N*gamma0 + 6*value
+    # gamma0 = 2: rstar_estimate = value + N*gamma0/2, upper cap = N*gamma0 + 6*dual_bound
     assert sdp["rstar_estimate"] == pytest.approx(sdp["value"] + 5, rel=1e-12)
-    assert sdp["rstar_upper_from_sdp"] == pytest.approx(10 + 6 * sdp["value"], rel=1e-12)
+    assert sdp["rstar_upper_from_sdp"] == pytest.approx(10 + 6 * sdp["dual_bound"], rel=1e-12)
+    assert sdp["value"] <= sdp["dual_bound"]
 
 
 def test_analyze_builds_the_array_once(tmp_path, monkeypatch):
@@ -146,15 +148,21 @@ def test_scan_single_realization_follows_seed(tmp_path):
     ["sdp", "--dim", "2", "--n", "5", "--d", "0.4"],
 ], ids=["analyze", "sdp"])
 def test_one_dense_eigensolve_per_command(tmp_path, monkeypatch, argv):
+    # one eigensolve of Gamma (unit diagonal) per command; sdp adds one
+    # values-only eigvalsh of its dual certificate per rank round, nothing else
     calls = []
     for name in ("eigh", "eigvalsh"):
         def counted(a, *args, _solve=getattr(np.linalg, name), **kwargs):
             if np.shape(a) == (25, 25):
-                calls.append(_solve.__name__)
+                kind = "gamma" if np.all(np.diag(a) == 1.0) else "certificate"
+                calls.append((_solve.__name__, kind))
             return _solve(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     assert main(argv + ["--out", str(tmp_path)]) == 0
-    assert len(calls) == 1, calls
+    assert sum(kind == "gamma" for _, kind in calls) == 1, calls
+    rounds = json.loads((tmp_path / "sdp.json").read_text())["rounds"] if argv[0] == "sdp" else 0
+    certificates = [call for call in calls if call[1] == "certificate"]
+    assert certificates == [("eigvalsh", "certificate")] * rounds, calls
 
 
 def test_manifest_seed_only_for_seeded_commands(tmp_path):
@@ -162,14 +170,23 @@ def test_manifest_seed_only_for_seeded_commands(tmp_path):
         ["kspace", "--dim", "1", "--n", "8", "--d", "0.3"],
         ["rydberg", "--table", str(DATA), "--n-atoms", "160", "--spacing-um", "2.0",
          "--c6", "28.8", "--rabi", "4.6", "--dominant", "53S12-52P32"],
+        # ordered arrays: nothing is drawn
+        ["gamma", "--dim", "1", "--n", "4", "--d", "0.4"],
+        ["sdp", "--dim", "1", "--n", "6", "--d", "0.4", "--solver", "projection"],
     ]
     for i, argv in enumerate(unseeded):
         assert main(argv + ["--out", str(tmp_path / str(i))]) == 0
         assert "seed" not in json.loads((tmp_path / str(i) / "manifest.json").read_text())
-    out = tmp_path / "gamma"
-    assert main(["gamma", "--dim", "1", "--n", "3", "--d", "0.5", "--eta", "0.05", "--seed", "17",
-                 "--out", str(out)]) == 0
-    assert json.loads((out / "manifest.json").read_text())["seed"] == 17
+    seeded = [
+        (["gamma", "--dim", "1", "--n", "3", "--d", "0.5", "--eta", "0.05", "--seed", "17"], 17),
+        (["sdp", "--dim", "1", "--n", "6", "--d", "0.4", "--solver", "projection",
+          "--eta", "0.05", "--seed", "17"], 17),
+        (["sdp", "--dim", "1", "--n", "6", "--d", "0.4"], 20250810),  # the lowrank start
+    ]
+    for i, (argv, seed) in enumerate(seeded):
+        out = tmp_path / f"seeded{i}"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == seed
 
 
 def test_scan_writes_table_and_fit(tmp_path):
@@ -387,6 +404,24 @@ def test_sdp_nonconvergence_exit_code(tmp_path):
     assert rc == 4
     doc = json.loads((tmp_path / "sdp.json").read_text())
     assert not doc["converged"]  # best-so-far is still reported
+
+
+def test_sdp_rank_help_names_the_start_rank():
+    from corrdecay.sdp import START_RANK
+
+    assert f"default {START_RANK}" in SCHEMAS["sdp"]["rank"]["description"]
+
+
+def test_sdp_z_chain_open_gap_exits_4(tmp_path):
+    # a chain polarized along its axis does not settle from this start: all
+    # iterations run, the run exits 4 and still reports [value, dual_bound]
+    rc = main(["sdp", "--dim", "1", "--n", "200", "--d", "0.4", "--pol", "z", "--seed", "0",
+               "--out", str(tmp_path)])
+    assert rc == 4
+    doc = json.loads((tmp_path / "sdp.json").read_text())
+    assert not doc["converged"] and doc["iterations"] == 20000
+    assert doc["value"] <= doc["dual_bound"]
+    assert math.isfinite(doc["gap"])
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch):

@@ -6,10 +6,13 @@ from hypothesis import strategies as st
 from conftest import random_unit_diag_psd
 from corrdecay.coupling import build_coupling_matrices
 from corrdecay.errors import CertificateError, ConfigError
+from corrdecay import sdp
 from corrdecay.lattice import LatticeSpec, generate_lattice
 from corrdecay.sdp import (
+    GAP_TOL,
+    START_RANK,
     SdpProblem,
-    default_rank,
+    dual_bound,
     round_to_product_state,
     sdp_certificates,
     solve_low_rank,
@@ -43,7 +46,8 @@ def test_dicke_low_rank_optimum():
     assert abs(sol.value - 3.0) < 1e-6
     assert sol.feasibility_max_diag <= 1.0 + 1e-8
     assert np.isclose(sol.rstar_estimate, sol.value + 2.0)
-    assert np.isclose(sol.rstar_upper_from_sdp, 4.0 + 6.0 * sol.value)
+    assert np.isclose(sol.rstar_upper_from_sdp, 4.0 + 6.0 * sol.dual_bound)
+    assert sol.value <= sol.dual_bound <= sol.value + 1e-6
 
 
 def test_dicke_projection_optimum():
@@ -66,13 +70,6 @@ def test_zero_matrix():
     prob = SdpProblem(gtilde=np.zeros((5, 5)), n=5)
     assert abs(solve_low_rank(prob, seed=2).value) < 1e-12
     assert abs(solve_projection(prob).value) < 1e-9
-
-
-def test_default_rank_above_barvinok_pataki():
-    for n in (2, 10, 100, 2000):
-        r = default_rank(n)
-        assert r * (r + 1) / 2 >= n  # enough rank to represent any extreme point
-        assert 2 <= r <= max(2, n)
 
 
 def test_determinism_same_seed():
@@ -166,6 +163,25 @@ def test_certificates_noninteracting():
     assert cert["cap"] == 0.0
 
 
+def test_certificate_raises_on_dual_below_value():
+    prob = dicke_problem(4)
+    sol = solve_low_rank(prob, rank=2, seed=1)
+    sol.dual_bound = sol.value - 1e-3
+    with pytest.raises(CertificateError):
+        sdp_certificates(prob, sol, gamma_max=4.0)
+
+
+def test_dual_bound_of_a_feasible_factor():
+    # any factor with rows of norm <= 1 gives a bound at or above its own value
+    # and at or above the optimum (3 on the 4-spin Dicke problem)
+    prob = dicke_problem(4)
+    v = np.random.default_rng(0).standard_normal((4, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    assert dual_bound(prob.gtilde, v) >= max(3.0, 0.25 * float(np.sum(v * (prob.gtilde @ v))))
+    aligned = np.ones((4, 1))
+    assert dual_bound(prob.gtilde, aligned) == pytest.approx(3.0, abs=1e-12)
+
+
 def test_certificate_violation_raises():
     prob = dicke_problem(4)
     sol = solve_low_rank(prob, rank=2, seed=1)
@@ -173,11 +189,30 @@ def test_certificate_violation_raises():
         sdp_certificates(prob, sol, gamma_max=1.5)  # cap 0.5 < value 3
 
 
-def test_rank_escape_flag_set():
-    sol = solve_low_rank(dicke_problem(6), seed=9)
-    assert sol.rank_escape_verified is True
-    sol2 = solve_low_rank(dicke_problem(6), seed=9, rank_escape=False)
-    assert sol2.rank_escape_verified is None
+def z_plane_problem(n1):
+    spec = LatticeSpec(dimension=2, n_per_axis=n1, spacing=0.4, polarization=(0, 0, 1.0))
+    return SdpProblem.from_coupling(build_coupling_matrices(generate_lattice(spec)))
+
+
+def test_rank_grows_until_the_gap_closes():
+    # the 10x10 z-plane at rank 4 stops with a dual gap of 5.9e-2: the rank
+    # must double once and reach the default solve's optimum
+    prob = z_plane_problem(10)
+    default = solve_low_rank(prob, seed=0)
+    assert default.rank == START_RANK and default.rounds == 1
+    grown = solve_low_rank(prob, rank=4, seed=0)
+    assert grown.rank == 8 and grown.rounds == 2
+    assert grown.converged and grown.rank_escape_verified is True
+    assert grown.gap <= GAP_TOL
+    assert grown.value == pytest.approx(default.value, rel=1e-5)
+
+
+def test_rank_growth_stops_at_n(monkeypatch):
+    # a gap that never closes grows the rank up to N, then reports no convergence
+    monkeypatch.setattr(sdp, "GAP_TOL", -1.0)
+    sol = solve_low_rank(z_plane_problem(3), rank=5, seed=0)
+    assert sol.rank == 9 and sol.rounds == 2
+    assert not sol.converged and sol.rank_escape_verified is False
 
 
 def test_projection_size_guard():
@@ -188,7 +223,7 @@ def test_projection_size_guard():
 def test_solution_json_fields():
     sol = solve_low_rank(dicke_problem(3), seed=0)
     doc = sol.to_dict()
-    for key in ("value", "rank", "iterations", "converged",
+    for key in ("value", "dual_bound", "gap", "rank", "rounds", "iterations", "converged",
                 "rstar_estimate", "rstar_upper_from_sdp"):
         assert key in doc
 
@@ -217,7 +252,22 @@ def test_pinned_chain_regression():
     prob = SdpProblem.from_coupling(build_coupling_matrices(generate_lattice(spec)))
     sol = solve_low_rank(prob, seed=0)
     assert sol.converged and sol.rank_escape_verified is True
-    assert sol.iterations == 212
-    assert sol.value == pytest.approx(7.219292804434703, rel=1e-9)
+    assert sol.rank == START_RANK and sol.iterations == 173
+    assert sol.value == pytest.approx(7.219292804228845, rel=1e-9)
+    assert sol.dual_bound == pytest.approx(7.219292812388004, rel=1e-9)
     rounded = round_to_product_state(sol, prob)
-    assert rounded.value == pytest.approx(7.219292811346431, rel=1e-9)
+    assert rounded.value == pytest.approx(7.219292811346427, rel=1e-9)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
+def test_value_and_rounding_below_dual_bound(n, seed):
+    # at the default tol the rounding may exceed the value, never the dual bound
+    # (both sides agree to ~1e-15 in floating point, hence the 1e-12 slack)
+    g = random_unit_diag_psd(n, np.random.default_rng(seed))
+    prob = SdpProblem(gtilde=g - np.eye(n), n=n)
+    sol = solve_low_rank(prob, seed=0)
+    assert sol.value <= sol.dual_bound
+    assert np.isfinite(sol.gap)
+    slack = 1e-12 * max(1.0, abs(sol.dual_bound))
+    assert round_to_product_state(sol, prob).value <= sol.dual_bound + slack
