@@ -72,6 +72,18 @@ def test_zero_matrix():
     assert abs(solve_projection(prob).value) < 1e-9
 
 
+def test_default_rank_above_barvinok_pataki():
+    # the default start rank min(START_RANK, N) lies in [1, N] and, up to
+    # N = START_RANK (START_RANK + 1) / 2, covers every extreme point; above
+    # that the dual gap decides whether the rank must grow
+    for n in (2, 10, 36, 37, 100):
+        r = solve_low_rank(dicke_problem(n), seed=0).rank
+        assert r == min(START_RANK, n)
+        assert 1 <= r <= n
+        if n <= START_RANK * (START_RANK + 1) // 2:
+            assert r * (r + 1) / 2 >= n
+
+
 def test_determinism_same_seed():
     prob = dicke_problem(8)
     a = solve_low_rank(prob, seed=42)
@@ -187,6 +199,13 @@ def test_certificate_violation_raises():
     sol = solve_low_rank(prob, rank=2, seed=1)
     with pytest.raises(CertificateError):
         sdp_certificates(prob, sol, gamma_max=1.5)  # cap 0.5 < value 3
+
+
+def test_rank_escape_flag_set():
+    sol = solve_low_rank(dicke_problem(6), seed=9)
+    assert sol.rank_escape_verified is True and sol.gap <= GAP_TOL
+    # the projection solver does no rank escape and leaves the flag unset
+    assert solve_projection(dicke_problem(6)).rank_escape_verified is None
 
 
 def z_plane_problem(n1):
