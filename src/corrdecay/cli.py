@@ -28,6 +28,7 @@ from .coupling import (
     PsdDiagnostic,
     build_coupling_matrices,
     build_export_matrices,
+    gamma_eigensolve,
     read_matrix_binary,
     validate_psd,
     validated_coupling,
@@ -295,6 +296,7 @@ def cmd_analyze(config: dict, run: Run) -> int:
             "gamma_max": summary.gamma_max,
             "delta": summary.delta,
             "degeneracy": summary.degeneracy,
+            "eigensolver": summary.eigensolver,
             "trace": float(np.sum(summary.eigenvalues)),
         },
         "bounds": asdict(bounds),
@@ -365,7 +367,7 @@ def cmd_sdp(config: dict, run: Run) -> int:
     if "rank" in config and not lowrank:
         raise ConfigError("rank applies to the lowrank solver only")
     mats, _ = _coupling_from_config(config)
-    rates = np.linalg.eigvalsh(mats.gamma)
+    rates = gamma_eigensolve(mats.gamma)[0]
     _require_psd(rates[0], mats)
     problem = SdpProblem.from_coupling(mats)
     limits = {key: config[key] for key in ("max_iters", "tol") if key in config}
@@ -392,7 +394,7 @@ def cmd_sdp(config: dict, run: Run) -> int:
 
 def cmd_exact(config: dict, run: Run) -> int:
     mats, _ = _coupling_from_config(config)
-    _require_psd(np.linalg.eigvalsh(mats.gamma)[0], mats)
+    _require_psd(gamma_eigensolve(mats.gamma)[0][0], mats)
     result = exact_rstar(mats, seed=config.get("seed", DEFAULT_SEED),
                          threads=config.get("threads", _default_threads()))
     run.write_json("exact.json", asdict(result))

@@ -214,9 +214,31 @@ def validated_coupling(gamma) -> CouplingMatrices:
     return CouplingMatrices(gamma=gamma, gamma0=float(gamma[0, 0]), n=gamma.shape[0])
 
 
+def gamma_eigensolve(g, top_vector=False):
+    """(ascending eigenvalues, unit top eigenvector or None, "parity" | "dense") of symmetric
+    gamma g. An exactly centrosymmetric g (== g[::-1, ::-1], as every ordered array's is) is
+    solved as two blocks of N/2 rows, A + B for the modes [u, u[::-1]]/sqrt2 (u[m] on the middle
+    site of odd N) and A - B for [u, -u[::-1]]/sqrt2: A = g[:m, :m], B = g[:m, ::-1][:, :m]."""
+    n, m = len(g), len(g) // 2
+    solve = np.linalg.eigh if top_vector else lambda x: (np.linalg.eigvalsh(x), None)
+    if m == 0 or not np.array_equal(g, g[::-1, ::-1]):
+        vals, vecs = solve(g)
+        return vals, None if vecs is None else vecs[:, -1], "dense"
+    a, b, c = g[:m, :m], g[:m, ::-1][:, :m], np.sqrt(2.0) * g[:m, m:n - m]
+    odd, uo = solve(a - b)
+    even, ue = solve(np.block([[a + b, c], [c.T, g[m:n - m, m:n - m]]]))
+    vals = np.sort(np.concatenate([even, odd]))
+    if not top_vector:
+        return vals, None, "parity"
+    sign = -1.0 if odd[-1] > even[-1] else 1.0  # ties: the even mode
+    u = ue[:, -1] if sign > 0 else np.append(uo[:, -1], [0.0] * (n - 2 * m))
+    half = u[:m] / np.sqrt(2.0)
+    return vals, np.concatenate([half, u[m:], sign * half[::-1]]), "parity"
+
+
 def validate_psd(mats: CouplingMatrices, tolerance: float = PSD_TOLERANCE) -> PsdDiagnostic:
     """Minimum eigenvalue of gamma against the PSD tolerance (diagnostic only)."""
-    return PsdDiagnostic(float(np.linalg.eigvalsh(mats.gamma)[0]), tolerance * mats.gamma0)
+    return PsdDiagnostic(float(gamma_eigensolve(mats.gamma)[0][0]), tolerance * mats.gamma0)
 
 
 def offdiagonal_sum(mats: CouplingMatrices) -> float:

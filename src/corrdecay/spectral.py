@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import CouplingMatrices
+from .coupling import CouplingMatrices, gamma_eigensolve
 from .errors import PhysicsValidationError
 from .lattice import AtomArray
 
@@ -20,7 +20,8 @@ class SpectralSummary:
     eigenvector of the largest one (sign fixed so its largest-magnitude entry
     is positive); delta is the relative fluctuation of |dominant_vec| entries
     (0 for a uniform mode, sqrt(N-1) for a single-site mode); degeneracy
-    counts eigenvalues within 1e-10*gamma_max of the top.
+    counts eigenvalues within 1e-10*gamma_max of the top; eigensolver names
+    gamma_eigensolve's path ("parity" or "dense").
     """
 
     eigenvalues: np.ndarray
@@ -29,6 +30,7 @@ class SpectralSummary:
     delta: float
     gamma0: float
     degeneracy: int = 1
+    eigensolver: str = "dense"
 
     @property
     def n(self) -> int:
@@ -49,27 +51,21 @@ def delocalization_delta(dominant_vec) -> float:
 
 
 def decompose(mats: CouplingMatrices) -> SpectralSummary:
-    """Full symmetric eigendecomposition of gamma, sorted descending."""
-    vals, vecs = np.linalg.eigh(mats.gamma)
+    """Eigenvalues of gamma, sorted descending, and its brightest mode."""
+    vals, vec, solver = gamma_eigensolve(mats.gamma, top_vector=True)
     vals = vals[::-1]
-    vec = vecs[:, -1]
     if vec[np.argmax(np.abs(vec))] < 0:
         vec = -vec
     gmax = float(vals[0])
     degeneracy = int(np.sum(vals >= gmax - 1e-10 * max(abs(gmax), 1.0)))
-    return SpectralSummary(
-        eigenvalues=np.ascontiguousarray(vals),
-        gamma_max=gmax,
-        dominant_vec=np.ascontiguousarray(vec),
-        delta=delocalization_delta(vec),
-        gamma0=mats.gamma0,
-        degeneracy=degeneracy,
-    )
+    return SpectralSummary(eigenvalues=np.ascontiguousarray(vals), gamma_max=gmax,
+                           dominant_vec=np.ascontiguousarray(vec), delta=delocalization_delta(vec),
+                           gamma0=mats.gamma0, degeneracy=degeneracy, eigensolver=solver)
 
 
 def gamma_max_only(mats: CouplingMatrices) -> float:
     """Largest collective rate without eigenvectors (cheaper for sweeps)."""
-    return float(np.linalg.eigvalsh(mats.gamma)[-1])
+    return float(gamma_eigensolve(mats.gamma)[0][-1])
 
 
 @dataclass

@@ -146,11 +146,23 @@ def test_scan_single_realization_follows_seed(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["analyze", "--dim", "2", "--n", "5", "--d", "0.4", "--sdp-max-n", "2", "--exact-max-n", "2"],
     ["sdp", "--dim", "2", "--n", "5", "--d", "0.4"],
-], ids=["analyze", "sdp"])
+    ["analyze", "--dim", "2", "--n", "5", "--d", "0.4", "--sdp-max-n", "2", "--exact-max-n", "2",
+     "--eta", "0.05", "--seed", "3"],
+], ids=["analyze", "sdp", "analyze-disordered"])
 def test_one_dense_eigensolve_per_command(tmp_path, monkeypatch, argv):
-    # one eigensolve of Gamma (unit diagonal) per command; sdp adds one
-    # values-only eigvalsh of its dual certificate per rank round, nothing else
-    calls = []
+    # one gamma_eigensolve per command, which solves the whole 25 x 25 Gamma (unit
+    # diagonal) only on the disordered array: the ordered plane splits into two parity
+    # blocks. sdp adds one values-only eigvalsh of its dual certificate per rank round.
+    from corrdecay import cli, coupling, spectral
+
+    solves, calls = [], []
+
+    def counted_solve(gamma, *args, _solve=coupling.gamma_eigensolve, **kwargs):
+        solves.append(np.shape(gamma))
+        return _solve(gamma, *args, **kwargs)
+
+    for module in (coupling, spectral, cli):
+        monkeypatch.setattr(module, "gamma_eigensolve", counted_solve)
     for name in ("eigh", "eigvalsh"):
         def counted(a, *args, _solve=getattr(np.linalg, name), **kwargs):
             if np.shape(a) == (25, 25):
@@ -159,10 +171,20 @@ def test_one_dense_eigensolve_per_command(tmp_path, monkeypatch, argv):
             return _solve(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     assert main(argv + ["--out", str(tmp_path)]) == 0
-    assert sum(kind == "gamma" for _, kind in calls) == 1, calls
+    assert solves == [(25, 25)]
+    assert sum(kind == "gamma" for _, kind in calls) == ("--eta" in argv), calls
     rounds = json.loads((tmp_path / "sdp.json").read_text())["rounds"] if argv[0] == "sdp" else 0
     certificates = [call for call in calls if call[1] == "certificate"]
     assert certificates == [("eigvalsh", "certificate")] * rounds, calls
+
+
+@pytest.mark.parametrize("eta, solver", [(0.0, "parity"), (0.05, "dense")])
+def test_analysis_records_the_eigensolver(tmp_path, eta, solver):
+    assert main(["analyze", "--dim", "2", "--n", "4", "--d", "0.4", "--eta", str(eta),
+                 "--seed", "3", "--sdp-max-n", "2", "--exact-max-n", "2",
+                 "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "analysis.json").read_text())
+    assert doc["spectral"]["eigensolver"] == solver
 
 
 def test_manifest_seed_only_for_seeded_commands(tmp_path):

@@ -14,6 +14,7 @@ from corrdecay.coupling import (
     build_coupling_from_positions,
     build_coupling_matrices,
     build_export_matrices,
+    gamma_eigensolve,
     offdiagonal_sum,
     read_coupling_csv,
     read_matrix_binary,
@@ -23,6 +24,7 @@ from corrdecay.coupling import (
 )
 from corrdecay.errors import CoincidentEmittersError, PhysicsValidationError, SelfTermError
 from corrdecay.lattice import AtomArray, LatticeSpec, build_array, generate_lattice
+from corrdecay.spectral import gamma_max_only
 
 
 def green_tensor(r) -> np.ndarray:
@@ -234,6 +236,27 @@ def test_ordered_build_matches_pair_loop(dimension, n, pol):
                                rtol=0, atol=1e-12)
     assert np.array_equal(mats.gamma, mats.gamma.T) and np.array_equal(mats.jmat, mats.jmat.T)
     assert np.all(np.diag(mats.gamma) == mats.gamma0) and np.all(np.diag(mats.jmat) == 0.0)
+
+
+@pytest.mark.parametrize("pol", [(1.0, 0, 0), (0, 0, 1.0), OBLIQUE], ids=["x", "z", "oblique"])
+@pytest.mark.parametrize("n", [2, 3, 6, 7])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_ordered_gamma_is_exactly_centrosymmetric(dimension, n, pol):
+    # reversing the site order is point inversion, and the offset table is mirrored
+    # (Gamma(-m) = Gamma(m)): the parity split of gamma_eigensolve rests on this
+    gamma = build_coupling_matrices(generate_lattice(
+        LatticeSpec(dimension=dimension, n_per_axis=n, spacing=0.37, polarization=pol))).gamma
+    assert np.array_equal(gamma, gamma[::-1, ::-1])
+    assert gamma_eigensolve(gamma)[2] == "parity"
+
+
+def test_disordered_gamma_takes_the_dense_eigensolve():
+    gamma = build_coupling_matrices(build_array(
+        LatticeSpec(dimension=2, n_per_axis=5, spacing=0.4, disorder_eta=0.05, seed=3))).gamma
+    vals, _, solver = gamma_eigensolve(gamma)
+    assert solver == "dense"
+    assert np.array_equal(vals, np.linalg.eigvalsh(gamma))
+    assert gamma_max_only(mats_from_gamma(gamma)) == np.linalg.eigvalsh(gamma)[-1]
 
 
 def kernel_points(monkeypatch, array):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dicke_mats, mats_from_gamma, random_unit_diag_psd
-from corrdecay.coupling import build_coupling_matrices
+from corrdecay.coupling import build_coupling_matrices, gamma_eigensolve
 from corrdecay.errors import PhysicsValidationError
 from corrdecay.lattice import LatticeSpec, generate_lattice
 from corrdecay.spectral import (
@@ -203,3 +203,32 @@ def test_weyl_stability_property(n, seed, scale):
     np.fill_diagonal(e, 0.0)
     shift = gamma_max_only(mats_from_gamma(gamma + e)) - gamma_max_only(mats_from_gamma(gamma))
     assert abs(shift) <= float(np.linalg.norm(e, 2)) + 1e-12 * n
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_parity_blocks_match_dense_solve_property(n, seed):
+    # a random symmetric centrosymmetric matrix, even and odd N: the merged spectrum of the
+    # two parity blocks is the dense one, and the rebuilt top vector is a unit eigenvector
+    x = np.random.default_rng(seed).standard_normal((n, n))
+    g = x + x.T
+    g = g + g[::-1, ::-1]
+    dense = np.linalg.eigvalsh(g)
+    scale = np.abs(dense).max()
+    vals, vec, solver = gamma_eigensolve(g, top_vector=True)
+    assert solver == ("parity" if n > 1 else "dense")
+    np.testing.assert_allclose(vals, dense, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(gamma_eigensolve(g)[0], dense, rtol=0, atol=1e-12 * scale)
+    assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+    assert np.linalg.norm(g @ vec - vals[-1] * vec) <= 1e-12 * scale
+    mats = mats_from_gamma(g)
+    assert gamma_max_only(mats) == pytest.approx(decompose(mats).gamma_max, rel=0, abs=1e-12 * scale)
+
+
+def test_degenerate_parity_top_is_a_unit_eigenvector():
+    # Dicke: the top mode is even; the identity: every mode is top, the even block wins ties
+    for g in (np.ones((7, 7)), np.eye(6)):
+        summary = decompose(mats_from_gamma(g))
+        assert summary.eigensolver == "parity"
+        assert eigen_residual(mats_from_gamma(g), summary) <= 1e-14
+        assert np.linalg.norm(summary.dominant_vec) == pytest.approx(1.0, abs=1e-14)
