@@ -14,6 +14,8 @@ from .errors import ConfigError
 from .kspace import asymptotic_prefactors
 from .spectral import SpectralSummary
 
+RANK_TOL = 1e-10  # eigenvalues above RANK_TOL * gamma_max count toward the numerical rank
+
 
 @dataclass
 class BoundsReport:
@@ -117,16 +119,15 @@ def burst_slope(mats: CouplingMatrices) -> float:
     return fro2 - 2.0 * mats.n * mats.gamma0**2
 
 
-def burst_slope_upper_bound(summary: SpectralSummary, r_star: float,
-                            rank_tol: float = 1e-10) -> float:
+def burst_slope_upper_bound(summary: SpectralSummary, r_star: float) -> float:
     """Cap on the initial slope in terms of r_star and the numerical rank.
 
     (16/N^2) (1 + delta^2)^2 rank(gamma) r_star^2 - 2 N gamma0^2, with the
     rank counted from the summary's eigenvalues at threshold
-    rank_tol * gamma_max (finite arrays are numerically full rank, which
+    RANK_TOL * gamma_max (finite arrays are numerically full rank, which
     makes this a loose but honest cap).
     """
-    rank = int(np.sum(summary.eigenvalues > rank_tol * max(summary.gamma_max, 1e-300)))
+    rank = int(np.sum(summary.eigenvalues > RANK_TOL * max(summary.gamma_max, 1e-300)))
     n = summary.n
     return ((16.0 / n**2) * (1.0 + summary.delta**2) ** 2 * rank * r_star**2
             - 2.0 * n * summary.gamma0**2)
@@ -231,8 +232,7 @@ def drive_threshold(gamma_max: float, gamma0: float) -> float:
 
 
 def driven_report(summary: SpectralSummary, bounds: BoundsReport,
-                  mats: CouplingMatrices, dimension: int, spacing: float,
-                  omega0_over_gamma0: float = 1e8) -> DrivenReport:
+                  mats: CouplingMatrices, dimension: int, spacing: float) -> DrivenReport:
     """Compose threshold, burst and Markovianity diagnostics for one array."""
     g0 = mats.gamma0
     slope = burst_slope(mats)
@@ -248,7 +248,7 @@ def driven_report(summary: SpectralSummary, bounds: BoundsReport,
         tau0=bt.tau0,
         t_r=bt.t_r,
         burst_time_degenerate=bt.degenerate,
-        markov_limit_n1d=markov_limit(dimension, spacing, omega0_over_gamma0),
+        markov_limit_n1d=markov_limit(dimension, spacing),
         n_crit=n_crit,
     )
 

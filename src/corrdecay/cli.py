@@ -307,11 +307,11 @@ def cmd_analyze(config: dict, run: Run) -> int:
         doc["driven"] = asdict(driven_report(summary, bounds, mats, spec.dimension, spec.spacing))
     if mats.n <= config.get("sdp_max_n", 2000):
         problem = SdpProblem.from_coupling(mats)
-        sol = solve_low_rank(problem, seed=config.get("seed", DEFAULT_SEED), gamma0=mats.gamma0)
+        sol = solve_low_rank(problem, seed=config.get("seed", DEFAULT_SEED))
         if not sol.converged:
             print("SDP solver did not converge", file=sys.stderr)
             return 4
-        sdp_certificates(problem, sol, summary.gamma_max, mats.gamma0)
+        sdp_certificates(problem, sol, summary.gamma_max)
         doc["sdp"] = sol.to_dict()
     if mats.n <= config.get("exact_max_n", 14):
         doc["exact"] = asdict(exact_rstar(mats, threads=config.get("threads", _default_threads())))
@@ -373,10 +373,10 @@ def cmd_sdp(config: dict, run: Run) -> int:
     limits = {key: config[key] for key in ("max_iters", "tol") if key in config}
     if lowrank:
         sol = solve_low_rank(problem, rank=config.get("rank"),
-                             seed=config.get("seed", DEFAULT_SEED), gamma0=mats.gamma0, **limits)
+                             seed=config.get("seed", DEFAULT_SEED), **limits)
     else:
-        sol = solve_projection(problem, gamma0=mats.gamma0, **limits)
-    cert = sdp_certificates(problem, sol, float(rates[-1]), mats.gamma0)
+        sol = solve_projection(problem, **limits)
+    cert = sdp_certificates(problem, sol, float(rates[-1]))
     rounding = round_to_product_state(sol, problem)
     doc = sol.to_dict()
     doc["certificates"] = cert

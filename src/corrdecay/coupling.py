@@ -60,12 +60,22 @@ class CouplingMatrices:
 
     gamma has gamma0 on the diagonal; jmat has zero diagonal. Both are in
     units of gamma0 and store one value per unordered pair, mirrored exactly.
+    Construction checks, in O(1), that gamma is n x n (n >= 1) and that gamma0
+    is gamma[0, 0] to 1e-12; the O(N^2) checks are check_coupling_matrix's.
     """
 
     gamma: np.ndarray
     gamma0: float
     n: int
     jmat: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.n < 1 or np.shape(self.gamma) != (self.n, self.n):
+            raise PhysicsValidationError(
+                f"coupling matrix of shape {np.shape(self.gamma)} is not {self.n} x {self.n}")
+        if not abs(self.gamma0 - self.gamma[0, 0]) <= 1e-12:
+            raise PhysicsValidationError(
+                f"gamma0 = {self.gamma0!r} is not gamma[0, 0] = {self.gamma[0, 0]!r}")
 
 
 @dataclass
@@ -158,14 +168,14 @@ def _offset_matrix(spec: LatticeSpec, pol, kernel, diagonal) -> np.ndarray:
     return out
 
 
-def build_coupling_matrices(array: AtomArray, pol=None) -> CouplingMatrices:
-    """Gamma for all pairs of `array`; jmat is left unset.
+def build_coupling_matrices(array: AtomArray) -> CouplingMatrices:
+    """Gamma for all pairs of `array` at its source spec's polarization; jmat is left unset.
 
-    pol defaults to the polarization of the array's source spec. An ordered array is
-    built from its lattice offsets, any other by build_coupling_from_positions. Raises
-    CoincidentEmittersError with the offending indices if two emitters overlap.
+    An ordered array is built from its lattice offsets, any other by
+    build_coupling_from_positions. Raises CoincidentEmittersError with the offending
+    indices if two emitters overlap.
     """
-    pol = array.source_spec.pol_vector if pol is None else pol
+    pol = array.source_spec.pol_vector
     lattice = _lattice_spec(array)
     if lattice is None:
         return build_coupling_from_positions(array.positions, pol)
@@ -187,17 +197,15 @@ def build_export_matrices(array: AtomArray) -> CouplingMatrices:
     return mats
 
 
-def check_coupling_matrix(gamma: np.ndarray, n: int | None = None) -> None:
-    """PhysicsValidationError unless gamma is a nonempty square matrix (n x n when n is
-    given) with finite entries, symmetric and with a uniform diagonal, each to atol 1e-12."""
+def check_coupling_matrix(gamma: np.ndarray) -> None:
+    """PhysicsValidationError unless gamma is a nonempty square matrix with finite entries,
+    symmetric and with a uniform diagonal, each to atol 1e-12 (no relative tolerance)."""
     gamma = np.asarray(gamma)
     if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1] or gamma.size == 0:
         raise PhysicsValidationError(f"coupling matrix of shape {gamma.shape} is not square")
-    if n is not None and gamma.shape[0] != n:
-        raise PhysicsValidationError(f"coupling matrix of shape {gamma.shape} is not {n} x {n}")
     if not np.all(np.isfinite(gamma)):
         raise PhysicsValidationError("coupling matrix holds non-finite entries")
-    if not np.allclose(gamma, gamma.T, atol=1e-12):
+    if not np.allclose(gamma, gamma.T, rtol=0.0, atol=1e-12):
         raise PhysicsValidationError("coupling matrix is asymmetric")
     if np.ptp(np.diag(gamma)) > 1e-12:
         raise PhysicsValidationError("coupling matrix has a non-uniform diagonal")
@@ -236,9 +244,9 @@ def gamma_eigensolve(g, top_vector=False):
     return vals, np.concatenate([half, u[m:], sign * half[::-1]]), "parity"
 
 
-def validate_psd(mats: CouplingMatrices, tolerance: float = PSD_TOLERANCE) -> PsdDiagnostic:
-    """Minimum eigenvalue of gamma against the PSD tolerance (diagnostic only)."""
-    return PsdDiagnostic(float(gamma_eigensolve(mats.gamma)[0][0]), tolerance * mats.gamma0)
+def validate_psd(mats: CouplingMatrices) -> PsdDiagnostic:
+    """Minimum eigenvalue of gamma against PSD_TOLERANCE * gamma0 (diagnostic only)."""
+    return PsdDiagnostic(float(gamma_eigensolve(mats.gamma)[0][0]), PSD_TOLERANCE * mats.gamma0)
 
 
 def offdiagonal_sum(mats: CouplingMatrices) -> float:

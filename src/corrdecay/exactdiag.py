@@ -177,8 +177,8 @@ class ExactResult:
     method: str  # "dense", "lanczos" or "dense+lanczos"
 
 
-def exact_rstar(mats: CouplingMatrices, force_method: str | None = None, tol: float = 1e-10,
-                seed: int = 7, threads: int = 1) -> ExactResult:
+def exact_rstar(mats: CouplingMatrices, force_method: str | None = None, seed: int = 7,
+                threads: int = 1) -> ExactResult:
     """Largest eigenvalue of the auxiliary Hamiltonian over all sectors.
 
     Only the sectors m_ground <= N/2 are solved: with the uniform diagonal gamma0
@@ -194,7 +194,7 @@ def exact_rstar(mats: CouplingMatrices, force_method: str | None = None, tol: fl
         raise ConfigError(f"exact diagonalization is limited to N <= {MAX_QUBITS}")
     if force_method not in (None, "dense", "lanczos"):
         raise ConfigError("force_method must be None, 'dense' or 'lanczos'")
-    check_coupling_matrix(mats.gamma, n)
+    check_coupling_matrix(mats.gamma)
 
     def solve_sector(m_ground):
         basis = SectorBasis.build(n, m_ground)
@@ -202,9 +202,7 @@ def exact_rstar(mats: CouplingMatrices, force_method: str | None = None, tol: fl
         if use_dense:
             h = build_sector_dense(mats, basis)
             return float(np.linalg.eigvalsh(h)[-1]), "dense"
-        value, _ = lanczos_largest(
-            lambda v: sector_matvec(mats, basis, v), basis.dim, tol=tol, seed=seed
-        )
+        value, _ = lanczos_largest(lambda v: sector_matvec(mats, basis, v), basis.dim, seed=seed)
         return value, "lanczos"
 
     if threads > 1:
@@ -213,8 +211,8 @@ def exact_rstar(mats: CouplingMatrices, force_method: str | None = None, tol: fl
     else:
         solved = [solve_sector(m) for m in range(n // 2 + 1)]
     per_sector = [value for value, _ in solved]
-    gamma0 = float(mats.gamma[0, 0])
-    per_sector += [per_sector[n - m] + gamma0 * (n - 2 * m) for m in range(n // 2 + 1, n + 1)]
+    per_sector += [per_sector[n - m] + mats.gamma0 * (n - 2 * m)
+                   for m in range(n // 2 + 1, n + 1)]
     methods = {method for _, method in solved}
     argmax = int(np.argmax(per_sector))
     return ExactResult(
@@ -248,7 +246,7 @@ def haar_rate_samples(mats: CouplingMatrices, n_samples: int, seed: int = 0) -> 
         raise ConfigError(f"Haar sampling is limited to N <= {MAX_QUBITS_HAAR}")
     if n_samples < 1:
         raise ConfigError("n_samples must be positive")
-    check_coupling_matrix(mats.gamma, n)
+    check_coupling_matrix(mats.gamma)
     sectors = [SectorBasis.build(n, m_ground) for m_ground in range(n + 1)]
     rng = _rng(seed)
     rates = np.empty(n_samples)

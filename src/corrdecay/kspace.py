@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergentModeError
+from .lattice import axis_columns, grid_coordinates
 
 POL_TAGS = ("parallel", "perpendicular")
 LIGHT_LINE_TOL = 1e-9  # |u| within this of 1 counts as on the light line (2D)
@@ -39,10 +40,7 @@ class KSpaceRates:
 
     def to_csv(self, path):
         full = np.zeros((self.rates.size, 3))
-        if self.dimension == 1:
-            full[:, 2] = self.kvecs[:, 0]  # chains run along z
-        else:
-            full[:, : self.dimension] = self.kvecs
+        full[:, axis_columns(self.dimension)] = self.kvecs
         table = np.column_stack([full, self.rates])
         np.savetxt(path, table, fmt="%.17g", delimiter=",",
                    header="kx,ky,kz,rate", comments="")
@@ -62,11 +60,7 @@ def _check_args(dimension, spacing, pol_tag, reg_delta):
 def _recip_shifts(dimension, spacing, kmax_units):
     """Reciprocal vectors g/k0 = n/d (per axis) with |g| small enough to matter."""
     nmax = int(math.floor(kmax_units * spacing)) + 1
-    axis = np.arange(-nmax, nmax + 1) / spacing
-    if dimension == 1:
-        return axis[:, None]
-    mesh = np.meshgrid(*([axis] * dimension), indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
+    return grid_coordinates(np.arange(-nmax, nmax + 1) / spacing, dimension)
 
 
 def _rates(dimension, spacing, pol_tag, k, reg_delta):
@@ -157,11 +151,9 @@ def gamma_k_grid(dimension, spacing, pol_tag, n_per_axis, reg_delta=None) -> KSp
         raise ConfigError("n_per_axis must be >= 2")
     if default_reg_delta(spacing, n_per_axis) >= 1.0:
         raise ConfigError("grid offset reaches the light line: grids need d (N_1D + 1) > 1")
-    if dimension == 1:
-        kvecs = k_eval = _grid_axis_1d(spacing, n_per_axis)[:, None]
-    else:
-        mesh = np.meshgrid(*[_grid_axis_offset(spacing, n_per_axis)] * dimension, indexing="ij")
-        kvecs = np.column_stack([m.ravel() for m in mesh])
+    axis = _grid_axis_1d if dimension == 1 else _grid_axis_offset
+    kvecs = k_eval = grid_coordinates(axis(spacing, n_per_axis), dimension)
+    if dimension > 1:
         bz_edge = 0.5 / spacing
         k_eval = np.clip(_retract_from_light_line(kvecs, spacing,
                                                   default_reg_delta(spacing, n_per_axis)),

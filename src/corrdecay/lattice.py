@@ -117,14 +117,22 @@ class AtomArray:
         return self.positions.shape[0]
 
 
+def axis_columns(dimension: int) -> list:
+    """The Cartesian columns that the axes of a D-dim grid fill: chains run along z,
+    planes fill xy, cubes fill xyz."""
+    return [2] if dimension == 1 else list(range(dimension))
+
+
+def grid_coordinates(axis, dimension: int) -> np.ndarray:
+    """(len(axis)**D, D) coordinates of the square grid with `axis` on each axis; the
+    first axis varies slowest."""
+    return np.column_stack([m.ravel() for m in np.meshgrid(*[axis] * dimension, indexing="ij")])
+
+
 def grid_points(axis, dimension: int) -> np.ndarray:
-    """(len(axis)**D, 3) points of the square grid with coordinates `axis` on each
-    axis: 1D runs along z, 2D fills the xy plane, 3D is cubic; the first axis varies
-    slowest."""
+    """grid_coordinates as (len(axis)**D, 3) points, in the columns axis_columns(D)."""
     pos = np.zeros((len(axis) ** dimension, 3))
-    mesh = np.meshgrid(*[axis] * dimension, indexing="ij")
-    for column, coords in zip([2] if dimension == 1 else range(dimension), mesh):
-        pos[:, column] = coords.ravel()
+    pos[:, axis_columns(dimension)] = grid_coordinates(axis, dimension)
     return pos
 
 

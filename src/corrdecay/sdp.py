@@ -24,14 +24,19 @@ PROJECTION_MAX_N = 400  # the reference solver eigendecomposes every iteration
 START_RANK = 8  # the optimum's numerical rank is 4-20 on the chains and planes measured
 GAP_TOL = 1e-3  # relative dual gap above which the low-rank solver doubles the rank
 GROWTH_SCALE = 0.5  # rms row norm of the columns added when the rank grows
+ROUND_TOL = 1e-10  # smallest objective gain that moves a spin in the rounding polish
+ROUND_MAX_SWEEPS = 500
+CAP_SLACK = 1e-6  # absolute excess over the analytic cap that a certificate forgives
 
 
 @dataclass
 class SdpProblem:
-    """Zero-diagonal symmetric coupling matrix of the classical XY objective."""
+    """Zero-diagonal symmetric coupling matrix of the classical XY objective, and the
+    diagonal gamma0 of the coupling matrix it came from (for the rate estimates)."""
 
     gtilde: np.ndarray
     n: int
+    gamma0: float = 1.0
 
     def __post_init__(self):
         g = np.asarray(self.gtilde, dtype=float)
@@ -39,14 +44,14 @@ class SdpProblem:
             raise ConfigError("gtilde must be n x n")
         if np.abs(np.diag(g)).max(initial=0.0) > 1e-12:
             raise ConfigError("gtilde must have zero diagonal (within 1e-12)")
-        if not np.allclose(g, g.T, atol=1e-12):
+        if not np.allclose(g, g.T, rtol=0.0, atol=1e-12):
             raise ConfigError("gtilde must be symmetric")
         self.gtilde = g
 
     @classmethod
     def from_coupling(cls, mats: CouplingMatrices) -> "SdpProblem":
         gt = mats.gamma - mats.gamma0 * np.eye(mats.n)
-        return cls(gtilde=gt, n=mats.n)
+        return cls(gtilde=gt, n=mats.n, gamma0=mats.gamma0)
 
 
 @dataclass
@@ -106,8 +111,7 @@ def dual_bound(gtilde, v) -> float:
     return _certificate(gtilde, v)[1]
 
 
-def _solution(v, value, dual, iterations, converged, gamma0, **extra):
-    n = v.shape[0]
+def _solution(problem, v, value, dual, iterations, converged, **extra):
     return SdpSolution(
         value=value,
         dual_bound=dual,
@@ -116,10 +120,18 @@ def _solution(v, value, dual, iterations, converged, gamma0, **extra):
         iterations=iterations,
         feasibility_max_diag=float(np.sum(v**2, axis=1).max()),
         converged=converged,
-        rstar_estimate=value + 0.5 * n * gamma0,
-        rstar_upper_from_sdp=n * gamma0 + 6.0 * dual,
+        rstar_estimate=value + 0.5 * problem.n * problem.gamma0,
+        rstar_upper_from_sdp=problem.n * problem.gamma0 + 6.0 * dual,
         **extra,
     )
+
+
+def _settled(history, it, tol) -> bool:
+    """Span stop of both solvers: the last CONVERGENCE_WINDOW objective values agree to tol."""
+    if it < CONVERGENCE_WINDOW:
+        return False
+    window = history[-CONVERGENCE_WINDOW:]
+    return max(window) - min(window) <= tol * max(1.0, abs(window[-1]))
 
 
 def _ascend(gtilde, v, max_iters, tol):
@@ -145,16 +157,13 @@ def _ascend(gtilde, v, max_iters, tol):
         history.append(f)
         if f > best_f:
             best_f, best_v = f, v.copy()
-        if it >= CONVERGENCE_WINDOW:
-            span = max(history[-CONVERGENCE_WINDOW:]) - min(history[-CONVERGENCE_WINDOW:])
-            if span <= tol * max(1.0, abs(f)):
-                return best_v, it, True
+        if _settled(history, it, tol):
+            return best_v, it, True
     return best_v, it, False
 
 
 def solve_low_rank(problem: SdpProblem, rank: int | None = None, seed: int = 0,
-                   max_iters: int = 20000, tol: float = DEFAULT_TOL,
-                   gamma0: float = 1.0) -> SdpSolution:
+                   max_iters: int = 20000, tol: float = DEFAULT_TOL) -> SdpSolution:
     """Factorized solver: ascend (1/4) Tr(Gtilde V V^T) over rows ||v_i|| <= 1.
 
     Rows start uniform on the unit sphere (seeded) at rank min(START_RANK, N) or
@@ -185,25 +194,24 @@ def solve_low_rank(problem: SdpProblem, rank: int | None = None, seed: int = 0,
         block = rng.standard_normal((n, grown - r)) * (GROWTH_SCALE / math.sqrt(grown - r))
         v, r = _project_rows(np.hstack([v, block])), grown
 
-    return _solution(v, value, dual, total_iters, settled and closed, gamma0,
+    return _solution(problem, v, value, dual, total_iters, settled and closed,
                      rank_escape_verified=closed, rounds=rounds)
 
 
 def solve_projection(problem: SdpProblem, max_iters: int = 20000,
-                     tol: float = DEFAULT_TOL, rho: float | None = None,
-                     gamma0: float = 1.0) -> SdpSolution:
+                     tol: float = DEFAULT_TOL) -> SdpSolution:
     """Reference solver: operator splitting over the PSD cone and the diagonal box.
 
     Alternates a PSD eigenvalue-clipping projection (absorbing the linear
-    objective) with a diagonal clip, coupled through a scaled dual variable.
-    Dense eigendecomposition every iteration limits it to N <= 400.
+    objective) with a diagonal clip, coupled through a scaled dual variable
+    with penalty rho = ||Gtilde/4||_2. Dense eigendecomposition every iteration
+    limits it to N <= 400.
     """
     n = problem.n
     if n > PROJECTION_MAX_N:
         raise ConfigError(f"projection solver is limited to N <= {PROJECTION_MAX_N}")
     c = 0.25 * problem.gtilde
-    if rho is None:
-        rho = max(float(np.linalg.norm(c, 2)), 1e-6)
+    rho = max(float(np.linalg.norm(c, 2)), 1e-6)
     z = np.zeros((n, n))
     u = np.zeros((n, n))
     history = []
@@ -220,12 +228,9 @@ def solve_projection(problem: SdpProblem, max_iters: int = 20000,
         u = u + x - z
         f = 0.25 * float(np.sum(problem.gtilde * z))
         history.append(f)
-        if it >= CONVERGENCE_WINDOW:
-            span = max(history[-CONVERGENCE_WINDOW:]) - min(history[-CONVERGENCE_WINDOW:])
-            primal = float(np.linalg.norm(x - z))
-            if span <= tol * max(1.0, abs(f)) and primal <= math.sqrt(n) * 1e-7:
-                converged = True
-                break
+        if _settled(history, it, tol) and float(np.linalg.norm(x - z)) <= math.sqrt(n) * 1e-7:
+            converged = True
+            break
 
     # exact feasible point: a factor of the eigenvalue-clipped Z, rows with
     # X_ii > 1 scaled onto the unit ball (X -> D X D with D_ii = 1/sqrt(X_ii))
@@ -235,7 +240,7 @@ def solve_projection(problem: SdpProblem, max_iters: int = 20000,
     if factor.shape[1] == 0:
         factor = np.zeros((n, 1))
     value, dual = _certificate(problem.gtilde, factor)
-    return _solution(factor, value, dual, it, converged, gamma0)
+    return _solution(problem, factor, value, dual, it, converged)
 
 
 @dataclass
@@ -246,11 +251,11 @@ class ProductRounding:
     value: float
 
 
-def round_to_product_state(solution: SdpSolution, problem: SdpProblem,
-                           tol: float = 1e-10, max_sweeps: int = 500) -> ProductRounding:
+def round_to_product_state(solution: SdpSolution, problem: SdpProblem) -> ProductRounding:
     """Rank-2 rounding: project the factor onto its top-2 principal subspace,
-    normalize each row to a planar unit spin, then polish by single-spin
-    updates until no move improves the XY objective by more than tol.
+    normalize each row to a planar unit spin, then polish by single-spin updates
+    until no move improves the XY objective by more than ROUND_TOL (at most
+    ROUND_MAX_SWEEPS sweeps).
 
     The rounded value is a feasible rank-2 point, so it never exceeds the SDP
     optimum and hence never exceeds solution.dual_bound. It can exceed
@@ -269,7 +274,7 @@ def round_to_product_state(solution: SdpSolution, problem: SdpProblem,
 
     gtilde = problem.gtilde
     x, y = np.ascontiguousarray(s.T)
-    for _ in range(max_sweeps):
+    for _ in range(ROUND_MAX_SWEEPS):
         improved = False
         for i, row in enumerate(gtilde):
             bx, by = float(row @ x), float(row @ y)
@@ -278,7 +283,7 @@ def round_to_product_state(solution: SdpSolution, problem: SdpProblem,
                 continue
             # moving spin i to b/|b| changes the objective by (|b| - s_i.b)/2
             gain = 0.5 * (nrm - (x[i] * bx + y[i] * by))
-            if gain > tol:
+            if gain > ROUND_TOL:
                 x[i], y[i] = bx / nrm, by / nrm
                 improved = True
         if not improved:
@@ -288,16 +293,17 @@ def round_to_product_state(solution: SdpSolution, problem: SdpProblem,
 
 
 def sdp_certificates(problem: SdpProblem, solution: SdpSolution, gamma_max: float,
-                     gamma0: float = 1.0, slack: float = 1e-6) -> dict:
+                     gamma0: float | None = None) -> dict:
     """Check the trace-inequality cap value <= (N/4)(gamma_max - gamma0) and
-    value <= dual_bound.
+    value <= dual_bound; gamma0 defaults to problem.gamma0.
 
-    A violation (of the cap beyond the slack) means the solver returned an
+    A violation (of the cap beyond CAP_SLACK) means the solver returned an
     infeasible point or a wrong bound and is treated as a hard error.
     """
+    gamma0 = problem.gamma0 if gamma0 is None else gamma0
     cap = 0.25 * problem.n * (gamma_max - gamma0)
     value, diag, dual = solution.value, solution.feasibility_max_diag, solution.dual_bound
-    if value > cap + slack:
+    if value > cap + CAP_SLACK:
         raise CertificateError(f"SDP value {value:.9g} exceeds the analytic cap {cap:.9g}")
     if diag > 1.0 + 1e-8:
         raise CertificateError(f"factor diagonal {diag:.9g} violates X_ii <= 1")

@@ -9,7 +9,7 @@ import numpy as np
 
 from .coupling import CouplingMatrices, gamma_eigensolve
 from .errors import PhysicsValidationError
-from .lattice import AtomArray
+from .lattice import AtomArray, grid_points
 
 
 @dataclass
@@ -80,15 +80,8 @@ class MomentumDistribution:
     weights: np.ndarray
 
     def to_csv(self, path):
-        table = np.column_stack([self.kvecs, self.weights])
-        np.savetxt(
-            path,
-            table,
-            fmt="%.17g",
-            delimiter=",",
-            header="kx,ky,kz,weight",
-            comments="",
-        )
+        np.savetxt(path, np.column_stack([self.kvecs, self.weights]), fmt="%.17g",
+                   delimiter=",", header="kx,ky,kz,weight", comments="")
 
 
 def momentum_distribution(dominant_vec, array: AtomArray) -> MomentumDistribution:
@@ -113,25 +106,10 @@ def momentum_distribution(dominant_vec, array: AtomArray) -> MomentumDistributio
     alpha_k = np.fft.ifftn(grid, norm="ortho")
     weights = np.abs(alpha_k) ** 2
 
-    freqs = np.fft.fftfreq(n1, d=d)  # cycles per lambda0
-    kaxis = 2.0 * np.pi * freqs  # radians: light line at |k| = 2*pi
-    mesh = np.meshgrid(*([kaxis] * dim), indexing="ij")
-    kvecs = np.zeros((n1**dim, 3))
-    if dim == 1:
-        kvecs[:, 2] = mesh[0].ravel()  # chains run along z
-    else:
-        for axis_idx in range(dim):
-            kvecs[:, axis_idx] = mesh[axis_idx].ravel()
-    return MomentumDistribution(kvecs=kvecs, weights=weights.ravel())
+    kaxis = 2.0 * np.pi * np.fft.fftfreq(n1, d=d)  # radians: light line at |k| = 2*pi
+    return MomentumDistribution(kvecs=grid_points(kaxis, dim), weights=weights.ravel())
 
 
 def spectrum_to_csv(summary: SpectralSummary, path):
-    table = np.column_stack([np.arange(summary.n), summary.eigenvalues])
-    np.savetxt(
-        path,
-        table,
-        fmt=["%d", "%.17g"],
-        delimiter=",",
-        header="index,eigenvalue",
-        comments="",
-    )
+    np.savetxt(path, np.column_stack([np.arange(summary.n), summary.eigenvalues]),
+               fmt=["%d", "%.17g"], delimiter=",", header="index,eigenvalue", comments="")

@@ -2,6 +2,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import corrdecay
 from corrdecay.cli import SCHEMAS, build_parser, main
 
 DATA = Path(__file__).parent / "data" / "rb87_53s_transitions.csv"
@@ -81,6 +83,8 @@ def test_analyze_large_n_skips_exact(tmp_path):
 
 INVALID_MATRICES = {
     "asymmetric": np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    # 1e-7 apart: inside allclose's default rtol, outside the promised atol 1e-12
+    "slightly-asymmetric": np.array([[1.0, 0.5], [0.5000001, 1.0]]),
     "nan": np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
     "nonuniform-diagonal": np.diag([1.0, 2.0, 1.0]),
     "non-psd": np.array([[1.0, 1.5], [1.5, 1.0]]),
@@ -462,11 +466,17 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     assert (tmp_path / "sweep.csv").read_text() == (other / "sweep.csv").read_text()
 
 
+def child_env():
+    """os.environ with the corrdecay tree under test first on a child's PYTHONPATH."""
+    paths = [str(Path(corrdecay.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "corrdecay.cli", "gamma", "--dim", "1", "--n", "3",
          "--d", "0.5", "--out", str(tmp_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "coupling.csv").exists()
@@ -493,7 +503,7 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 def test_cold_start_imports_no_scipy(tmp_path):
     # a fresh interpreter runs the disordered export and the CLI on numpy alone
     proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "coupling.csv").exists() and (tmp_path / "gamma" / "coupling.csv").exists()

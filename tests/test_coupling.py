@@ -184,11 +184,32 @@ def test_translation_invariance():
 
 
 def test_polarization_sign_flip():
-    spec = LatticeSpec(dimension=2, n_per_axis=3, spacing=0.3, polarization=(1.0, 0, 0))
-    arr = generate_lattice(spec)
-    a = build_coupling_matrices(arr, pol=np.array([1.0, 0, 0]))
-    b = build_coupling_matrices(arr, pol=np.array([-1.0, 0, 0]))
+    plus, minus = (LatticeSpec(dimension=2, n_per_axis=3, spacing=0.3, polarization=(sign, 0, 0))
+                   for sign in (1.0, -1.0))
+    a, b = (build_coupling_matrices(generate_lattice(spec)) for spec in (plus, minus))
     np.testing.assert_array_equal(a.gamma, b.gamma)
+
+
+@pytest.mark.parametrize("gamma, gamma0, n", [
+    pytest.param(np.eye(3), 1.0, 5, id="three-emitters-claim-five"),
+    pytest.param(np.eye(3), 1.0, 2, id="three-emitters-claim-two"),
+    pytest.param(np.ones(3), 1.0, 3, id="not-2d"),
+    pytest.param(np.eye(3), 2.0, 3, id="gamma0-2-unit-diagonal"),
+    pytest.param(np.eye(3), 1.0 + 2e-12, 3, id="gamma0-beyond-1e-12"),
+    pytest.param(np.full((1, 1), np.nan), 1.0, 1, id="nan-diagonal"),
+    pytest.param(np.zeros((0, 0)), 1.0, 0, id="empty"),
+])
+def test_coupling_matrices_refuses_n_or_gamma0_off_gamma(gamma, gamma0, n):
+    with pytest.raises(PhysicsValidationError):
+        CouplingMatrices(gamma=gamma, gamma0=gamma0, n=n)
+
+
+def test_coupling_matrices_accepts_gamma0_within_1e12():
+    # a diagonal of 1 +- 1 ulp (as a normalized Gram matrix has) against gamma0 = 1
+    for diagonal in (np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 1.0 + 5e-13):
+        gamma = np.eye(3) * diagonal
+        assert gamma[0, 0] != 1.0
+        assert CouplingMatrices(gamma=gamma, gamma0=1.0, n=3).gamma0 == 1.0
 
 
 def test_sum_rule_bounds(rng):

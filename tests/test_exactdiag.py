@@ -211,8 +211,6 @@ def test_lanczos_unconverged_raises():
 
 
 def bad_gamma_mats(case):
-    if case == "shape":  # a 5 x 5 matrix that says it holds 4 qubits
-        return CouplingMatrices(gamma=np.eye(5), gamma0=1.0, n=4)
     gamma = np.eye(4)
     if case == "asymmetric":
         gamma[0, 1] = 0.9
@@ -229,6 +227,10 @@ def test_gamma_validated_before_sector_work(case, monkeypatch):
         raise AssertionError("a sector basis was built before gamma was checked")
 
     monkeypatch.setattr(SectorBasis, "build", no_sector_work)
+    if case == "shape":  # a 5 x 5 matrix that says it holds 4 qubits: refused at construction
+        with pytest.raises(PhysicsValidationError):
+            CouplingMatrices(gamma=np.eye(5), gamma0=1.0, n=4)
+        return
     mats = bad_gamma_mats(case)
     for force_method in (None, "dense", "lanczos"):
         with pytest.raises(PhysicsValidationError):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unit_diag_psd
+from conftest import mats_from_gamma, random_unit_diag_psd
 from corrdecay.coupling import build_coupling_matrices
 from corrdecay.errors import CertificateError, ConfigError
 from corrdecay import sdp
@@ -31,6 +31,8 @@ def test_problem_validation():
         SdpProblem(gtilde=np.eye(3), n=3)  # nonzero diagonal
     with pytest.raises(ConfigError):
         SdpProblem(gtilde=np.array([[0.0, 1.0], [0.5, 0.0]]), n=2)  # asymmetric
+    with pytest.raises(ConfigError):  # 1e-7 apart: beyond atol 1e-12, inside allclose's rtol
+        SdpProblem(gtilde=np.array([[0.0, 0.5], [0.5000001, 0.0]]), n=2)
 
 
 def test_from_coupling_strips_diagonal():
@@ -262,6 +264,22 @@ def test_value_rounding_and_cap_properties(n, seed):
     assert round_to_product_state(sol, prob).value <= sol.value + 1e-9
     cap = 0.25 * n * (float(np.linalg.eigvalsh(g)[-1]) - 1.0)
     assert sol.value <= cap + 1e-9 * max(1.0, cap)
+
+
+@pytest.mark.parametrize("solve", [solve_low_rank, solve_projection])
+def test_problem_carries_gamma0_of_its_coupling(solve):
+    # gamma0 = 2: rstar_estimate = value + N*gamma0/2 = value + N, with no gamma0 argument
+    n = 6
+    gamma = 2.0 * random_unit_diag_psd(n, np.random.default_rng(4))
+    np.fill_diagonal(gamma, 2.0)
+    mats = mats_from_gamma(gamma)
+    prob = SdpProblem.from_coupling(mats)
+    assert prob.gamma0 == 2.0
+    sol = solve(prob)
+    assert sol.rstar_estimate == sol.value + n
+    assert sol.rstar_upper_from_sdp == 2.0 * n + 6.0 * sol.dual_bound
+    gamma_max = float(np.linalg.eigvalsh(mats.gamma)[-1])
+    assert sdp_certificates(prob, sol, gamma_max)["cap"] == 0.25 * n * (gamma_max - 2.0)
 
 
 def test_pinned_chain_regression():
