@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__
 from .bounds import bounds_report, driven_report
 from .coupling import (
-    PSD_TOLERANCE,
     PsdDiagnostic,
     build_coupling_matrices,
     build_export_matrices,
@@ -223,7 +222,7 @@ def _reads_seed(command: str, config: dict) -> bool:
 
 def _require_psd(min_eigenvalue: float, mats) -> PsdDiagnostic:
     """PSD diagnostic from a spectrum the command computes anyway; fails with exit 3."""
-    diag = PsdDiagnostic(float(min_eigenvalue), PSD_TOLERANCE * mats.gamma0)
+    diag = PsdDiagnostic.of(min_eigenvalue, mats.gamma0)
     if not diag.passed:
         raise PhysicsValidationError(f"PSD check failed: min eigenvalue {diag.min_eigenvalue:.3e}")
     return diag

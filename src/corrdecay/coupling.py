@@ -85,6 +85,11 @@ class PsdDiagnostic:
     min_eigenvalue: float
     tolerance: float  # absolute, in the units of gamma
 
+    @classmethod
+    def of(cls, min_eigenvalue, gamma0) -> "PsdDiagnostic":
+        """The PSD rule: min_eigenvalue against PSD_TOLERANCE * gamma0."""
+        return cls(float(min_eigenvalue), PSD_TOLERANCE * gamma0)
+
     @property
     def passed(self) -> bool:
         return bool(self.min_eigenvalue >= self.tolerance)
@@ -222,17 +227,28 @@ def validated_coupling(gamma) -> CouplingMatrices:
     return CouplingMatrices(gamma=gamma, gamma0=float(gamma[0, 0]), n=gamma.shape[0])
 
 
+def parity_blocks(g):
+    """Views (A, B) = (g[:m, :m], g[:m, ::-1][:, :m]), m = N // 2, of an exactly
+    centrosymmetric g (== g[::-1, ::-1], as every ordered array's Gamma and Gtilde are), else
+    None (also for N < 2). For even N, g = [[A, B J], [J B, J A J]] with J the row reversal."""
+    m = len(g) // 2
+    if m == 0 or not np.array_equal(g, g[::-1, ::-1]):
+        return None
+    return g[:m, :m], g[:m, ::-1][:, :m]
+
+
 def gamma_eigensolve(g, top_vector=False):
     """(ascending eigenvalues, unit top eigenvector or None, "parity" | "dense") of symmetric
-    gamma g. An exactly centrosymmetric g (== g[::-1, ::-1], as every ordered array's is) is
-    solved as two blocks of N/2 rows, A + B for the modes [u, u[::-1]]/sqrt2 (u[m] on the middle
-    site of odd N) and A - B for [u, -u[::-1]]/sqrt2: A = g[:m, :m], B = g[:m, ::-1][:, :m]."""
+    gamma g. A centrosymmetric g (see parity_blocks) is solved as two blocks of N/2 rows, A + B
+    for the modes [u, u[::-1]]/sqrt2 (u[m] on the middle site of odd N) and A - B for
+    [u, -u[::-1]]/sqrt2."""
     n, m = len(g), len(g) // 2
     solve = np.linalg.eigh if top_vector else lambda x: (np.linalg.eigvalsh(x), None)
-    if m == 0 or not np.array_equal(g, g[::-1, ::-1]):
+    blocks = parity_blocks(g)
+    if blocks is None:
         vals, vecs = solve(g)
         return vals, None if vecs is None else vecs[:, -1], "dense"
-    a, b, c = g[:m, :m], g[:m, ::-1][:, :m], np.sqrt(2.0) * g[:m, m:n - m]
+    (a, b), c = blocks, np.sqrt(2.0) * g[:m, m:n - m]
     odd, uo = solve(a - b)
     even, ue = solve(np.block([[a + b, c], [c.T, g[m:n - m, m:n - m]]]))
     vals = np.sort(np.concatenate([even, odd]))
@@ -245,8 +261,8 @@ def gamma_eigensolve(g, top_vector=False):
 
 
 def validate_psd(mats: CouplingMatrices) -> PsdDiagnostic:
-    """Minimum eigenvalue of gamma against PSD_TOLERANCE * gamma0 (diagnostic only)."""
-    return PsdDiagnostic(float(gamma_eigensolve(mats.gamma)[0][0]), PSD_TOLERANCE * mats.gamma0)
+    """PsdDiagnostic.of the minimum eigenvalue of gamma (diagnostic only)."""
+    return PsdDiagnostic.of(gamma_eigensolve(mats.gamma)[0][0], mats.gamma0)
 
 
 def offdiagonal_sum(mats: CouplingMatrices) -> float:

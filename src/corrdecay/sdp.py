@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import CouplingMatrices
+from .coupling import CouplingMatrices, parity_blocks
 from .errors import CertificateError, ConfigError
 from .lattice import _rng
 
@@ -134,29 +134,72 @@ def _settled(history, it, tol) -> bool:
     return max(window) - min(window) <= tol * max(1.0, abs(window[-1]))
 
 
+def _product(gtilde, r):
+    """(product, "parity" | "dense"): product(v, out) writes gtilde @ v into out for (N, r)
+    factors v. An even-N centrosymmetric gtilde (coupling.parity_blocks) multiplies
+    through K = [(A + B)/2, (A - B)/2], reading N^2/2 numbers per product: with
+    W = [v1 + J v2, v1 - J v2] and R = K W, the top half is R0 + R1 and the row-reversed
+    bottom half is R0 - R1. Any other gtilde is one dense matmul."""
+    n = len(gtilde)
+    blocks = parity_blocks(gtilde) if n % 2 == 0 else None
+    if blocks is None:
+        return (lambda v, out: np.matmul(gtilde, v, out=out)), "dense"
+    (a, b), m = blocks, n // 2
+    k = np.empty((2, m, m))
+    np.add(a, b, out=k[0])
+    np.subtract(a, b, out=k[1])
+    k *= 0.5
+    w, res = np.empty((2, m, r)), np.empty((2, m, r))
+
+    def product(v, out):
+        top, bottom = v[:m], v[:m - 1:-1]  # bottom = J v2
+        np.add(top, bottom, out=w[0])
+        np.subtract(top, bottom, out=w[1])
+        np.matmul(k, w, out=res)
+        np.add(res[0], res[1], out=out[:m])
+        np.subtract(res[0], res[1], out=out[:m - 1:-1])
+
+    return product, "parity"
+
+
 def _ascend(gtilde, v, max_iters, tol):
-    """Projected gradient ascent with Barzilai-Borwein steps on the factor."""
+    """Projected gradient ascent with Barzilai-Borwein steps on the factor, in place on
+    buffers allocated once: each step is v <- rows of v + step * grad scaled onto the
+    unit ball, with one gtilde product (_product) per iteration."""
     spectral_scale = max(float(np.abs(gtilde).sum(axis=1).max()), 1e-12)
+    step_min, step_max = 1e-3 / spectral_scale, 1e6 / spectral_scale
     step = 1.0 / spectral_scale
-    grad = 0.5 * (gtilde @ v)
+    v = v.copy()  # the caller's start is not overwritten
+    product = _product(gtilde, v.shape[1])[0]
+    grad, v_new, grad_new, dv, dg = (np.empty_like(v) for _ in range(5))
+    nrm = np.empty(len(v))
+    product(v, grad)
+    grad *= 0.5
     # f = (1/4) Tr(V^T Gtilde V) = (1/2) sum(V * grad): one product per iteration
-    best_f = f = 0.5 * float(np.sum(v * grad))
+    best_f = f = 0.5 * float(np.vdot(v, grad))
     best_v = v.copy()
     history = [f]
     it = 0
     for it in range(1, max_iters + 1):
-        v_new = _project_rows(v + step * grad)
-        grad_new = 0.5 * (gtilde @ v_new)
-        dv = v_new - v
-        denom = float(np.sum(dv * (grad_new - grad)))
-        num = float(np.sum(dv * dv))
+        np.multiply(grad, step, out=v_new)
+        v_new += v
+        np.einsum("ij,ij->i", v_new, v_new, out=nrm)
+        np.sqrt(nrm, out=nrm)
+        np.maximum(nrm, 1.0, out=nrm)  # rows with norm > 1 back onto the unit ball
+        v_new /= nrm[:, None]
+        product(v_new, grad_new)
+        grad_new *= 0.5
+        np.subtract(v_new, v, out=dv)
+        np.subtract(grad_new, grad, out=dg)
+        denom = float(np.vdot(dv, dg))
         if abs(denom) > 1e-300:
-            step = min(max(abs(num / denom), 1e-3 / spectral_scale), 1e6 / spectral_scale)
-        v, grad = v_new, grad_new
-        f = 0.5 * float(np.sum(v * grad))
+            step = min(max(abs(float(np.vdot(dv, dv)) / denom), step_min), step_max)
+        v, v_new, grad, grad_new = v_new, v, grad_new, grad
+        f = 0.5 * float(np.vdot(v, grad))
         history.append(f)
         if f > best_f:
-            best_f, best_v = f, v.copy()
+            best_f = f
+            np.copyto(best_v, v)
         if _settled(history, it, tol):
             return best_v, it, True
     return best_v, it, False
@@ -273,11 +316,13 @@ def round_to_product_state(solution: SdpSolution, problem: SdpProblem) -> Produc
     s /= np.linalg.norm(s, axis=1, keepdims=True)
 
     gtilde = problem.gtilde
-    x, y = np.ascontiguousarray(s.T)
+    xy = np.ascontiguousarray(s.T)  # (2, N): one product per visited row
+    x, y = xy
+    rows = list(gtilde)
     for _ in range(ROUND_MAX_SWEEPS):
         improved = False
-        for i, row in enumerate(gtilde):
-            bx, by = float(row @ x), float(row @ y)
+        for i, row in enumerate(rows):
+            bx, by = (xy @ row).tolist()
             nrm = math.hypot(bx, by)
             if nrm < 1e-300:
                 continue

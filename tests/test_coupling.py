@@ -8,6 +8,7 @@ from corrdecay.coupling import (
     GAMMA0,
     K0,
     CouplingMatrices,
+    PsdDiagnostic,
     _gamma_kernel,
     _j_kernel,
     _pair_matrix,
@@ -232,6 +233,14 @@ def test_psd_identity_and_handbuilt_failure():
     bad = validate_psd(mats_from_gamma(np.array([[1.0, 1.5], [1.5, 1.0]])))
     assert not bad.passed
     assert np.isclose(bad.min_eigenvalue, -0.5)
+
+
+def test_psd_rule_scales_with_gamma0():
+    # one rule for validate_psd and the CLI: min eigenvalue >= PSD_TOLERANCE * gamma0
+    mats = mats_from_gamma(2.0 * np.eye(3))
+    assert validate_psd(mats) == PsdDiagnostic.of(2.0, 2.0)
+    assert PsdDiagnostic.of(-1.5e-8, 2.0).passed
+    assert not PsdDiagnostic.of(-1.5e-8, 1.0).passed
 
 
 def test_coincident_positions_reported_with_indices():

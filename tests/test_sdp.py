@@ -9,6 +9,7 @@ from corrdecay.errors import CertificateError, ConfigError
 from corrdecay import sdp
 from corrdecay.lattice import LatticeSpec, generate_lattice
 from corrdecay.sdp import (
+    DEFAULT_TOL,
     GAP_TOL,
     START_RANK,
     SdpProblem,
@@ -308,3 +309,42 @@ def test_value_and_rounding_below_dual_bound(n, seed):
     assert np.isfinite(sol.gap)
     slack = 1e-12 * max(1.0, abs(sol.dual_bound))
     assert round_to_product_state(sol, prob).value <= sol.dual_bound + slack
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 60), r=st.integers(1, 16), centrosymmetric=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_parity_product_matches_dense(n, r, centrosymmetric, seed):
+    # the half-size product of an even-N centrosymmetric matrix is g @ v; odd N
+    # and any other symmetric matrix take the dense path
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n))
+    g += g.T
+    if centrosymmetric:
+        g += g[::-1, ::-1]
+    v = rng.standard_normal((n, r))
+    product, path = sdp._product(g, r)
+    assert path == ("parity" if centrosymmetric and n % 2 == 0 else "dense")
+    out = np.empty((n, r))
+    product(v, out)
+    scale = np.abs(g).sum(axis=1).max() * np.abs(v).max()
+    assert np.abs(out - g @ v).max() <= 1e-12 * scale
+
+
+def test_parity_and_dense_ascents_take_the_same_iterates():
+    # the same chain through the parity product and, permuted, through the dense one
+    spec = LatticeSpec(dimension=1, n_per_axis=60, spacing=0.4, polarization=(1.0, 0, 0))
+    g = SdpProblem.from_coupling(build_coupling_matrices(generate_lattice(spec))).gtilde
+    rng = np.random.default_rng(3)
+    v0 = rng.standard_normal((60, START_RANK))
+    v0 /= np.linalg.norm(v0, axis=1, keepdims=True)
+    start = v0.copy()
+    perm = rng.permutation(60)
+    g_perm = g[np.ix_(perm, perm)]
+    assert sdp._product(g, START_RANK)[1] == "parity"
+    assert sdp._product(g_perm, START_RANK)[1] == "dense"
+    best, iters, settled = sdp._ascend(g, v0, 20000, DEFAULT_TOL)
+    best_perm, iters_perm, settled_perm = sdp._ascend(g_perm, v0[perm], 20000, DEFAULT_TOL)
+    assert np.array_equal(v0, start)  # the start is not overwritten
+    assert settled and settled_perm and iters == iters_perm
+    np.testing.assert_allclose(best[perm], best_perm, rtol=0, atol=1e-9)
