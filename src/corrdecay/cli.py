@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import operator
 import os
 import sys
 import time
@@ -140,31 +141,39 @@ SCHEMAS = {
 }
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Config file keys overridden by every flag given, validated against the
-    command's schema, which rejects extras."""
-    import jsonschema
+_TYPES = {"integer": int, "number": (int, float), "string": str, "array": list}
+_CHECKS = {"enum": lambda value, allowed: value in allowed, "minimum": operator.ge,
+           "exclusiveMinimum": operator.gt, "maximum": operator.le}
 
+
+def _check(key: str, value, rule: dict) -> None:
+    """Refuse, naming key, a value outside its rule (a bool is no number, 4.0 no integer)."""
+    if isinstance(value, bool) or not isinstance(value, _TYPES[rule["type"]]):
+        raise ConfigError(f"{key}: {value!r} is not of type '{rule['type']}'")
+    for item in value if rule["type"] == "array" else ():
+        _check(key, item, rule["items"])
+    for word, holds in _CHECKS.items():
+        if word in rule and not holds(value, rule[word]):
+            raise ConfigError(f"{key}: {value!r} violates {word} {rule[word]}")
+
+
+def _merge_config(args: argparse.Namespace) -> dict:
+    """Config file keys overridden by every flag given, each checked against SCHEMAS."""
     config = {}
     if args.config:
         try:
-            loaded = json.loads(Path(args.config).read_text())
+            config = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        if not isinstance(loaded, dict):
+        if not isinstance(config, dict):
             raise ConfigError("config file must hold a JSON object")
-        config.update(loaded)
     config.update({name: value for name, value in vars(args).items()
                    if value is not None and name not in ("command", "config")})
-    schema = {
-        "type": "object",
-        "properties": SCHEMAS[args.command],
-        "additionalProperties": False,
-    }
-    try:
-        jsonschema.validate(config, schema)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    schema = SCHEMAS[args.command]
+    for key, value in config.items():
+        if key not in schema:
+            raise ConfigError(f"{key}: {args.command} takes no such key")
+        _check(key, value, schema[key])
     return config
 
 
@@ -313,7 +322,7 @@ def cmd_analyze(config: dict, run: Run) -> int:
         sdp_certificates(problem, sol, summary.gamma_max)
         doc["sdp"] = sol.to_dict()
     if mats.n <= config.get("exact_max_n", 14):
-        doc["exact"] = asdict(exact_rstar(mats, threads=config.get("threads", _default_threads())))
+        doc["exact"] = asdict(exact_rstar(mats, threads=_threads(config)))
     run.write_json("analysis.json", doc)
     spectrum_to_csv(summary, run.path("spectrum.csv"))
     if array is not None and array.source_spec.disorder_eta == 0:
@@ -331,8 +340,6 @@ def cmd_scan(config: dict, run: Run) -> int:
                             config.get("spacing_mode", "geometric"))
     else:
         raise ConfigError("scan needs either sizes or n_min/n_max")
-    if not sizes:
-        raise ConfigError("empty sweep size list")
     disorder = None
     if config.get("eta", 0.0) > 0:
         disorder = DisorderSpec(eta=config["eta"],
@@ -347,9 +354,9 @@ def cmd_scan(config: dict, run: Run) -> int:
         disorder=disorder,
         sdp_seed=config.get("seed", DEFAULT_SEED),
     )
+    threads = _threads(config)  # before sweep.csv exists: a bad value writes nothing
     with open(run.path("sweep.csv"), "w") as fh:
-        table = run_sweep(plan, threads=config.get("threads", _default_threads()),
-                          on_row=csv_row_writer(fh))
+        table = run_sweep(plan, threads=threads, on_row=csv_row_writer(fh))
     if len(table.clean()) >= 3:
         fit = fit_table(table)
         run.path("fit.json").write_text(fit.to_json() + "\n")
@@ -394,8 +401,7 @@ def cmd_sdp(config: dict, run: Run) -> int:
 def cmd_exact(config: dict, run: Run) -> int:
     mats, _ = _coupling_from_config(config)
     _require_psd(gamma_eigensolve(mats.gamma)[0][0], mats)
-    result = exact_rstar(mats, seed=config.get("seed", DEFAULT_SEED),
-                         threads=config.get("threads", _default_threads()))
+    result = exact_rstar(mats, seed=config.get("seed", DEFAULT_SEED), threads=_threads(config))
     run.write_json("exact.json", asdict(result))
     print(f"rstar_exact = {result.rstar_exact:.9f} (sector m = {result.argmax_sector})")
     return 0
@@ -436,11 +442,14 @@ def cmd_rydberg(config: dict, run: Run) -> int:
     return 0
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("CORRDECAY_THREADS", "1")))
-    except ValueError:
-        return 1
+def _threads(config: dict) -> int:
+    """The threads key, else $CORRDECAY_THREADS (default 1) under the same rule."""
+    if "threads" in config:
+        return config["threads"]
+    text = os.environ.get("CORRDECAY_THREADS", "1").strip()
+    threads = int(text) if text.isdecimal() else text  # a str fails the integer rule
+    _check("CORRDECAY_THREADS", threads, _THREADS_KEY["threads"])
+    return threads
 
 
 COMMANDS = {

@@ -61,7 +61,9 @@ class CouplingMatrices:
     gamma has gamma0 on the diagonal; jmat has zero diagonal. Both are in
     units of gamma0 and store one value per unordered pair, mirrored exactly.
     Construction checks, in O(1), that gamma is n x n (n >= 1) and that gamma0
-    is gamma[0, 0] to 1e-12; the O(N^2) checks are check_coupling_matrix's.
+    is gamma[0, 0] to 1e-12; the O(N^2) checks run only on matrices read from files
+    (validated_coupling). A hand-built gamma must be exactly symmetric: the
+    eigensolvers silently read one triangle of an asymmetric one.
     """
 
     gamma: np.ndarray

@@ -25,10 +25,6 @@ class CoincidentEmittersError(PhysicsValidationError):
         super().__init__(message or f"coincident emitter positions at indices {i}, {j}")
 
 
-class SelfTermError(PhysicsValidationError):
-    """Green's tensor requested at zero separation (the self-term is set analytically)."""
-
-
 class DivergentModeError(CorrdecayError):
     """Wavevector exactly on the light line where the planar rate diverges."""
 

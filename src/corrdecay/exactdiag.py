@@ -208,7 +208,7 @@ def exact_rstar(mats: CouplingMatrices, force_method: str | None = None, seed: i
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             solved = list(pool.map(solve_sector, range(n // 2 + 1)))
-    else:
+    else:  # a one-worker pool costs a thread start and a malloc arena per call
         solved = [solve_sector(m) for m in range(n // 2 + 1)]
     per_sector = [value for value, _ in solved]
     per_sector += [per_sector[n - m] + mats.gamma0 * (n - 2 * m)

@@ -163,20 +163,13 @@ def run_sweep(plan: SweepPlan, threads: int = 1, on_row=None) -> SweepTable:
         return SweepRow(n_atoms=n_atoms, value=float(arr.mean()), stderr=stderr, error=err)
 
     table = SweepTable()
-
-    def _emit(outcomes):
-        # map yields in job order, so each point's realizations arrive together
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        outcomes = pool.map(_run, jobs)  # in job order: a point's realizations arrive together
         for n_1d in plan.n_1d_values:
             row = _aggregate(n_1d**plan.dimension, itertools.islice(outcomes, r_count))
             table.rows.append(row)
             if on_row is not None:
                 on_row(row)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            _emit(pool.map(_run, jobs))
-    else:
-        _emit(map(_run, jobs))
     return table
 
 

@@ -7,6 +7,7 @@ README limitations section); everything else must pass at the stated
 tolerances.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -218,6 +219,7 @@ def test_criterion_07_kspace_agreement_2d():
 
 # ---------------------------------------------------------------- criterion 8
 
+@functools.cache  # one ensemble shared by both criterion-8 tests
 def _disorder_ensemble():
     spec = LatticeSpec(dimension=2, n_per_axis=20, spacing=0.4, polarization=(1.0, 0, 0))
     clean_array = generate_lattice(spec)

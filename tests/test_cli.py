@@ -328,6 +328,62 @@ def test_config_unknown_key_rejected(tmp_path):
     assert main(["gamma", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+CHAIN = {"dim": 1, "n": 6, "d": 0.4}
+SCHEMA_MISSES = {
+    "type": ("gamma", {**CHAIN, "pol": 3}, "pol"),
+    "bool-integer": ("gamma", {**CHAIN, "n": True}, "n"),
+    "float-n": ("gamma", {**CHAIN, "n": 4.0}, "n"),
+    "float-rank": ("sdp", {**CHAIN, "rank": 3.0}, "rank"),
+    "float-max-iters": ("sdp", {**CHAIN, "max_iters": 100.0}, "max_iters"),
+    "float-dim": ("kspace", {"dim": 3.0, "n": 4, "d": 0.4}, "dim"),
+    "float-sizes": ("scan", {"d": 0.4, "sizes": [4.0, 6, 8]}, "sizes"),
+    "minimum": ("analyze", {**CHAIN, "sdp_max_n": 1}, "sdp_max_n"),
+    "minimum-rank": ("sdp", {**CHAIN, "rank": 1}, "rank"),
+    "exclusive-minimum": ("sdp", {**CHAIN, "tol": 0}, "tol"),
+    "maximum": ("analyze", {**CHAIN, "exact_max_n": 24}, "exact_max_n"),
+    "enum": ("sdp", {**CHAIN, "solver": "foo"}, "solver"),
+    "unknown-key": ("gamma", {**CHAIN, "typo_key": 1}, "typo_key"),
+}
+
+
+def _run_config(tmp_path, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    return main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("case", SCHEMA_MISSES)
+def test_config_schema_rule_rejected(tmp_path, case):
+    # each config runs once its one offending key is fixed; the schema alone refuses it
+    command, config, _ = SCHEMA_MISSES[case]
+    assert _run_config(tmp_path, command, config) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", SCHEMA_MISSES)
+def test_config_schema_error_names_key(tmp_path, capsys, case):
+    command, config, key = SCHEMA_MISSES[case]
+    _run_config(tmp_path, command, config)
+    assert f"config error: {key}" in capsys.readouterr().err
+
+
+def test_scan_empty_sizes_config_rejected(tmp_path):
+    assert _run_config(tmp_path, "scan", {"d": 0.4, "sizes": []}) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "abc"])
+def test_threads_env_checked(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("CORRDECAY_THREADS", value)
+    argv = ["exact", "--dim", "1", "--n", "4", "--d", "0.3"]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert "CORRDECAY_THREADS" in capsys.readouterr().err
+    # an explicit --threads is read instead of the variable
+    assert main(argv + ["--threads", "2", "--out", str(out)]) == 0
+
+
 def test_sdp_command(tmp_path):
     rc = main(["sdp", "--dim", "1", "--n", "10", "--d", "0.4", "--pol", "x",
                "--out", str(tmp_path)])
@@ -496,12 +552,13 @@ for argv in (["gamma", "--dim", "2", "--n", "4", "--d", "0.4", "--eta", "0.05",
              ["analyze", "--dim", "1", "--n", "4", "--d", "0.3", "--pol", "z"],
              ["kspace", "--dim", "3", "--n", "4", "--d", "0.4"]):
     assert main(argv + ["--out", out + "/" + argv[0]]) == 0, argv
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema")))
 """
 
 
 def test_cold_start_imports_no_scipy(tmp_path):
-    # a fresh interpreter runs the disordered export and the CLI on numpy alone
+    # a fresh interpreter runs the disordered export and the CLI on numpy alone,
+    # importing neither scipy nor jsonschema
     proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr

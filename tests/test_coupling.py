@@ -23,7 +23,7 @@ from corrdecay.coupling import (
     write_coupling_csv,
     write_matrix_binary,
 )
-from corrdecay.errors import CoincidentEmittersError, PhysicsValidationError, SelfTermError
+from corrdecay.errors import CoincidentEmittersError, PhysicsValidationError
 from corrdecay.lattice import AtomArray, LatticeSpec, build_array, generate_lattice
 from corrdecay.spectral import gamma_max_only
 
@@ -33,12 +33,12 @@ def green_tensor(r) -> np.ndarray:
 
     r is a 3-vector in lambda0 units; returns a complex symmetric 3x3 matrix.
     The self-term diverges and is never evaluated (diagonal couplings are set
-    analytically to gamma0), so zero separation raises SelfTermError.
+    analytically to gamma0), so zero separation raises PhysicsValidationError.
     """
     r = np.asarray(r, dtype=float)
     dist = float(np.linalg.norm(r))
     if dist <= COINCIDENT_TOL:
-        raise SelfTermError("self-term requested: G(0) is singular")
+        raise PhysicsValidationError("self-term requested: G(0) is singular")
     x = K0 * dist
     rhat = r / dist
     outer = np.outer(rhat, rhat)
@@ -92,7 +92,7 @@ def test_green_symmetric_complex():
 
 
 def test_green_self_term_rejected():
-    with pytest.raises(SelfTermError):
+    with pytest.raises(PhysicsValidationError, match="self-term"):
         green_tensor((0.0, 0.0, 0.0))
 
 
