@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import operator
 import os
 import sys
@@ -88,14 +89,16 @@ SCHEMAS = {
         **{key: rule for key, rule in _LATTICE_KEYS.items() if key != "n"},
         **_THREADS_KEY,
         **_GLOBAL_KEYS,
-        "quantity": {"type": "string", "enum": ["gamma_max", "sdp_estimate", "lb_best", "ub"]},
+        "quantity": {"type": "string", "enum": ["gamma_max", "sdp_estimate", "lb_best", "ub"],
+                     "description": "rate recorded per point (default gamma_max)"},
         "sizes": {"type": "array", "items": {"type": "integer", "minimum": 1},
                   "description": "explicit comma-separated N_1D list"},
-        "n_min": {"type": "integer", "minimum": 2},
-        "n_max": {"type": "integer", "minimum": 2},
+        "n_min": {"type": "integer", "minimum": 2, "description": "smallest N_1D of a size range"},
+        "n_max": {"type": "integer", "minimum": 2, "description": "largest N_1D of a size range"},
         "count": {"type": "integer", "minimum": 3,
                   "description": "number of sweep points (default 7)"},
-        "spacing_mode": {"type": "string", "enum": ["geometric", "linear"]},
+        "spacing_mode": {"type": "string", "enum": ["geometric", "linear"],
+                         "description": "spacing of the n_min..n_max sizes (default geometric)"},
         "realizations": {"type": "integer", "minimum": 1,
                          "description": "disorder realizations per point"},
     },
@@ -103,10 +106,15 @@ SCHEMAS = {
         **_LATTICE_KEYS,
         **_GLOBAL_KEYS,
         **_GAMMA_FILE_KEY,
-        "solver": {"type": "string", "enum": ["lowrank", "projection"]},
+        "solver": {"type": "string", "enum": ["lowrank", "projection"],
+                   "description": "low-rank ascent (default) or dense projection "
+                                  "reference (N <= 400)"},
         "rank": {"type": "integer", "minimum": 2, "description": "starting rank (default 8)"},
-        "max_iters": {"type": "integer", "minimum": 1},
-        "tol": {"type": "number", "exclusiveMinimum": 0},
+        "max_iters": {"type": "integer", "minimum": 1,
+                      "description": "iteration budget over all rounds (default 20000)"},
+        "tol": {"type": "number", "exclusiveMinimum": 0,
+                "description": "span tolerance that ends an ascent round (default 1e-8); "
+                               "the exit code comes from the certified gap (<= 1e-3)"},
     },
     "exact": {
         **_LATTICE_KEYS,
@@ -119,7 +127,9 @@ SCHEMAS = {
         "dim": _LATTICE_KEYS["dim"],
         "n": {"type": "integer", "minimum": 2, "description": "grid points per axis"},
         "d": _LATTICE_KEYS["d"],
-        "pol_tag": {"type": "string", "enum": ["parallel", "perpendicular"]},
+        "pol_tag": {"type": "string", "enum": ["parallel", "perpendicular"],
+                    "description": "dipoles parallel (default) or perpendicular to the "
+                                   "chain or plane; 3D ignores it"},
         "reg_delta": {"type": "number", "exclusiveMinimum": 0,
                       "description": "3D light-line regularizer (default: grid offset)"},
     },
@@ -127,8 +137,8 @@ SCHEMAS = {
         **_GLOBAL_KEYS,
         "table": {"type": "string",
                   "description": "transition CSV: label,wavelength_um,gamma0_2pi_hz,nbar"},
-        "n_atoms": {"type": "integer", "minimum": 2},
-        "spacing_um": {"type": "number", "exclusiveMinimum": 0},
+        "n_atoms": {"type": "integer", "minimum": 2, "description": "atoms in the array"},
+        "spacing_um": {"type": "number", "exclusiveMinimum": 0, "description": "spacing in um"},
         "c6": {"type": "number", "exclusiveMinimum": 0, "description": "C6 in 2*pi*GHz*um^6"},
         "rabi": {"type": "number", "exclusiveMinimum": 0,
                  "description": "two-photon Rabi frequency in 2*pi*MHz"},
@@ -150,6 +160,8 @@ def _check(key: str, value, rule: dict) -> None:
     """Refuse, naming key, a value outside its rule (a bool is no number, 4.0 no integer)."""
     if isinstance(value, bool) or not isinstance(value, _TYPES[rule["type"]]):
         raise ConfigError(f"{key}: {value!r} is not of type '{rule['type']}'")
+    if isinstance(value, float) and not math.isfinite(value):  # argparse and json both make them
+        raise ConfigError(f"{key}: {value!r} is not a finite number")
     for item in value if rule["type"] == "array" else ():
         _check(key, item, rule["items"])
     for word, holds in _CHECKS.items():
@@ -316,9 +328,7 @@ def cmd_analyze(config: dict, run: Run) -> int:
     if mats.n <= config.get("sdp_max_n", 2000):
         problem = SdpProblem.from_coupling(mats)
         sol = solve_low_rank(problem, seed=config.get("seed", DEFAULT_SEED))
-        if not sol.converged:
-            print("SDP solver did not converge", file=sys.stderr)
-            return 4
+        sol.require_converged()
         sdp_certificates(problem, sol, summary.gamma_max)
         doc["sdp"] = sol.to_dict()
     if mats.n <= config.get("exact_max_n", 14):
@@ -391,9 +401,7 @@ def cmd_sdp(config: dict, run: Run) -> int:
     run.write_json("sdp.json", doc)
     np.savetxt(run.path("product_angles.csv"), rounding.angles[:, None], fmt="%.17g",
                delimiter=",", header="phi", comments="")
-    if not sol.converged:
-        print("solver returned best-so-far without converging", file=sys.stderr)
-        return 4
+    sol.require_converged()  # after the best-so-far outputs are written
     print(f"sdp value = {sol.value:.6f}, rstar_estimate = {sol.rstar_estimate:.6f}")
     return 0
 

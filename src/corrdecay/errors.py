@@ -30,7 +30,7 @@ class DivergentModeError(CorrdecayError):
 
 
 class SolverConvergenceError(CorrdecayError):
-    """An iterative solver failed to converge within its iteration budget."""
+    """An iterative result is not converged: its step budget ran out or its gap stayed open."""
 
 
 class CertificateError(SolverConvergenceError):

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import CouplingMatrices, parity_blocks
-from .errors import CertificateError, ConfigError
+from .errors import CertificateError, ConfigError, SolverConvergenceError
 from .lattice import _rng
 
 CONVERGENCE_WINDOW = 25  # iterations over which the relative objective must settle
 DEFAULT_TOL = 1e-8
 PROJECTION_MAX_N = 400  # the reference solver eigendecomposes every iteration
 START_RANK = 8  # the optimum's numerical rank is 4-20 on the chains and planes measured
-GAP_TOL = 1e-3  # relative dual gap above which the low-rank solver doubles the rank
+GAP_TOL = 1e-3  # largest certified relative gap of a converged result; above it the rank doubles
 GROWTH_SCALE = 0.5  # rms row norm of the columns added when the rank grows
 ROUND_TOL = 1e-10  # smallest objective gain that moves a spin in the rounding polish
 ROUND_MAX_SWEEPS = 500
@@ -58,9 +58,9 @@ class SdpProblem:
 class SdpSolution:
     """Solver output: objective value, its dual bound, Gram factor and convergence data.
 
-    The SDP optimum lies in [value, dual_bound]. rstar_estimate = value + N*gamma0/2
-    embeds the factor into a half-excited product state; rstar_upper_from_sdp =
-    N*gamma0 + 6*dual_bound is the certified upper bound on the true maximal rate.
+    The optimum lies in [value, dual_bound]; converged: the certified gap is <= GAP_TOL, for
+    either solver. rstar_estimate = value + N*gamma0/2 embeds the factor into a half-excited
+    product state; rstar_upper_from_sdp = N*gamma0 + 6*dual_bound bounds the maximal rate.
     """
 
     value: float
@@ -69,7 +69,6 @@ class SdpSolution:
     rank: int
     iterations: int
     feasibility_max_diag: float
-    converged: bool
     rstar_estimate: float
     rstar_upper_from_sdp: float
     rank_escape_verified: bool | None = None
@@ -78,6 +77,15 @@ class SdpSolution:
     @property
     def gap(self) -> float:  # relative: (dual_bound - value) / max(1, value)
         return (self.dual_bound - self.value) / max(1.0, self.value)
+
+    @property
+    def converged(self) -> bool:
+        return self.gap <= GAP_TOL
+
+    def require_converged(self) -> None:
+        """Raise SolverConvergenceError (exit 4) unless the result is converged."""
+        if not self.converged:
+            raise SolverConvergenceError(f"certified SDP gap {self.gap:.3g} > GAP_TOL {GAP_TOL:g}")
 
     def to_dict(self):
         keys = ("value", "dual_bound", "gap", "rank", "rounds", "iterations", "converged",
@@ -111,7 +119,8 @@ def dual_bound(gtilde, v) -> float:
     return _certificate(gtilde, v)[1]
 
 
-def _solution(problem, v, value, dual, iterations, converged, **extra):
+def _solution(problem, v, iterations, **extra):
+    value, dual = _certificate(problem.gtilde, v)
     return SdpSolution(
         value=value,
         dual_bound=dual,
@@ -119,7 +128,6 @@ def _solution(problem, v, value, dual, iterations, converged, **extra):
         rank=v.shape[1],
         iterations=iterations,
         feasibility_max_diag=float(np.sum(v**2, axis=1).max()),
-        converged=converged,
         rstar_estimate=value + 0.5 * problem.n * problem.gamma0,
         rstar_upper_from_sdp=problem.n * problem.gamma0 + 6.0 * dual,
         **extra,
@@ -201,8 +209,8 @@ def _ascend(gtilde, v, max_iters, tol):
             best_f = f
             np.copyto(best_v, v)
         if _settled(history, it, tol):
-            return best_v, it, True
-    return best_v, it, False
+            break
+    return best_v, it
 
 
 def solve_low_rank(problem: SdpProblem, rank: int | None = None, seed: int = 0,
@@ -210,10 +218,10 @@ def solve_low_rank(problem: SdpProblem, rank: int | None = None, seed: int = 0,
     """Factorized solver: ascend (1/4) Tr(Gtilde V V^T) over rows ||v_i|| <= 1.
 
     Rows start uniform on the unit sphere (seeded) at rank min(START_RANK, N) or
-    the given rank. Each ascent stops by the objective-span rule; while the dual
-    gap then exceeds GAP_TOL the rank doubles (up to N) with seeded random
-    columns, warm-started. max_iters bounds all rounds together. converged: the last
-    ascent settled and closed the gap; rank_escape_verified: the gap closed.
+    the given rank. Each ascent round stops by the objective-span rule (tol) or when
+    max_iters, which bounds all rounds together, is spent. While a round's result is
+    not converged and budget remains, the rank doubles (up to N) with seeded random
+    columns, warm-started. rank_escape_verified repeats the returned verdict.
     """
     n = problem.n
     r = min(START_RANK, n) if rank is None else rank
@@ -224,21 +232,18 @@ def solve_low_rank(problem: SdpProblem, rank: int | None = None, seed: int = 0,
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     total_iters = rounds = 0
     while True:
-        v, iters, settled = _ascend(problem.gtilde, v, max_iters - total_iters, tol)
+        v, iters = _ascend(problem.gtilde, v, max_iters - total_iters, tol)
         total_iters += iters
         rounds += 1
-        value, dual = _certificate(problem.gtilde, v)
-        closed = (dual - value) / max(1.0, value) <= GAP_TOL
-        if closed or not settled or r == n or total_iters >= max_iters:
-            break
+        sol = _solution(problem, v, total_iters, rounds=rounds)
+        sol.rank_escape_verified = sol.converged
+        if sol.converged or r == n or total_iters >= max_iters:
+            return sol
         # seeded random new columns; the warm-started ascent grows their
         # component along negative curvature of S, as a power iteration would
         grown = min(2 * r, n)
         block = rng.standard_normal((n, grown - r)) * (GROWTH_SCALE / math.sqrt(grown - r))
         v, r = _project_rows(np.hstack([v, block])), grown
-
-    return _solution(problem, v, value, dual, total_iters, settled and closed,
-                     rank_escape_verified=closed, rounds=rounds)
 
 
 def solve_projection(problem: SdpProblem, max_iters: int = 20000,
@@ -258,7 +263,6 @@ def solve_projection(problem: SdpProblem, max_iters: int = 20000,
     z = np.zeros((n, n))
     u = np.zeros((n, n))
     history = []
-    converged = False
     it = 0
     for it in range(1, max_iters + 1):
         # PSD step: argmax <C,X> - rho/2 ||X - Z + U||^2 over the PSD cone
@@ -272,7 +276,6 @@ def solve_projection(problem: SdpProblem, max_iters: int = 20000,
         f = 0.25 * float(np.sum(problem.gtilde * z))
         history.append(f)
         if _settled(history, it, tol) and float(np.linalg.norm(x - z)) <= math.sqrt(n) * 1e-7:
-            converged = True
             break
 
     # exact feasible point: a factor of the eigenvalue-clipped Z, rows with
@@ -282,8 +285,7 @@ def solve_projection(problem: SdpProblem, max_iters: int = 20000,
     factor = _project_rows(vecs[:, keep] * np.sqrt(vals[keep]))
     if factor.shape[1] == 0:
         factor = np.zeros((n, 1))
-    value, dual = _certificate(problem.gtilde, factor)
-    return _solution(problem, factor, value, dual, it, converged)
+    return _solution(problem, factor, it)
 
 
 @dataclass
@@ -306,8 +308,6 @@ def round_to_product_state(solution: SdpSolution, problem: SdpProblem) -> Produc
     (measured: 2.3e-7 relative on the N=2000 x-chain at the default tol=1e-8).
     """
     v = solution.factor
-    if v is None or v.ndim != 2:
-        raise ConfigError("solution carries no factor to round")
     # top-2 right-singular directions of the factor (a rank-1 factor pads with 0)
     _, _, vt = np.linalg.svd(v, full_matrices=False)
     s = np.zeros((problem.n, 2))

@@ -120,7 +120,9 @@ def _evaluate_point(plan: SweepPlan, n_1d: int, eta: float, seed: int) -> float:
     if plan.quantity == "gamma_max":
         return gamma_max_only(mats)
     if plan.quantity == "sdp_estimate":
-        return solve_low_rank(SdpProblem.from_coupling(mats), seed=plan.sdp_seed).rstar_estimate
+        sol = solve_low_rank(SdpProblem.from_coupling(mats), seed=plan.sdp_seed)
+        sol.require_converged()  # an unconverged point is flagged in its row
+        return sol.rstar_estimate
     report = bounds_report(decompose(mats), mats)
     return report.lb_best if plan.quantity == "lb_best" else report.ub
 

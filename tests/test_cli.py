@@ -1,7 +1,6 @@
 import argparse
 import functools
 import json
-import math
 import os
 import subprocess
 import sys
@@ -322,6 +321,29 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert spec2["n_per_axis"] == 6  # flag wins
 
 
+NON_FINITE = {
+    "gamma-d": (["gamma", "--dim", "1", "--n", "4", "--d", "inf"], "d"),
+    "gamma-eta": (["gamma", "--dim", "1", "--n", "4", "--d", "0.5", "--eta", "inf",
+                   "--seed", "3"], "eta"),
+    "kspace-d": (["kspace", "--dim", "3", "--n", "4", "--d", "inf"], "d"),
+    "config-d": (["gamma", "--config", "CONFIG"], "d"),
+    "sdp-tol": (["sdp", "--dim", "1", "--n", "6", "--d", "0.4", "--tol", "inf"], "tol"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_non_finite_number_rejected(tmp_path, capsys, case):
+    # argparse's float and Python's json both produce inf; no number key takes it
+    argv, key = NON_FINITE[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"dim": 1, "n": 4, "d": Infinity}')
+    argv = [str(cfg) if arg == "CONFIG" else arg for arg in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"config error: {key}: inf is not a finite number" in capsys.readouterr().err
+
+
 def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dim": 1, "n": 4, "d": 0.5, "typo_key": 1}))
@@ -494,16 +516,54 @@ def test_sdp_rank_help_names_the_start_rank():
     assert f"default {START_RANK}" in SCHEMAS["sdp"]["rank"]["description"]
 
 
-def test_sdp_z_chain_open_gap_exits_4(tmp_path):
-    # a chain polarized along its axis does not settle from this start: all
-    # iterations run, the run exits 4 and still reports [value, dual_bound]
-    rc = main(["sdp", "--dim", "1", "--n", "200", "--d", "0.4", "--pol", "z", "--seed", "0",
-               "--out", str(tmp_path)])
-    assert rc == 4
+Z_CHAIN = ["sdp", "--dim", "1", "--n", "200", "--d", "0.4", "--pol", "z"]
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_sdp_budget_stop_with_closed_gap_exits_0(tmp_path, seed):
+    # a chain polarized along its axis has not settled after 1000 iterations from
+    # either start, but its certified gap (3.9e-4 and 4.5e-4) decides the verdict
+    rc = main(Z_CHAIN + ["--seed", seed, "--max-iters", "1000", "--out", str(tmp_path)])
+    assert rc == 0
     doc = json.loads((tmp_path / "sdp.json").read_text())
-    assert not doc["converged"] and doc["iterations"] == 20000
+    assert doc["converged"] and doc["iterations"] == 1000
+    assert doc["gap"] <= 1e-3
+
+
+def test_sdp_open_gap_exits_4_after_writing(tmp_path):
+    # 300 iterations leave a certified gap of 1.6e-3 to 2.3e-3: the best-so-far
+    # outputs and the manifest are written, then the run exits 4
+    assert main(Z_CHAIN + ["--max-iters", "300", "--out", str(tmp_path)]) == 4
+    doc = json.loads((tmp_path / "sdp.json").read_text())
+    assert not doc["converged"] and doc["gap"] > 1e-3
     assert doc["value"] <= doc["dual_bound"]
-    assert math.isfinite(doc["gap"])
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["outputs"] == [str(tmp_path / name) for name in ("sdp.json",
+                                                                     "product_angles.csv")]
+
+
+def test_scan_flags_unconverged_sdp_points(tmp_path, capsys, monkeypatch):
+    from corrdecay import sdp
+
+    monkeypatch.setattr(sdp, "GAP_TOL", -1.0)  # no certified gap is small enough
+    rc = main(["scan", "--dim", "1", "--d", "0.4", "--sizes", "4,5,6",
+               "--quantity", "sdp_estimate", "--out", str(tmp_path)])
+    assert rc == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["nan"] * 3
+    assert not (tmp_path / "fit.json").exists()
+    err = capsys.readouterr().err
+    assert "3 sweep rows flagged: SolverConvergenceError: certified SDP gap" in err
+
+
+def test_analyze_unconverged_sdp_exits_4(tmp_path, capsys, monkeypatch):
+    from corrdecay import sdp
+
+    monkeypatch.setattr(sdp, "GAP_TOL", -1.0)
+    out = tmp_path / "out"
+    assert main(["analyze", "--dim", "1", "--n", "8", "--d", "0.4", "--out", str(out)]) == 4
+    assert not out.exists()
+    assert "solver error: certified SDP gap" in capsys.readouterr().err
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch):
@@ -576,7 +636,7 @@ def test_parser_follows_schema(command):
     for key, rule in SCHEMAS[command].items():
         assert actions[key].option_strings == ["--" + key.replace("_", "-")]
         assert actions[key].choices == rule.get("enum")
-        assert actions[key].help == rule.get("description")
+        assert actions[key].help == rule["description"] != ""
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args([command, "--help"])
     assert exc.value.code == 0
