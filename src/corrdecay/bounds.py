@@ -12,6 +12,7 @@ import numpy as np
 from .coupling import CouplingMatrices, offdiagonal_sum
 from .errors import ConfigError
 from .kspace import asymptotic_prefactors
+from .lattice import check_geometry
 from .spectral import SpectralSummary
 
 RANK_TOL = 1e-10  # eigenvalues above RANK_TOL * gamma_max count toward the numerical rank
@@ -176,10 +177,9 @@ def markov_limit(dimension: int, spacing: float, omega0_over_gamma0: float = 1e8
     (omega0/gamma0)^{2/(D+1)} * f(k0 d) with f(x) = x^{(D-1)/(D+1)} for
     x <= 1 and 1/x beyond.
     """
-    if dimension not in (1, 2, 3):
-        raise ConfigError("dimension must be 1, 2 or 3")
-    if not spacing > 0 or not omega0_over_gamma0 > 0:
-        raise ConfigError("spacing and omega0/gamma0 must be positive")
+    check_geometry(dimension, spacing)
+    if not omega0_over_gamma0 > 0:
+        raise ConfigError("omega0/gamma0 must be positive")
     x = 2.0 * np.pi * spacing
     f = x ** ((dimension - 1.0) / (dimension + 1.0)) if x <= 1.0 else 1.0 / x
     return float(omega0_over_gamma0 ** (2.0 / (dimension + 1.0)) * f)
@@ -191,12 +191,9 @@ def crossover_n_crit(dimension: int, spacing: float) -> float:
     16 (k0 d)^6 / (81 pi^2) in 2D and 125 (k0 d)^6 / 27 in 3D; 1D arrays
     never reach a superlinear regime.
     """
+    check_geometry(dimension, spacing)
     if dimension == 1:
         raise ConfigError("no superlinear crossover exists for 1D arrays")
-    if dimension not in (2, 3):
-        raise ConfigError("dimension must be 2 or 3")
-    if not spacing > 0:
-        raise ConfigError("spacing must be positive")
     kd6 = (2.0 * np.pi * spacing) ** 6
     if dimension == 2:
         return 16.0 * kd6 / (81.0 * np.pi**2)

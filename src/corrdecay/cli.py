@@ -1,8 +1,9 @@
 """Command-line front end: seeded, reproducible runs emitting CSV/JSON.
 
 Subcommands: gamma, analyze, scan, sdp, exact, kspace, rydberg.
-Exit codes: 0 success, 2 config error, 3 physics-validation error,
-4 solver non-convergence. Config precedence: flags > --config file > defaults.
+Exit codes: 0 success, 2 config error (also an unreadable path or a number past the
+float arithmetic), 3 physics-validation error, 4 solver non-convergence.
+Config precedence: flags > --config file > defaults.
 Every run that writes a file also writes a manifest (config hash, seed,
 versions, wall time) next to its outputs, even when it then fails. Omitted
 seeds fall back to a fixed documented constant, never the wall clock.
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import operator
 import os
 import sys
@@ -38,12 +38,14 @@ from .coupling import (
 )
 from .errors import ConfigError, CorrdecayError, PhysicsValidationError, SolverConvergenceError
 from .exactdiag import MAX_QUBITS, exact_rstar
-from .kspace import gamma_k_grid
-from .lattice import MAX_ATOMS, LatticeSpec, build_array
+from .kspace import POL_TAGS, gamma_k_grid
+from .lattice import MAX_ATOMS, LatticeSpec, build_array, unit_polarization
 from .rydberg import RydbergInput, read_transition_table, rydberg_report
-from .sdp import SdpProblem, round_to_product_state, sdp_certificates, solve_low_rank, solve_projection
+from .sdp import (DEFAULT_TOL, GAP_TOL, START_RANK, SdpProblem, round_to_product_state,
+                  sdp_certificates, solve_low_rank, solve_projection)
 from .spectral import decompose, momentum_distribution, spectrum_to_csv
-from .sweep import DisorderSpec, SweepPlan, csv_row_writer, fit_table, run_sweep, sweep_sizes
+from .sweep import (QUANTITIES, DisorderSpec, SweepPlan, csv_row_writer, fit_table, run_sweep,
+                    sweep_sizes)
 
 DEFAULT_SEED = 20250810  # fixed fallback so omitted seeds stay reproducible
 
@@ -89,7 +91,7 @@ SCHEMAS = {
         **{key: rule for key, rule in _LATTICE_KEYS.items() if key != "n"},
         **_THREADS_KEY,
         **_GLOBAL_KEYS,
-        "quantity": {"type": "string", "enum": ["gamma_max", "sdp_estimate", "lb_best", "ub"],
+        "quantity": {"type": "string", "enum": list(QUANTITIES),
                      "description": "rate recorded per point (default gamma_max)"},
         "sizes": {"type": "array", "items": {"type": "integer", "minimum": 1},
                   "description": "explicit comma-separated N_1D list"},
@@ -109,12 +111,13 @@ SCHEMAS = {
         "solver": {"type": "string", "enum": ["lowrank", "projection"],
                    "description": "low-rank ascent (default) or dense projection "
                                   "reference (N <= 400)"},
-        "rank": {"type": "integer", "minimum": 2, "description": "starting rank (default 8)"},
+        "rank": {"type": "integer", "minimum": 2,
+                 "description": f"starting rank (default {START_RANK})"},
         "max_iters": {"type": "integer", "minimum": 1,
                       "description": "iteration budget over all rounds (default 20000)"},
         "tol": {"type": "number", "exclusiveMinimum": 0,
-                "description": "span tolerance that ends an ascent round (default 1e-8); "
-                               "the exit code comes from the certified gap (<= 1e-3)"},
+                "description": f"span tolerance ending an ascent round (default {DEFAULT_TOL}); "
+                               f"the exit code comes from the certified gap (<= {GAP_TOL})"},
     },
     "exact": {
         **_LATTICE_KEYS,
@@ -127,7 +130,7 @@ SCHEMAS = {
         "dim": _LATTICE_KEYS["dim"],
         "n": {"type": "integer", "minimum": 2, "description": "grid points per axis"},
         "d": _LATTICE_KEYS["d"],
-        "pol_tag": {"type": "string", "enum": ["parallel", "perpendicular"],
+        "pol_tag": {"type": "string", "enum": list(POL_TAGS),
                     "description": "dipoles parallel (default) or perpendicular to the "
                                    "chain or plane; 3D ignores it"},
         "reg_delta": {"type": "number", "exclusiveMinimum": 0,
@@ -156,26 +159,30 @@ _CHECKS = {"enum": lambda value, allowed: value in allowed, "minimum": operator.
            "exclusiveMinimum": operator.gt, "maximum": operator.le}
 
 
-def _check(key: str, value, rule: dict) -> None:
-    """Refuse, naming key, a value outside its rule (a bool is no number, 4.0 no integer)."""
+def _check(key: str, value, rule: dict):
+    """value, a number as a finite float, or ConfigError naming key if it is outside its rule
+    (a bool is no number, 4.0 no integer)."""
     if isinstance(value, bool) or not isinstance(value, _TYPES[rule["type"]]):
         raise ConfigError(f"{key}: {value!r} is not of type '{rule['type']}'")
-    if isinstance(value, float) and not math.isfinite(value):  # argparse and json both make them
-        raise ConfigError(f"{key}: {value!r} is not a finite number")
+    if rule["type"] == "number":  # json reads integers of any length; argparse and json read inf
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{key}: {value!r:.30} is not a finite number")
+        value = float(value)
     for item in value if rule["type"] == "array" else ():
         _check(key, item, rule["items"])
     for word, holds in _CHECKS.items():
         if word in rule and not holds(value, rule[word]):
             raise ConfigError(f"{key}: {value!r} violates {word} {rule[word]}")
+    return value
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Config file keys overridden by every flag given, each checked against SCHEMAS."""
+    """Config file keys overridden by every flag given, each checked against SCHEMAS and read."""
     config = {}
     if args.config:
         try:
             config = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or a too-long integer
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(config, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -185,23 +192,42 @@ def _merge_config(args: argparse.Namespace) -> dict:
     for key, value in config.items():
         if key not in schema:
             raise ConfigError(f"{key}: {args.command} takes no such key")
-        _check(key, value, schema[key])
+        config[key] = _check(key, value, schema[key])
+    for key, why in _unread(args.command, config).items():
+        if key in config:
+            raise ConfigError(f"{key}: {args.command} does not read it {why}")
     return config
+
+
+def _unread(command: str, config: dict) -> dict:
+    """{key: why} for each key of SCHEMAS[command] that a run of config would not read."""
+    unread = {}
+    if "gamma_file" in config:
+        unread.update((key, "next to gamma_file") for key in _LATTICE_KEYS if key != "seed")
+    if "sizes" in config:
+        unread.update(dict.fromkeys(("n_min", "n_max", "count", "spacing_mode"), "next to sizes"))
+    projection = config.get("solver") == "projection"
+    if projection:
+        unread["rank"] = "with the projection solver"
+    if not config.get("eta", 0.0) > 0:
+        unread["realizations"] = "without disorder (eta > 0)"
+        if (command == "gamma" or projection
+                or command == "scan" and config.get("quantity") != "sdp_estimate"):
+            unread["seed"] = "when nothing is drawn (eta = 0 and no SDP start)"
+    return {key: why for key, why in unread.items() if key in SCHEMAS[command]}
 
 
 def _parse_pol(text: str):
     if text in POL_PRESETS:
         return POL_PRESETS[text]
     try:
-        vec = np.asarray([float(t) for t in text.split(",")], dtype=float)
+        vec = np.array(text.split(","), dtype=float)
     except ValueError as exc:
         raise ConfigError(f"cannot parse polarization {text!r}") from exc
-    if vec.shape != (3,):
-        raise ConfigError("polarization needs 3 comma-separated components")
     norm = np.linalg.norm(vec)
     if norm == 0:
         raise ConfigError("polarization must be nonzero")
-    return tuple(vec / norm)
+    return unit_polarization(vec / norm)
 
 
 def _require(config: dict, *keys: str) -> None:
@@ -223,30 +249,11 @@ def _lattice_from_config(config: dict) -> LatticeSpec:
 
 
 def _coupling_from_config(config: dict):
-    """(coupling matrices, atom array) from a lattice spec, or (matrices, None) from
-    a binary matrix file, next to which only the solvers' seed may be given."""
+    """(coupling matrices, atom array) of a lattice spec, or (matrices, None) of gamma_file."""
     if "gamma_file" in config:
-        unused = [key for key in _LATTICE_KEYS if key in config and key != "seed"]
-        if unused:
-            raise ConfigError(f"gamma_file excludes the lattice keys {', '.join(unused)}")
         return validated_coupling(read_matrix_binary(config["gamma_file"])), None
     array = build_array(_lattice_from_config(config))
     return build_coupling_matrices(array), array
-
-
-def _reads_seed(command: str, config: dict) -> bool:
-    """Whether a run draws from its seed; gamma and sdp --solver projection only for eta > 0."""
-    if command == "gamma" or config.get("solver") == "projection":
-        return config.get("eta", 0.0) > 0
-    return "seed" in SCHEMAS[command]
-
-
-def _require_psd(min_eigenvalue: float, mats) -> PsdDiagnostic:
-    """PSD diagnostic from a spectrum the command computes anyway; fails with exit 3."""
-    diag = PsdDiagnostic.of(min_eigenvalue, mats.gamma0)
-    if not diag.passed:
-        raise PhysicsValidationError(f"PSD check failed: min eigenvalue {diag.min_eigenvalue:.3e}")
-    return diag
 
 
 @dataclass
@@ -273,7 +280,7 @@ def _write_manifest(run: Run, command: str, config: dict, wall_time_s: float) ->
         json.dumps(config, sort_keys=True, default=str).encode()
     ).hexdigest()
     manifest = {"command": command, "config": config, "config_sha256": digest}
-    if _reads_seed(command, config):
+    if "seed" in SCHEMAS[command] and "seed" not in _unread(command, config):
         manifest["seed"] = config.get("seed", DEFAULT_SEED)
     manifest.update({
         "versions": {
@@ -299,7 +306,7 @@ def cmd_gamma(config: dict, run: Run) -> int:
         write_matrix_binary(mats.jmat, run.path("jmat.bin"))
     run.write_json("psd.json", diag.to_dict())
     run.path("lattice.json").write_text(spec.to_json() + "\n")
-    _require_psd(diag.min_eigenvalue, mats)
+    diag.require()
     print(f"wrote {len(run.outputs)} files to {run.out} (N = {mats.n})")
     return 0
 
@@ -307,7 +314,7 @@ def cmd_gamma(config: dict, run: Run) -> int:
 def cmd_analyze(config: dict, run: Run) -> int:
     mats, array = _coupling_from_config(config)
     summary = decompose(mats)
-    diag = _require_psd(summary.eigenvalues[-1], mats)
+    diag = PsdDiagnostic.of(summary.eigenvalues[-1], mats.gamma0).require()
     bounds = bounds_report(summary, mats)
     doc = {
         "n": mats.n,
@@ -350,11 +357,8 @@ def cmd_scan(config: dict, run: Run) -> int:
                             config.get("spacing_mode", "geometric"))
     else:
         raise ConfigError("scan needs either sizes or n_min/n_max")
-    disorder = None
-    if config.get("eta", 0.0) > 0:
-        disorder = DisorderSpec(eta=config["eta"],
-                                n_realizations=config.get("realizations", 1),
-                                seed=config.get("seed", DEFAULT_SEED))
+    disorder = DisorderSpec(eta=config.get("eta", 0.0), seed=config.get("seed", DEFAULT_SEED),
+                            n_realizations=config.get("realizations", 1))
     plan = SweepPlan(
         dimension=config.get("dim", 1),
         spacing=config["d"],
@@ -379,15 +383,12 @@ def cmd_scan(config: dict, run: Run) -> int:
 
 
 def cmd_sdp(config: dict, run: Run) -> int:
-    lowrank = config.get("solver", "lowrank") == "lowrank"
-    if "rank" in config and not lowrank:
-        raise ConfigError("rank applies to the lowrank solver only")
     mats, _ = _coupling_from_config(config)
     rates = gamma_eigensolve(mats.gamma)[0]
-    _require_psd(rates[0], mats)
+    PsdDiagnostic.of(rates[0], mats.gamma0).require()
     problem = SdpProblem.from_coupling(mats)
     limits = {key: config[key] for key in ("max_iters", "tol") if key in config}
-    if lowrank:
+    if config.get("solver", "lowrank") == "lowrank":
         sol = solve_low_rank(problem, rank=config.get("rank"),
                              seed=config.get("seed", DEFAULT_SEED), **limits)
     else:
@@ -408,7 +409,7 @@ def cmd_sdp(config: dict, run: Run) -> int:
 
 def cmd_exact(config: dict, run: Run) -> int:
     mats, _ = _coupling_from_config(config)
-    _require_psd(gamma_eigensolve(mats.gamma)[0][0], mats)
+    validate_psd(mats).require()
     result = exact_rstar(mats, seed=config.get("seed", DEFAULT_SEED), threads=_threads(config))
     run.write_json("exact.json", asdict(result))
     print(f"rstar_exact = {result.rstar_exact:.9f} (sector m = {result.argmax_sector})")
@@ -503,8 +504,6 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         config = _merge_config(args)
-        if "seed" in config and not _reads_seed(args.command, config):
-            raise ConfigError(f"{args.command} reads seed only for a disorder draw (eta > 0)")
         run = Run(Path(config.get("out", ".")))
         try:
             return COMMANDS[args.command][0](config, run)
@@ -522,6 +521,12 @@ def main(argv=None) -> int:
         return 4
     except CorrdecayError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a path that cannot be read or written; it names the path
+        print(f"file error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # a number past what the float arithmetic holds
+        print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

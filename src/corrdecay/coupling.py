@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentEmittersError, PhysicsValidationError
-from .lattice import MAX_ATOMS, AtomArray, LatticeSpec, grid_points
+from .lattice import MAX_ATOMS, AtomArray, LatticeSpec, grid_points, unit_polarization
 
 K0 = 2.0 * np.pi  # resonant wavenumber in lambda0 units
 GAMMA0 = 1.0  # single-emitter decay rate, the internal unit of all rates
@@ -96,6 +96,13 @@ class PsdDiagnostic:
     def passed(self) -> bool:
         return bool(self.min_eigenvalue >= self.tolerance)
 
+    def require(self) -> "PsdDiagnostic":
+        """self, or PhysicsValidationError when the check failed."""
+        if not self.passed:
+            raise PhysicsValidationError(
+                f"PSD check failed: min eigenvalue {self.min_eigenvalue:.3e}")
+        return self
+
     def to_dict(self):
         return {
             "min_eigenvalue": self.min_eigenvalue,
@@ -107,13 +114,18 @@ class PsdDiagnostic:
 def _kernel_values(sep, self_at, pol, kernel, locate) -> np.ndarray:
     """kernel(k0*|r|, (r_hat . p)^2) for every separation r along the last axis of sep. The
     zero separations at self_at get a placeholder for the caller to overwrite; any other r
-    within COINCIDENT_TOL raises CoincidentEmittersError on the pair locate(its index)."""
+    within COINCIDENT_TOL raises CoincidentEmittersError on the pair locate(its index), and a
+    value that is not finite (a separation past the float range) PhysicsValidationError."""
     dist = np.linalg.norm(sep, axis=-1)
     dist[self_at] = 1.0
     bad = np.argwhere(dist <= COINCIDENT_TOL)
     if bad.size:
         raise CoincidentEmittersError(*locate(bad[0]))
-    return kernel(K0 * dist, (sep @ pol) ** 2 / dist**2)
+    values = kernel(K0 * dist, (sep @ pol) ** 2 / dist**2)
+    if not np.isfinite(values).all():
+        far = dist[~np.isfinite(values)].max()
+        raise PhysicsValidationError(f"coupling kernel is not finite at separation {far:.3e}")
+    return values
 
 
 def _lattice_spec(array: AtomArray) -> LatticeSpec | None:
@@ -124,18 +136,15 @@ def _lattice_spec(array: AtomArray) -> LatticeSpec | None:
 
 
 def _pair_matrix(positions, pol, kernel, diagonal, lattice=None) -> np.ndarray:
-    """kernel(k0*r, (r_hat . p)^2) for every pair of an (N, 3) position list, with the given
-    diagonal: from the offsets of `lattice` when given (the positions must be that lattice),
-    else by the blocked pair loop. Raises CoincidentEmittersError if two emitters overlap."""
+    """kernel(k0*r, (r_hat . p)^2), p = pol a unit vector, for every pair of an (N, 3) position
+    list with the given diagonal: from the offsets of `lattice` when given (the positions must be
+    that lattice), else by the blocked pair loop. Raises CoincidentEmittersError if two overlap."""
     pos = np.asarray(positions, dtype=float)
     n = pos.shape[0]
     if n < 1:
         raise PhysicsValidationError("empty atom array")
     if n > MAX_ATOMS:
         raise PhysicsValidationError(f"N = {n} exceeds dense-solver ceiling {MAX_ATOMS}")
-    pol = np.asarray(pol, dtype=float)
-    if abs(np.linalg.norm(pol) - 1.0) > 1e-12:
-        raise PhysicsValidationError("polarization must be a unit vector")
     if lattice is not None:
         return _offset_matrix(lattice, pol, kernel, diagonal)
 
@@ -191,8 +200,9 @@ def build_coupling_matrices(array: AtomArray) -> CouplingMatrices:
 
 
 def build_coupling_from_positions(positions: np.ndarray, pol) -> CouplingMatrices:
-    """Gamma for an explicit (N, 3) position list in lambda0 units (the pair loop)."""
-    gamma = _pair_matrix(positions, pol, _gamma_kernel, GAMMA0)
+    """Gamma for an explicit (N, 3) position list in lambda0 units (the pair loop); pol must
+    be a real unit 3-vector (ConfigError otherwise)."""
+    gamma = _pair_matrix(positions, np.asarray(unit_polarization(pol)), _gamma_kernel, GAMMA0)
     return CouplingMatrices(gamma=gamma, gamma0=GAMMA0, n=gamma.shape[0])
 
 

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergentModeError
-from .lattice import axis_columns, grid_coordinates
+from .lattice import axis_columns, check_geometry, grid_coordinates
 
 POL_TAGS = ("parallel", "perpendicular")
 LIGHT_LINE_TOL = 1e-9  # |u| within this of 1 counts as on the light line (2D)
 PREFACTOR_DOMAIN_MAX = 0.5  # asymptotic alpha/beta formulas assume d <~ 0.5 lambda0
 RATE_BLOCK = 1 << 18  # (point, shift) pairs per pass of the rate kernel; bounds its temporaries
+MAX_SHIFTS = RATE_BLOCK  # longest reciprocal-shift table: one point's pass stays in that bound
 
 
 @dataclass
@@ -47,10 +48,7 @@ class KSpaceRates:
 
 
 def _check_args(dimension, spacing, pol_tag, reg_delta):
-    if dimension not in (1, 2, 3):
-        raise ConfigError(f"dimension must be 1, 2 or 3, got {dimension}")
-    if not spacing > 0:
-        raise ConfigError("spacing must be positive")
+    check_geometry(dimension, spacing)
     if pol_tag not in POL_TAGS:
         raise ConfigError(f"pol_tag must be one of {POL_TAGS}")
     if reg_delta is not None and (dimension != 3 or not reg_delta > 0):
@@ -58,8 +56,11 @@ def _check_args(dimension, spacing, pol_tag, reg_delta):
 
 
 def _recip_shifts(dimension, spacing, kmax_units):
-    """Reciprocal vectors g/k0 = n/d (per axis) with |g| small enough to matter."""
+    """Reciprocal vectors g/k0 = n/d (per axis) with |g| small enough to matter; a table
+    longer than MAX_SHIFTS (a spacing of many wavelengths) raises ConfigError."""
     nmax = int(math.floor(kmax_units * spacing)) + 1
+    if (2 * nmax + 1) ** dimension > MAX_SHIFTS:
+        raise ConfigError(f"spacing {spacing} needs more than {MAX_SHIFTS} reciprocal shifts")
     return grid_coordinates(np.arange(-nmax, nmax + 1) / spacing, dimension)
 
 
@@ -210,10 +211,7 @@ def asymptotic_prefactors(dimension: int, spacing: float) -> ScalingPrefactors:
     3*sqrt(pi)/(2 (k0 d)^{3/2}), 3/(5 (k0 d)^2). Valid for 0 < d <~ 0.5;
     outside that the in_validity_domain flag is lowered.
     """
-    if dimension not in (1, 2, 3):
-        raise ConfigError("dimension must be 1, 2 or 3")
-    if not spacing > 0:
-        raise ConfigError("spacing must be positive")
+    check_geometry(dimension, spacing)
     kd = 2.0 * np.pi * spacing
     if dimension == 1:
         alpha, beta = 0.0, 3.0 * np.pi / (2.0 * kd)

@@ -28,6 +28,28 @@ def _rng(seed: int, *subkeys: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def check_geometry(dimension, spacing) -> None:
+    """ConfigError unless dimension is 1, 2 or 3 and spacing a positive finite number."""
+    if dimension not in (1, 2, 3):
+        raise ConfigError(f"dimension must be 1, 2 or 3, got {dimension}")
+    if not 0 < spacing < np.inf:
+        raise ConfigError(f"spacing must be positive and finite, got {spacing}")
+
+
+def check_disorder(eta) -> None:
+    """ConfigError unless the disorder strength eta is a non-negative finite number."""
+    if not 0 <= eta < np.inf:
+        raise ConfigError(f"disorder_eta must be non-negative and finite, got {eta}")
+
+
+def unit_polarization(pol) -> tuple[float, float, float]:
+    """pol as 3 floats, or ConfigError unless it is a real unit 3-vector (within 1e-12)."""
+    vec = np.asarray(pol, dtype=float)
+    if not (vec.shape == (3,) and abs(np.linalg.norm(vec) - 1.0) <= 1e-12):
+        raise ConfigError(f"polarization {pol!r} is not a real unit 3-vector (within 1e-12)")
+    return tuple(float(c) for c in vec)
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Recipe for a square emitter array.
@@ -48,8 +70,7 @@ class LatticeSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dimension not in (1, 2, 3):
-            raise ConfigError(f"dimension must be 1, 2 or 3, got {self.dimension}")
+        check_geometry(self.dimension, self.spacing)
         if self.n_per_axis < 1:
             raise ConfigError(f"n_per_axis must be >= 1, got {self.n_per_axis}")
         if self.n_per_axis**self.dimension > MAX_ATOMS:
@@ -57,14 +78,8 @@ class LatticeSpec:
                 f"N = {self.n_per_axis}**{self.dimension} exceeds the dense-solver "
                 f"ceiling of {MAX_ATOMS} atoms"
             )
-        if not self.spacing > 0:
-            raise ConfigError(f"spacing must be positive, got {self.spacing}")
-        pol = np.asarray(self.polarization, dtype=float)
-        if pol.shape != (3,) or abs(np.linalg.norm(pol) - 1.0) > 1e-12:
-            raise ConfigError("polarization must be a real unit 3-vector (within 1e-12)")
-        if self.disorder_eta < 0:
-            raise ConfigError("disorder_eta must be non-negative")
-        object.__setattr__(self, "polarization", tuple(float(c) for c in pol))
+        check_disorder(self.disorder_eta)
+        object.__setattr__(self, "polarization", unit_polarization(self.polarization))
 
     @property
     def n_atoms(self) -> int:
@@ -151,8 +166,7 @@ def apply_position_disorder(array: AtomArray, disorder_eta: float, seed: int) ->
     seed makes the output bit-reproducible. Draws are not clipped, so two
     emitters displaced onto the same point are rejected rather than repaired.
     """
-    if disorder_eta < 0:
-        raise ConfigError("disorder_eta must be non-negative")
+    check_disorder(disorder_eta)
     if disorder_eta == 0:
         return array
     sigma = disorder_eta * array.source_spec.spacing
@@ -166,7 +180,4 @@ def apply_position_disorder(array: AtomArray, disorder_eta: float, seed: int) ->
 
 def build_array(spec: LatticeSpec) -> AtomArray:
     """generate_lattice plus the spec's own disorder, if any."""
-    array = generate_lattice(spec)
-    if spec.disorder_eta > 0:
-        array = apply_position_disorder(array, spec.disorder_eta, spec.seed)
-    return array
+    return apply_position_disorder(generate_lattice(spec), spec.disorder_eta, spec.seed)

@@ -128,6 +128,8 @@ def rydberg_report(inp: RydbergInput) -> RydbergReport:
     spontaneous (gamma0) and black-body (nbar*gamma0) rates.
     """
     v_nn = inp.c6_2pi_ghz_um6 * 1e9 / inp.spacing_um**6  # 2*pi*Hz
+    if not 0 < v_nn < math.inf:
+        raise ConfigError(f"blockade shift v_nn = {v_nn} 2*pi*Hz is not positive and finite")
     gamma_sp = sum(t.gamma0_2pi_hz for t in inp.transitions)
     gamma_bbr = sum(t.nbar * t.gamma0_2pi_hz for t in inp.transitions)
     gamma_ind = gamma_sp + gamma_bbr
@@ -145,7 +147,7 @@ def rydberg_report(inp: RydbergInput) -> RydbergReport:
     gamma_tot = gamma_coll + gamma_ind
     chi = gamma_tot / v_nn
     omega = inp.rabi_2pi_mhz * 1e6  # 2*pi*Hz
-    gate_error = GATE_TIME_CONSTANT * chi * v_nn / omega
+    gate_error = GATE_TIME_CONSTANT * gamma_tot / omega
     return RydbergReport(
         n_atoms=inp.n_atoms,
         v_nn_2pi_hz=v_nn,

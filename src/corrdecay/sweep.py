@@ -18,7 +18,7 @@ import numpy as np
 from .bounds import bounds_report
 from .coupling import build_coupling_matrices
 from .errors import ConfigError
-from .lattice import LatticeSpec, apply_position_disorder, generate_lattice
+from .lattice import LatticeSpec, build_array, check_disorder
 from .sdp import SdpProblem, solve_low_rank
 from .spectral import decompose, gamma_max_only
 
@@ -34,8 +34,9 @@ class DisorderSpec:
     seed: int
 
     def __post_init__(self):
-        if self.eta < 0 or self.n_realizations < 1:
-            raise ConfigError("disorder needs eta >= 0 and n_realizations >= 1")
+        check_disorder(self.eta)
+        if self.n_realizations < 1:
+            raise ConfigError("disorder needs n_realizations >= 1")
 
 
 @dataclass
@@ -107,16 +108,9 @@ def sweep_sizes(n_min: int, n_max: int, count: int, mode: str = "geometric") -> 
 
 
 def _evaluate_point(plan: SweepPlan, n_1d: int, eta: float, seed: int) -> float:
-    spec = LatticeSpec(
-        dimension=plan.dimension,
-        n_per_axis=n_1d,
-        spacing=plan.spacing,
-        polarization=tuple(plan.polarization),
-    )
-    array = generate_lattice(spec)
-    if eta > 0:
-        array = apply_position_disorder(array, eta, seed)
-    mats = build_coupling_matrices(array)
+    spec = LatticeSpec(dimension=plan.dimension, n_per_axis=n_1d, spacing=plan.spacing,
+                       polarization=tuple(plan.polarization), disorder_eta=eta, seed=seed)
+    mats = build_coupling_matrices(build_array(spec))
     if plan.quantity == "gamma_max":
         return gamma_max_only(mats)
     if plan.quantity == "sdp_estimate":

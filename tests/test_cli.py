@@ -198,6 +198,7 @@ def test_manifest_seed_only_for_seeded_commands(tmp_path):
         # ordered arrays: nothing is drawn
         ["gamma", "--dim", "1", "--n", "4", "--d", "0.4"],
         ["sdp", "--dim", "1", "--n", "6", "--d", "0.4", "--solver", "projection"],
+        ["scan", "--dim", "1", "--d", "0.4", "--sizes", "4,5,6"],
     ]
     for i, argv in enumerate(unseeded):
         assert main(argv + ["--out", str(tmp_path / str(i))]) == 0
@@ -207,6 +208,8 @@ def test_manifest_seed_only_for_seeded_commands(tmp_path):
         (["sdp", "--dim", "1", "--n", "6", "--d", "0.4", "--solver", "projection",
           "--eta", "0.05", "--seed", "17"], 17),
         (["sdp", "--dim", "1", "--n", "6", "--d", "0.4"], 20250810),  # the lowrank start
+        (["scan", "--dim", "1", "--d", "0.4", "--sizes", "4,5,6", "--quantity", "sdp_estimate",
+          "--seed", "17"], 17),
     ]
     for i, (argv, seed) in enumerate(seeded):
         out = tmp_path / f"seeded{i}"
@@ -234,6 +237,7 @@ def test_scan_empty_sizes_rejected(tmp_path):
 
 RYDBERG = ["rydberg", "--table", str(DATA), "--n-atoms", "160", "--spacing-um", "2.0",
            "--c6", "28.8", "--rabi", "4.6", "--dominant", "53S12-52P32"]
+SCAN = ["scan", "--dim", "1", "--d", "0.4", "--sizes", "4,5,6"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -254,11 +258,21 @@ RYDBERG = ["rydberg", "--table", str(DATA), "--n-atoms", "160", "--spacing-um", 
     ["gamma", "--dim", "1", "--n", "4", "--d", "0.4", "--eta", "0", "--seed", "5"],
     ["sdp", "--dim", "1", "--n", "6", "--d", "0.4", "--solver", "projection", "--seed", "9"],
     ["sdp", "--gamma-file", "GAMMA_FILE", "--solver", "projection", "--seed", "9"],
+    SCAN + ["--realizations", "2"],
+    SCAN + ["--eta", "0", "--realizations", "2"],
+    SCAN + ["--n-min", "4"],
+    SCAN + ["--n-max", "8"],
+    SCAN + ["--count", "4"],
+    SCAN + ["--spacing-mode", "linear"],
+    SCAN + ["--seed", "5"],
+    SCAN + ["--quantity", "ub", "--seed", "5"],
 ], ids=["scan-n", "analyze-output-format", "kspace-seed", "rydberg-seed", "gamma-threads",
         "sdp-threads", "kspace-threads", "rydberg-threads", "analyze-gamma-file-lattice",
         "sdp-gamma-file-dim", "exact-gamma-file-dim", "sdp-projection-rank",
         "gamma-ordered-seed", "gamma-eta0-seed", "sdp-projection-seed",
-        "sdp-projection-gamma-file-seed"])
+        "sdp-projection-gamma-file-seed", "scan-ordered-realizations", "scan-eta0-realizations",
+        "scan-sizes-n-min", "scan-sizes-n-max", "scan-sizes-count", "scan-sizes-spacing-mode",
+        "scan-ordered-seed", "scan-ordered-ub-seed"])
 def test_unused_option_rejected(tmp_path, argv):
     # argparse (no such flag), the schema (flag unused by the command) and the command
     # (flag unused next to another one) all exit 2, before anything is written
@@ -342,6 +356,75 @@ def test_non_finite_number_rejected(tmp_path, capsys, case):
     assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
     assert f"config error: {key}: inf is not a finite number" in capsys.readouterr().err
+
+
+BOUNDARY_BASE = {
+    "gamma": {"dim": 1, "n": 4, "d": 0.4},
+    "analyze": {"dim": 1, "n": 4, "d": 0.4},
+    "scan": {"dim": 1, "d": 0.4, "sizes": [4, 5, 6]},
+    "sdp": {"dim": 1, "n": 4, "d": 0.4},
+    "exact": {"dim": 1, "n": 4, "d": 0.4},
+    "kspace": {"dim": 3, "n": 4, "d": 0.4},
+    "rydberg": {"table": str(DATA), "n_atoms": 160, "spacing_um": 2.0, "c6": 28.8, "rabi": 4.6,
+                "dominant": "53S12-52P32"},
+}
+FAR_NUMBERS = {"1e308": 1e308, "1e-300": 1e-300, "400-digit": int("9" * 400)}
+# id: (command, config, required exit code or None for any of 0, 2, 3, 4, text stderr names)
+BOUNDARY = {
+    f"{command}-{key}-{label}": (command, {**BOUNDARY_BASE[command], key: value},
+                                 *((2, f"config error: {key}:") if label == "400-digit"
+                                   else (None, "")))
+    for command, schema in SCHEMAS.items()
+    for key, rule in schema.items() if rule["type"] == "number"
+    for label, value in FAR_NUMBERS.items()
+}
+BOUNDARY.update({
+    "gamma-pol-nan": ("gamma", {**BOUNDARY_BASE["gamma"], "pol": "nan,0,0"}, 2,
+                      "config error: polarization"),
+    "scan-pol-nan": ("scan", {**BOUNDARY_BASE["scan"], "pol": "nan,0,0"}, 2,
+                     "config error: polarization"),
+    "analyze-missing-gamma-file": ("analyze", {"gamma_file": "MISSING"}, 2, "no-such-file"),
+    "rydberg-missing-table": ("rydberg", {**BOUNDARY_BASE["rydberg"], "table": "MISSING"}, 2,
+                              "no-such-file"),
+    "kspace-out-is-a-file": ("kspace", {"dim": 1, "n": 8, "d": 0.3}, 2, "File exists"),
+})
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@pytest.mark.parametrize("case", BOUNDARY)
+def test_boundary_inputs_exit_cleanly(tmp_path, capsys, case):
+    # every number key at the edges of the float range, a NaN polarization and unreadable
+    # paths: a documented exit code, no traceback, and only strict JSON written
+    command, config, code, text = BOUNDARY[case]
+    missing = str(tmp_path / "no-such-file")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({k: missing if v == "MISSING" else v for k, v in config.items()}))
+    out = tmp_path / "out"
+    if case == "kspace-out-is-a-file":
+        out.write_text("kept")
+    rc = main([command, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code is None:
+        assert rc in (0, 2, 3, 4)
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_refuse_constant)
+    else:
+        assert rc == code and text in err
+        assert out.read_text() == "kept" if out.is_file() else not out.exists()
+
+
+def test_config_integer_past_json_limit_exits_2(tmp_path, capsys):
+    # json refuses integers past its digit limit with a ValueError
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"dim": 1, "n": 4, "d": ' + "9" * 5000 + "}")
+    out = tmp_path / "out"
+    assert main(["gamma", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "cannot read config file" in capsys.readouterr().err
 
 
 def test_config_unknown_key_rejected(tmp_path):

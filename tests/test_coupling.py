@@ -23,7 +23,7 @@ from corrdecay.coupling import (
     write_coupling_csv,
     write_matrix_binary,
 )
-from corrdecay.errors import CoincidentEmittersError, PhysicsValidationError
+from corrdecay.errors import CoincidentEmittersError, ConfigError, PhysicsValidationError
 from corrdecay.lattice import AtomArray, LatticeSpec, build_array, generate_lattice
 from corrdecay.spectral import gamma_max_only
 
@@ -116,6 +116,20 @@ def test_pair_swap_symmetric():
 def test_pair_coincident_rejected():
     with pytest.raises(CoincidentEmittersError):
         coupling_pair((0, 0, 0), (0, 0, 0), (1, 0, 0))
+
+
+@pytest.mark.parametrize("pol", [(1.0, 1.0, 0.0), (np.nan, 0.0, 0.0)], ids=["non-unit", "nan"])
+def test_positions_polarization_rejected(pol):
+    with pytest.raises(ConfigError, match="polarization"):
+        build_coupling_from_positions(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.4]]), pol)
+
+
+def test_non_finite_kernel_rejected_on_both_paths():
+    # k0 * 1e308 overflows, so the kernel is NaN: the offset table and the pair loop refuse it
+    with pytest.raises(PhysicsValidationError, match="not finite"):
+        build_coupling_matrices(build_array(LatticeSpec(dimension=1, n_per_axis=2, spacing=1e308)))
+    with pytest.raises(PhysicsValidationError, match="not finite"):
+        build_coupling_from_positions(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1e308]]), (1, 0, 0))
 
 
 def test_pair_matches_green_projection(rng):
@@ -233,6 +247,11 @@ def test_psd_identity_and_handbuilt_failure():
     bad = validate_psd(mats_from_gamma(np.array([[1.0, 1.5], [1.5, 1.0]])))
     assert not bad.passed
     assert np.isclose(bad.min_eigenvalue, -0.5)
+    assert diag.require() is diag
+    with pytest.raises(PhysicsValidationError, match="PSD check failed"):
+        bad.require()
+    with pytest.raises(PhysicsValidationError):
+        PsdDiagnostic.of(np.nan, 1.0).require()
 
 
 def test_psd_rule_scales_with_gamma0():

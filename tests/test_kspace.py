@@ -271,3 +271,11 @@ def test_grid_offset_past_light_line_rejected(dimension, n):
 def test_grid_offset_just_below_one_accepted():
     assert default_reg_delta(0.1, 10) < 1.0  # d (N_1D + 1) = 1.1
     assert gamma_max_finite_grid(2, 0.1, "parallel", 10) > 0
+
+
+def test_shift_table_past_cap_rejected():
+    # d = 1e5 asks for (2 nmax + 1)^3 ~ 3e16 shifts; refused before any allocation
+    with pytest.raises(ConfigError, match="reciprocal shifts"):
+        gamma_k_grid(3, 1e5, "parallel", 4)
+    with pytest.raises(ConfigError, match="reciprocal shifts"):
+        gamma_k(1, 1e6, "parallel", [0.0])

@@ -59,6 +59,13 @@ def test_invalid_specs_rejected():
         LatticeSpec(dimension=1, n_per_axis=2, spacing=0.4, polarization=(1.0, 1.0, 0.0))
     with pytest.raises(ConfigError):
         spec(1, 2, 0.4, disorder_eta=-0.01)
+    # NaN fails each rule, as each is written as what a valid value satisfies
+    with pytest.raises(ConfigError, match="polarization"):
+        LatticeSpec(dimension=1, n_per_axis=2, spacing=0.4, polarization=(np.nan, 0.0, 0.0))
+    with pytest.raises(ConfigError, match="disorder_eta"):
+        spec(1, 2, 0.4, disorder_eta=np.nan)
+    with pytest.raises(ConfigError, match="disorder_eta"):
+        apply_position_disorder(generate_lattice(spec(1, 2, 0.4)), np.nan, 7)
 
 
 def test_zero_disorder_is_identity():

@@ -90,6 +90,19 @@ def test_nonpositive_drive_rejected():
         TransitionRow(label="x", wavelength_um=1.0, gamma0_2pi_hz=-1.0, nbar=0.0)
 
 
+def test_gate_error_from_gamma_tot():
+    rep = rydberg_report(paper_input(exact=176.0))
+    assert rep.gate_error == 2.95 * rep.gamma_tot_2pi_hz / 4.6e6
+
+
+def test_non_finite_blockade_shift_rejected():
+    # v_nn overflows to inf; chi * v_nn would be 0 * inf = nan
+    inp = paper_input()
+    inp.c6_2pi_ghz_um6 = 1e308
+    with pytest.raises(ConfigError, match="v_nn"):
+        rydberg_report(inp)
+
+
 def test_thermal_nbar_matches_planck():
     # hc/kB = 14387.77 um K; at lambda = 1540 um, T = 300 K
     lam, temp = 1540.0, 300.0

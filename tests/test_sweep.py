@@ -71,6 +71,8 @@ def test_plan_validation():
     with pytest.raises(ConfigError):
         SweepPlan(dimension=1, spacing=0.4, polarization=(1, 0, 0),
                   n_1d_values=[2, 4, 8], quantity="bogus")
+    with pytest.raises(ConfigError, match="disorder_eta"):
+        DisorderSpec(eta=float("nan"), n_realizations=2, seed=1)
 
 
 def plan_1d(quantity="gamma_max", sizes=(20, 40, 80), **kw):
