@@ -313,6 +313,7 @@ def cmd_gamma(config: dict, run: Run) -> int:
 
 def cmd_analyze(config: dict, run: Run) -> int:
     mats, array = _coupling_from_config(config)
+    seed = config.get("seed", DEFAULT_SEED)  # of the SDP and Lanczos starts
     summary = decompose(mats)
     diag = PsdDiagnostic.of(summary.eigenvalues[-1], mats.gamma0).require()
     bounds = bounds_report(summary, mats)
@@ -334,12 +335,12 @@ def cmd_analyze(config: dict, run: Run) -> int:
         doc["driven"] = asdict(driven_report(summary, bounds, mats, spec.dimension, spec.spacing))
     if mats.n <= config.get("sdp_max_n", 2000):
         problem = SdpProblem.from_coupling(mats)
-        sol = solve_low_rank(problem, seed=config.get("seed", DEFAULT_SEED))
+        sol = solve_low_rank(problem, seed=seed)
         sol.require_converged()
         sdp_certificates(problem, sol, summary.gamma_max)
         doc["sdp"] = sol.to_dict()
     if mats.n <= config.get("exact_max_n", 14):
-        doc["exact"] = asdict(exact_rstar(mats, threads=_threads(config)))
+        doc["exact"] = asdict(exact_rstar(mats, seed=seed, threads=_threads(config)))
     run.write_json("analysis.json", doc)
     spectrum_to_csv(summary, run.path("spectrum.csv"))
     if array is not None and array.source_spec.disorder_eta == 0:
@@ -366,7 +367,6 @@ def cmd_scan(config: dict, run: Run) -> int:
         n_1d_values=sizes,
         quantity=config.get("quantity", "gamma_max"),
         disorder=disorder,
-        sdp_seed=config.get("seed", DEFAULT_SEED),
     )
     threads = _threads(config)  # before sweep.csv exists: a bad value writes nothing
     with open(run.path("sweep.csv"), "w") as fh:

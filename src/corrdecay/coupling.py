@@ -214,16 +214,21 @@ def build_export_matrices(array: AtomArray) -> CouplingMatrices:
     return mats
 
 
-def check_coupling_matrix(gamma: np.ndarray) -> None:
-    """PhysicsValidationError unless gamma is a nonempty square matrix with finite entries,
-    symmetric and with a uniform diagonal, each to atol 1e-12 (no relative tolerance)."""
-    gamma = np.asarray(gamma)
-    if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1] or gamma.size == 0:
-        raise PhysicsValidationError(f"coupling matrix of shape {gamma.shape} is not square")
-    if not np.all(np.isfinite(gamma)):
+def check_symmetric_matrix(g: np.ndarray) -> None:
+    """PhysicsValidationError unless g is a nonempty square matrix with finite entries,
+    symmetric to atol 1e-12 (no relative tolerance)."""
+    g = np.asarray(g)
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.size == 0:
+        raise PhysicsValidationError(f"coupling matrix of shape {g.shape} is not square")
+    if not np.all(np.isfinite(g)):
         raise PhysicsValidationError("coupling matrix holds non-finite entries")
-    if not np.allclose(gamma, gamma.T, rtol=0.0, atol=1e-12):
+    if np.abs(g - g.T).max() > 1e-12:
         raise PhysicsValidationError("coupling matrix is asymmetric")
+
+
+def check_coupling_matrix(gamma: np.ndarray) -> None:
+    """check_symmetric_matrix, then PhysicsValidationError unless the diagonal is uniform."""
+    check_symmetric_matrix(gamma)
     if np.ptp(np.diag(gamma)) > 1e-12:
         raise PhysicsValidationError("coupling matrix has a non-uniform diagonal")
 

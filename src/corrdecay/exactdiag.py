@@ -33,6 +33,12 @@ HAAR_BLOCK = 64  # Haar samples per block; a block holds HAAR_BLOCK * 2^N amplit
 LANCZOS_CHECK = 4  # Lanczos steps between convergence tests, each one tridiagonal eigh
 
 
+def _sector_states(n: int, n_excited: int) -> np.ndarray:
+    """Ascending n-qubit bitmasks with n_excited bits set (none for -1), by a popcount filter."""
+    states = np.arange(1 << n, dtype=np.uint64)
+    return states[np.bitwise_count(states) == n_excited]
+
+
 @dataclass
 class SectorBasis:
     """Computational basis of one excitation sector of N qubits.
@@ -68,7 +74,7 @@ class SectorBasis:
         occ = ((self.states[:, None] >> bits) & np.uint64(1)).astype(bool)
         excited = np.nonzero(occ)[1].reshape(self.dim, n_exc)  # ascending per state
         lowered = self.states[:, None] ^ (np.uint64(1) << excited.astype(np.uint64))
-        below = SectorBasis(self.n, self.m_ground + 1, np.unique(lowered))
+        below = SectorBasis(self.n, self.m_ground + 1, _sector_states(self.n, n_exc - 1))
         up = excited * below.dim + below.position(lowered)
         down = np.full(self.n * below.dim, self.dim, dtype=np.int32)
         down[up.ravel()] = np.arange(self.dim).repeat(n_exc)
@@ -78,8 +84,7 @@ class SectorBasis:
     def build(cls, n: int, m_ground: int) -> "SectorBasis":
         if not 0 <= m_ground <= n:
             raise ConfigError(f"m_ground = {m_ground} outside [0, {n}]")
-        states = np.arange(1 << n, dtype=np.uint64)
-        return cls(n=n, m_ground=m_ground, states=states[np.bitwise_count(states) == n - m_ground])
+        return cls(n=n, m_ground=m_ground, states=_sector_states(n, n - m_ground))
 
     def position(self, mask) -> np.ndarray:
         """Index of each bitmask within the sorted sector basis."""
@@ -187,7 +192,10 @@ def exact_rstar(mats: CouplingMatrices, force_method: str | None = None, seed: i
     is derived from its partner and lies below it. Sectors with dimension <=
     MAX_DENSE_DIM are solved densely, larger ones with matrix-free Lanczos;
     force_method = "dense" | "lanczos" overrides. Sector solves are independent
-    and can run on a thread pool.
+    and can run on a thread pool, which oversubscribes the cores when BLAS runs its
+    own threads too: a d = 0.2 x-chain at N = 17 took 0.95-1.16 s at threads=1 and
+    1.64-1.77 s at threads=2 with OpenBLAS's default 2 threads, but 0.76-0.78 s at
+    threads=2 with OPENBLAS_NUM_THREADS=1 (2-core machine, best of 2).
     """
     n = mats.n
     if n > MAX_QUBITS:

@@ -9,7 +9,8 @@ SeedSequence; a given seed fully determines every draw.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -43,9 +44,14 @@ def check_disorder(eta) -> None:
 
 
 def unit_polarization(pol) -> tuple[float, float, float]:
-    """pol as 3 floats, or ConfigError unless it is a real unit 3-vector (within 1e-12)."""
-    vec = np.asarray(pol, dtype=float)
-    if not (vec.shape == (3,) and abs(np.linalg.norm(vec) - 1.0) <= 1e-12):
+    """pol as 3 floats, or ConfigError unless it is a real unit 3-vector (within 1e-12) of
+    integers or floats (no bools or strings)."""
+    try:
+        vec = np.asarray(pol)
+    except ValueError:  # a ragged sequence
+        vec = np.empty(0)
+    if not (vec.dtype.kind in "iuf" and vec.shape == (3,)
+            and abs(np.linalg.norm(vec) - 1.0) <= 1e-12):
         raise ConfigError(f"polarization {pol!r} is not a real unit 3-vector (within 1e-12)")
     return tuple(float(c) for c in vec)
 
@@ -60,6 +66,8 @@ class LatticeSpec:
     polarization: real unit 3-vector of the transition dipole.
     disorder_eta: per-coordinate Gaussian displacement std. dev. in units of d.
     seed: 64-bit seed for the disorder draws.
+    dimension, n_per_axis and seed must be integers, spacing and disorder_eta real numbers
+    (a bool is neither), else ConfigError naming the field.
     """
 
     dimension: int
@@ -70,6 +78,12 @@ class LatticeSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for kind, names in ((Integral, ("dimension", "n_per_axis", "seed")),
+                            (Real, ("spacing", "disorder_eta"))):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ConfigError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
         check_geometry(self.dimension, self.spacing)
         if self.n_per_axis < 1:
             raise ConfigError(f"n_per_axis must be >= 1, got {self.n_per_axis}")
@@ -98,15 +112,14 @@ class LatticeSpec:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid LatticeSpec JSON: {exc}") from exc
-        known = {"dimension", "n_per_axis", "spacing", "polarization", "disorder_eta", "seed"}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ConfigError(f"LatticeSpec JSON must be an object, got {raw!r:.60}")
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown LatticeSpec keys: {sorted(unknown)}")
-        missing = {"dimension", "n_per_axis", "spacing"} - set(raw)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(raw)
         if missing:
             raise ConfigError(f"missing LatticeSpec keys: {sorted(missing)}")
-        raw.setdefault("polarization", (1.0, 0.0, 0.0))
-        raw["polarization"] = tuple(raw["polarization"])
         return cls(**raw)
 
 

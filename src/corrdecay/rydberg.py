@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,8 +82,8 @@ class RydbergInput:
     spacing_um: float
     c6_2pi_ghz_um6: float
     rabi_2pi_mhz: float
-    transitions: list = field(default_factory=list)
-    dominant_label: str = ""
+    transitions: list
+    dominant_label: str
     exact_gamma_max_2pi_hz: float | None = None
 
     def __post_init__(self):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import CouplingMatrices, parity_blocks
+from .coupling import CouplingMatrices, check_symmetric_matrix, parity_blocks
 from .errors import CertificateError, ConfigError, SolverConvergenceError
 from .lattice import _rng
 
@@ -31,8 +31,8 @@ CAP_SLACK = 1e-6  # absolute excess over the analytic cap that a certificate for
 
 @dataclass
 class SdpProblem:
-    """Zero-diagonal symmetric coupling matrix of the classical XY objective, and the
-    diagonal gamma0 of the coupling matrix it came from (for the rate estimates)."""
+    """Zero-diagonal (each entry within 1e-12) symmetric n x n coupling matrix of the classical
+    XY objective, and the gamma0 of the coupling matrix it came from (for the rate estimates)."""
 
     gtilde: np.ndarray
     n: int
@@ -42,15 +42,15 @@ class SdpProblem:
         g = np.asarray(self.gtilde, dtype=float)
         if g.shape != (self.n, self.n):
             raise ConfigError("gtilde must be n x n")
+        check_symmetric_matrix(g)
         if np.abs(np.diag(g)).max(initial=0.0) > 1e-12:
             raise ConfigError("gtilde must have zero diagonal (within 1e-12)")
-        if not np.allclose(g, g.T, rtol=0.0, atol=1e-12):
-            raise ConfigError("gtilde must be symmetric")
         self.gtilde = g
 
     @classmethod
     def from_coupling(cls, mats: CouplingMatrices) -> "SdpProblem":
-        gt = mats.gamma - mats.gamma0 * np.eye(mats.n)
+        gt = mats.gamma.copy()
+        np.fill_diagonal(gt, 0.0)
         return cls(gtilde=gt, n=mats.n, gamma0=mats.gamma0)
 
 
@@ -99,24 +99,17 @@ def _project_rows(v):
 
 
 def _certificate(gtilde, v):
-    """(value, dual bound) of a factor V; see dual_bound. The value sums the rows
-    that y clips at 0 in the same order, so value <= bound holds exactly."""
+    """(value, dual bound) of a factor V with rows ||v_i|| <= 1. With C = Gtilde/4,
+    y_i = max(0, (C V V^T)_ii) and S = Diag(y) - C, the point y + max(0, -lambda_min(S)) is
+    dual feasible, so by weak duality sum(y) + N max(0, -lambda_min(S)) (one values-only
+    eigvalsh) bounds every (1/4) Tr(Gtilde X). The value sums the rows that y clips at 0 in
+    the same order, so value <= bound holds exactly."""
     rows = 0.25 * np.einsum("ij,ij->i", gtilde @ v, v)
     y = np.maximum(rows, 0.0)
     s = -0.25 * gtilde
     s.flat[:: len(y) + 1] += y
     lam = float(np.linalg.eigvalsh(s)[0])
     return float(rows.sum()), float(y.sum()) + len(y) * max(0.0, -lam)
-
-
-def dual_bound(gtilde, v) -> float:
-    """Upper bound on the SDP optimum from any factor V with rows ||v_i|| <= 1.
-
-    With C = Gtilde/4, y_i = max(0, (C V V^T)_ii) and S = Diag(y) - C, the point
-    y + max(0, -lambda_min(S)) is dual feasible: by weak duality sum(y) +
-    N max(0, -lambda_min(S)) bounds every (1/4) Tr(Gtilde X). One values-only eigvalsh.
-    """
-    return _certificate(gtilde, v)[1]
 
 
 def _solution(problem, v, iterations, **extra):
@@ -143,15 +136,15 @@ def _settled(history, it, tol) -> bool:
 
 
 def _product(gtilde, r):
-    """(product, "parity" | "dense"): product(v, out) writes gtilde @ v into out for (N, r)
-    factors v. An even-N centrosymmetric gtilde (coupling.parity_blocks) multiplies
-    through K = [(A + B)/2, (A - B)/2], reading N^2/2 numbers per product: with
+    """product(v, out), which writes gtilde @ v into out for (N, r) factors v. An even-N
+    centrosymmetric gtilde (coupling.parity_blocks) multiplies through
+    K = [(A + B)/2, (A - B)/2], reading N^2/2 numbers per product: with
     W = [v1 + J v2, v1 - J v2] and R = K W, the top half is R0 + R1 and the row-reversed
     bottom half is R0 - R1. Any other gtilde is one dense matmul."""
     n = len(gtilde)
     blocks = parity_blocks(gtilde) if n % 2 == 0 else None
     if blocks is None:
-        return (lambda v, out: np.matmul(gtilde, v, out=out)), "dense"
+        return lambda v, out: np.matmul(gtilde, v, out=out)
     (a, b), m = blocks, n // 2
     k = np.empty((2, m, m))
     np.add(a, b, out=k[0])
@@ -167,7 +160,7 @@ def _product(gtilde, r):
         np.add(res[0], res[1], out=out[:m])
         np.subtract(res[0], res[1], out=out[:m - 1:-1])
 
-    return product, "parity"
+    return product
 
 
 def _ascend(gtilde, v, max_iters, tol):
@@ -178,7 +171,7 @@ def _ascend(gtilde, v, max_iters, tol):
     step_min, step_max = 1e-3 / spectral_scale, 1e6 / spectral_scale
     step = 1.0 / spectral_scale
     v = v.copy()  # the caller's start is not overwritten
-    product = _product(gtilde, v.shape[1])[0]
+    product = _product(gtilde, v.shape[1])
     grad, v_new, grad_new, dv, dg = (np.empty_like(v) for _ in range(5))
     nrm = np.empty(len(v))
     product(v, grad)

@@ -49,7 +49,6 @@ class SweepPlan:
     n_1d_values: list
     quantity: str = "gamma_max"
     disorder: DisorderSpec | None = None
-    sdp_seed: int = 0
 
     def __post_init__(self):
         if self.quantity not in QUANTITIES:
@@ -103,18 +102,18 @@ def sweep_sizes(n_min: int, n_max: int, count: int, mode: str = "geometric") -> 
         raw = np.geomspace(n_min, n_max, count)
     else:
         raw = np.linspace(n_min, n_max, count)
-    sizes = sorted(set(int(round(x)) for x in raw))
-    return sizes
+    return sorted(set(int(round(x)) for x in raw))
 
 
 def _evaluate_point(plan: SweepPlan, n_1d: int, eta: float, seed: int) -> float:
     spec = LatticeSpec(dimension=plan.dimension, n_per_axis=n_1d, spacing=plan.spacing,
-                       polarization=tuple(plan.polarization), disorder_eta=eta, seed=seed)
+                       polarization=plan.polarization, disorder_eta=eta, seed=seed)
     mats = build_coupling_matrices(build_array(spec))
     if plan.quantity == "gamma_max":
         return gamma_max_only(mats)
     if plan.quantity == "sdp_estimate":
-        sol = solve_low_rank(SdpProblem.from_coupling(mats), seed=plan.sdp_seed)
+        start_seed = 0 if plan.disorder is None else plan.disorder.seed  # of the SDP start
+        sol = solve_low_rank(SdpProblem.from_coupling(mats), seed=start_seed)
         sol.require_converged()  # an unconverged point is flagged in its row
         return sol.rstar_estimate
     report = bounds_report(decompose(mats), mats)

@@ -508,6 +508,49 @@ def test_exact_command(tmp_path):
     assert abs(doc["rstar_exact"] - 6.0) < 1e-3  # near-Dicke 4-atom cluster
 
 
+def test_analyze_and_exact_share_the_seed(tmp_path):
+    # N = 12 has sectors above MAX_DENSE_DIM, so the Lanczos start reads the seed
+    chain = ["--dim", "1", "--n", "12", "--d", "0.2", "--pol", "x", "--seed", "5"]
+    assert main(["analyze", *chain, "--sdp-max-n", "2", "--out", str(tmp_path / "a")]) == 0
+    assert main(["exact", *chain, "--out", str(tmp_path / "e")]) == 0
+    analyzed = json.loads((tmp_path / "a" / "analysis.json").read_text())["exact"]
+    exact = json.loads((tmp_path / "e" / "exact.json").read_text())
+    assert exact["method"] == "dense+lanczos"
+    for key in ("per_sector_max", "rstar_exact"):
+        assert json.dumps(analyzed[key]) == json.dumps(exact[key])
+
+
+@pytest.mark.parametrize("eta", [None, "0.05"])
+def test_scan_sdp_estimate_starts_from_the_seed(tmp_path, eta):
+    # each point's SDP starts from --seed, with or without a disorder draw
+    from corrdecay.coupling import build_coupling_matrices
+    from corrdecay.lattice import LatticeSpec, build_array
+    from corrdecay.sdp import SdpProblem, solve_low_rank
+    from corrdecay.sweep import fit_power_law
+
+    sizes, seed, draws = [4, 6, 8], 5, 1 if eta is None else 2
+    argv = ["scan", "--dim", "1", "--d", "0.3", "--pol", "x", "--sizes", "4,6,8",
+            "--quantity", "sdp_estimate", "--seed", str(seed), "--out", str(tmp_path)]
+    assert main(argv + ([] if eta is None else ["--eta", eta, "--realizations", "2"])) == 0
+    rows, means = ["n_atoms,value,stderr"], []
+    for p_idx, n in enumerate(sizes):
+        values = []
+        for r_idx in range(draws):
+            lattice_seed = 0 if eta is None else int(np.random.SeedSequence(
+                entropy=seed, spawn_key=(p_idx, r_idx)).generate_state(1)[0])
+            spec = LatticeSpec(dimension=1, n_per_axis=n, spacing=0.3,
+                               disorder_eta=float(eta or 0), seed=lattice_seed)
+            problem = SdpProblem.from_coupling(build_coupling_matrices(build_array(spec)))
+            values.append(solve_low_rank(problem, seed=seed).rstar_estimate)
+        arr = np.asarray(values)
+        se = "" if draws == 1 else f"{float(arr.std(ddof=1) / np.sqrt(draws)):.17g}"
+        means.append(float(arr.mean()))
+        rows.append(f"{n},{means[-1]:.17g},{se}")
+    assert (tmp_path / "sweep.csv").read_text() == "\n".join(rows) + "\n"
+    fit = fit_power_law(sizes, means).to_json() + "\n"
+    assert (tmp_path / "fit.json").read_text() == fit
+
+
 def test_exact_size_guard(tmp_path):
     assert main(["exact", "--dim", "1", "--n", "25", "--d", "0.4",
                  "--out", str(tmp_path)]) == 2

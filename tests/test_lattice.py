@@ -130,6 +130,36 @@ def test_spec_json_roundtrip():
         LatticeSpec.from_json('{"dimension": 1}')
 
 
+@pytest.mark.parametrize("text, field", [
+    ('{"dimension": 1, "n_per_axis": "3", "spacing": 0.4}', "n_per_axis"),
+    ('{"dimension": 1, "n_per_axis": 2.5, "spacing": 0.4}', "n_per_axis"),
+    ('{"dimension": 1, "n_per_axis": 3, "spacing": 0.4, "polarization": ["a", "b", "c"]}',
+     "polarization"),
+    ('{"dimension": true, "n_per_axis": 3, "spacing": 0.4}', "dimension"),
+    ('{"dimension": 1, "n_per_axis": 3, "spacing": 0.4, "seed": 1.5}', "seed"),
+    ('{"dimension": 1, "n_per_axis": 3, "spacing": "0.4"}', "spacing"),
+    ('{"dimension": 1, "n_per_axis": 3, "spacing": 0.4, "disorder_eta": false}', "disorder_eta"),
+    ('{"dimension": 1, "n_per_axis": 3, "spacing": 0.4, "polarization": [true, false, false]}',
+     "polarization"),
+    ('{"dimension": 1, "n_per_axis": 3, "spacing": 0.4, "polarization": [1, [0, 0], 0]}',
+     "polarization"),
+    ('[1, 2]', "object"),
+], ids=["n_per_axis-str", "n_per_axis-float", "polarization-str", "dimension-bool", "seed-float",
+        "spacing-str", "disorder_eta-bool", "polarization-bool", "polarization-ragged",
+        "not-an-object"])
+def test_spec_fields_are_type_checked(text, field):
+    # each is refused by a ConfigError naming the field, before any array is built
+    with pytest.raises(ConfigError, match=field):
+        LatticeSpec.from_json(text)
+
+
+def test_spec_accepts_numpy_scalars_and_integer_reals():
+    s = LatticeSpec(dimension=np.int64(2), n_per_axis=np.int32(3), spacing=1,
+                    polarization=np.array([0, 0, 1]), disorder_eta=np.float64(0.0),
+                    seed=np.uint64(4))
+    assert s.n_atoms == 9 and s.polarization == (0.0, 0.0, 1.0)
+
+
 class _Displacements:
     """Stands in for the disorder generator: returns fixed displacements."""
 

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mats_from_gamma, random_unit_diag_psd
-from corrdecay.coupling import build_coupling_matrices
-from corrdecay.errors import CertificateError, ConfigError
+from corrdecay.coupling import build_coupling_matrices, parity_blocks
+from corrdecay.errors import CertificateError, ConfigError, PhysicsValidationError
 from corrdecay import sdp
 from corrdecay.lattice import LatticeSpec, generate_lattice
 from corrdecay.sdp import (
@@ -13,7 +13,6 @@ from corrdecay.sdp import (
     GAP_TOL,
     START_RANK,
     SdpProblem,
-    dual_bound,
     round_to_product_state,
     sdp_certificates,
     solve_low_rank,
@@ -28,12 +27,27 @@ def dicke_problem(n):
 
 
 def test_problem_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="zero diagonal"):
         SdpProblem(gtilde=np.eye(3), n=3)  # nonzero diagonal
-    with pytest.raises(ConfigError):
-        SdpProblem(gtilde=np.array([[0.0, 1.0], [0.5, 0.0]]), n=2)  # asymmetric
-    with pytest.raises(ConfigError):  # 1e-7 apart: beyond atol 1e-12, inside allclose's rtol
+    with pytest.raises(ConfigError, match="n x n"):
+        SdpProblem(gtilde=np.zeros((3, 3)), n=2)
+    # the symmetry rule is coupling.check_symmetric_matrix's
+    with pytest.raises(PhysicsValidationError, match="asymmetric"):
+        SdpProblem(gtilde=np.array([[0.0, 1.0], [0.5, 0.0]]), n=2)
+    # 1e-7 apart: beyond atol 1e-12, inside any relative tolerance allclose would apply
+    with pytest.raises(PhysicsValidationError, match="asymmetric"):
         SdpProblem(gtilde=np.array([[0.0, 0.5], [0.5000001, 0.0]]), n=2)
+    # each diagonal entry within 1e-12 of 0, though they differ by 2e-12
+    SdpProblem(gtilde=np.diag([1e-12, -1e-12]), n=2)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", [(0, 1), (1, 1)], ids=["offdiagonal", "diagonal"])
+def test_problem_refuses_non_finite_entries(bad, where):
+    g = np.zeros((3, 3))
+    g[where] = g[where[::-1]] = bad
+    with pytest.raises(PhysicsValidationError, match="non-finite"):
+        SdpProblem(gtilde=g, n=3)
 
 
 def test_from_coupling_strips_diagonal():
@@ -192,9 +206,11 @@ def test_dual_bound_of_a_feasible_factor():
     prob = dicke_problem(4)
     v = np.random.default_rng(0).standard_normal((4, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    assert dual_bound(prob.gtilde, v) >= max(3.0, 0.25 * float(np.sum(v * (prob.gtilde @ v))))
+    value, bound = sdp._certificate(prob.gtilde, v)
+    assert value == pytest.approx(0.25 * float(np.sum(v * (prob.gtilde @ v))), abs=1e-12)
+    assert bound >= max(3.0, value)
     aligned = np.ones((4, 1))
-    assert dual_bound(prob.gtilde, aligned) == pytest.approx(3.0, abs=1e-12)
+    assert sdp._certificate(prob.gtilde, aligned)[1] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_certificate_violation_raises():
@@ -315,16 +331,16 @@ def test_value_and_rounding_below_dual_bound(n, seed):
 @given(n=st.integers(2, 60), r=st.integers(1, 16), centrosymmetric=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_parity_product_matches_dense(n, r, centrosymmetric, seed):
-    # the half-size product of an even-N centrosymmetric matrix is g @ v; odd N
-    # and any other symmetric matrix take the dense path
+    # the half-size product of an even-N centrosymmetric matrix (parity_blocks) is g @ v;
+    # odd N and any other symmetric matrix take the dense path
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, n))
     g += g.T
     if centrosymmetric:
         g += g[::-1, ::-1]
     v = rng.standard_normal((n, r))
-    product, path = sdp._product(g, r)
-    assert path == ("parity" if centrosymmetric and n % 2 == 0 else "dense")
+    product = sdp._product(g, r)
+    assert (parity_blocks(g) is not None) == centrosymmetric
     out = np.empty((n, r))
     product(v, out)
     scale = np.abs(g).sum(axis=1).max() * np.abs(v).max()
@@ -341,8 +357,7 @@ def test_parity_and_dense_ascents_take_the_same_iterates():
     start = v0.copy()
     perm = rng.permutation(60)
     g_perm = g[np.ix_(perm, perm)]
-    assert sdp._product(g, START_RANK)[1] == "parity"
-    assert sdp._product(g_perm, START_RANK)[1] == "dense"
+    assert parity_blocks(g) is not None and parity_blocks(g_perm) is None
     best, iters = sdp._ascend(g, v0, 20000, DEFAULT_TOL)
     best_perm, iters_perm = sdp._ascend(g_perm, v0[perm], 20000, DEFAULT_TOL)
     assert np.array_equal(v0, start)  # the start is not overwritten
