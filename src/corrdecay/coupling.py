@@ -64,12 +64,18 @@ class CouplingMatrices:
     is gamma[0, 0] to 1e-12; the O(N^2) checks run only on matrices read from files
     (validated_coupling). A hand-built gamma must be exactly symmetric: the
     eigensolvers silently read one triangle of an asymmetric one.
+
+    grid is the site grid (n,)*D of an ordered array whose gamma is exactly unchanged by
+    reversing each lattice axis on its own (every chain, and planes and cubes polarized along
+    an axis), else None. Only build_coupling_matrices sets it, from the offset table; the
+    eigensolve trusts it unchecked and folds gamma into 2^D mirror blocks.
     """
 
     gamma: np.ndarray
     gamma0: float
     n: int
     jmat: np.ndarray | None = None
+    grid: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.n < 1 or np.shape(self.gamma) != (self.n, self.n):
@@ -135,19 +141,16 @@ def _lattice_spec(array: AtomArray) -> LatticeSpec | None:
     return spec if spec.disorder_eta == 0 and np.array_equal(array.positions, lattice) else None
 
 
-def _pair_matrix(positions, pol, kernel, diagonal, lattice=None) -> np.ndarray:
+def _pair_matrix(positions, pol, kernel, diagonal) -> np.ndarray:
     """kernel(k0*r, (r_hat . p)^2), p = pol a unit vector, for every pair of an (N, 3) position
-    list with the given diagonal: from the offsets of `lattice` when given (the positions must be
-    that lattice), else by the blocked pair loop. Raises CoincidentEmittersError if two overlap."""
+    list with the given diagonal, by the blocked pair loop. Raises CoincidentEmittersError if
+    two overlap."""
     pos = np.asarray(positions, dtype=float)
     n = pos.shape[0]
     if n < 1:
         raise PhysicsValidationError("empty atom array")
     if n > MAX_ATOMS:
         raise PhysicsValidationError(f"N = {n} exceeds dense-solver ceiling {MAX_ATOMS}")
-    if lattice is not None:
-        return _offset_matrix(lattice, pol, kernel, diagonal)
-
     out = np.empty((n, n))
     for start in range(0, n, PAIR_BLOCK):
         stop = min(start + PAIR_BLOCK, n)
@@ -163,31 +166,31 @@ def _pair_matrix(positions, pol, kernel, diagonal, lattice=None) -> np.ndarray:
     return out
 
 
-def _offset_matrix(spec: LatticeSpec, pol, kernel, diagonal) -> np.ndarray:
-    """_pair_matrix of the lattice of spec from one kernel call per lattice offset: the pair
-    value depends only on m = a_i - a_j of the sites' integer coordinates, so numbering m in
-    base 2n - 1 makes entry (i, j) table[code_i - code_j + center], gathered PAIR_BLOCK rows
-    at a time."""
+def _offset_matrix(spec: LatticeSpec, pol, kernel, diagonal):
+    """(matrix, table): _pair_matrix of the lattice of spec from one kernel call per lattice
+    offset, and the (2n - 1,)*D table of those values. The pair value depends only on the
+    offset m = b - a of the sites' integer coordinates and is mirrored (table(-m) =
+    table(m), as i > j mirrors i < j), so with table[m + n - 1] the row of site a, viewed as
+    an (n,)*D block, is the slice [n - 1 - a_k : 2n - 1 - a_k] on each axis k. Every row is
+    such a window of the table, and all are copied in one pass without index arrays."""
     n, dim = spec.n_per_axis, spec.dimension
-    sep = grid_points(np.arange(1 - n, n, dtype=float) * spec.spacing, dim)  # m*d, by code
+    sep = grid_points(np.arange(1 - n, n, dtype=float) * spec.spacing, dim)  # m*d, raveled
     center = len(sep) // 2  # the zero offset
     # a coincident offset means d <= COINCIDENT_TOL, so the nearest sites 0 and 1 coincide
     half = _kernel_values(sep[: center + 1], center, pol, kernel, lambda b: (0, 1))
     half[center] = diagonal
-    table = np.concatenate([half, half[:center][::-1]])  # -m mirrors m, as i > j mirrors i < j
-    codes = np.ravel_multi_index(np.unravel_index(np.arange(n**dim), (n,) * dim),
-                                 (2 * n - 1,) * dim)
+    table = np.concatenate([half, half[:center][::-1]]).reshape((2 * n - 1,) * dim)
+    windows = np.lib.stride_tricks.sliding_window_view(table, (n,) * dim)  # [s] = table[s:s+n]
     out = np.empty((n**dim, n**dim))
-    for start in range(0, n**dim, PAIR_BLOCK):
-        rows = codes[start:start + PAIR_BLOCK, None] + center
-        np.take(table, rows - codes, out=out[start:start + PAIR_BLOCK])
-    return out
+    out.reshape((n,) * (2 * dim))[...] = np.flip(windows, tuple(range(dim)))
+    return out, table
 
 
 def build_coupling_matrices(array: AtomArray) -> CouplingMatrices:
     """Gamma for all pairs of `array` at its source spec's polarization; jmat is left unset.
 
-    An ordered array is built from its lattice offsets, any other by
+    An ordered array is built from its lattice offsets, with grid set when the offset table
+    is its own reversal along every axis; any other goes through
     build_coupling_from_positions. Raises CoincidentEmittersError with the offending
     indices if two emitters overlap.
     """
@@ -195,8 +198,10 @@ def build_coupling_matrices(array: AtomArray) -> CouplingMatrices:
     lattice = _lattice_spec(array)
     if lattice is None:
         return build_coupling_from_positions(array.positions, pol)
-    gamma = _pair_matrix(array.positions, pol, _gamma_kernel, GAMMA0, lattice)
-    return CouplingMatrices(gamma=gamma, gamma0=GAMMA0, n=gamma.shape[0])
+    gamma, table = _offset_matrix(lattice, pol, _gamma_kernel, GAMMA0)
+    mirrored = all(np.array_equal(table, np.flip(table, k)) for k in range(table.ndim))
+    grid = (lattice.n_per_axis,) * table.ndim if mirrored else None
+    return CouplingMatrices(gamma=gamma, gamma0=GAMMA0, n=gamma.shape[0], grid=grid)
 
 
 def build_coupling_from_positions(positions: np.ndarray, pol) -> CouplingMatrices:
@@ -209,8 +214,9 @@ def build_coupling_from_positions(positions: np.ndarray, pol) -> CouplingMatrice
 def build_export_matrices(array: AtomArray) -> CouplingMatrices:
     """Gamma and jmat of `array` for the coupling export, the one reader of jmat."""
     mats = build_coupling_matrices(array)
-    mats.jmat = _pair_matrix(array.positions, array.source_spec.pol_vector, _j_kernel, 0.0,
-                             _lattice_spec(array))
+    pol, lattice = array.source_spec.pol_vector, _lattice_spec(array)
+    mats.jmat = (_pair_matrix(array.positions, pol, _j_kernel, 0.0) if lattice is None
+                 else _offset_matrix(lattice, pol, _j_kernel, 0.0)[0])
     return mats
 
 
@@ -254,32 +260,82 @@ def parity_blocks(g):
     return g[:m, :m], g[:m, ::-1][:, :m]
 
 
-def gamma_eigensolve(g, top_vector=False):
-    """(ascending eigenvalues, unit top eigenvector or None, "parity" | "dense") of symmetric
-    gamma g. A centrosymmetric g (see parity_blocks) is solved as two blocks of N/2 rows, A + B
-    for the modes [u, u[::-1]]/sqrt2 (u[m] on the middle site of odd N) and A - B for
-    [u, -u[::-1]]/sqrt2."""
-    n, m = len(g), len(g) // 2
+def _mirror_blocks(g, grid):
+    """The 2^D diagonal blocks of g, one at a time as (E, E) arrays, in the basis of modes
+    even or odd under reversing each axis of the site grid (bit k of the block index s set:
+    odd along axis k). Axis k of length n keeps its first e = ceil(n/2) sites: block s sums
+    the views of g with the column axes of the set bits of r reversed, each signed by the
+    parity of s & r; then on an odd axis the middle site's rows and columns are scaled by
+    1/sqrt2 (their crossing by 1/2) in the even blocks and dropped from the odd ones. g is
+    only read, and only the block being solved is held."""
+    dim = len(grid)
+    t = g.reshape(grid + grid)
+    head = tuple(slice((n + 1) // 2) for n in grid) * 2
+    views = [np.flip(t, [dim + k for k in range(dim) if r >> k & 1])[head] for r in range(2**dim)]
+    for s in range(2**dim):
+        b = views[0].copy()
+        for r in range(1, 2**dim):
+            if (s & r).bit_count() % 2:
+                b -= views[r]
+            else:
+                b += views[r]
+        for k, n in enumerate(grid):
+            if n % 2:
+                h = n // 2  # the middle site, the last one kept
+                c = np.moveaxis(b, (k, dim + k), (0, 1))  # a view, row and column axis k first
+                if s >> k & 1:
+                    b = np.moveaxis(c[:h, :h], (0, 1), (k, dim + k))
+                else:
+                    c[h, :h] *= np.sqrt(0.5)
+                    c[:h, h] *= np.sqrt(0.5)
+                    c[h, h] *= 0.5
+        yield b.reshape(2 * (math.prod(b.shape[:dim]),))
+
+
+def _unfold(u, s, grid):
+    """The site vector of mode u of mirror block s (_mirror_blocks): along each axis k,
+    [u_head, u_mid, +-reversed u_head] with u_head / sqrt2, the sign and a zero middle odd."""
+    u = u.reshape([(n + 1 - (s >> k & 1)) // 2 for k, n in enumerate(grid)])
+    for k, n in enumerate(grid):
+        odd = s >> k & 1
+        u = np.moveaxis(u, k, 0)
+        head = u[: n // 2] * np.sqrt(0.5)
+        mid = np.zeros_like(u[: n % 2]) if odd else u[n // 2:]
+        u = np.moveaxis(np.concatenate([head, mid, (-1.0) ** odd * head[::-1]]), 0, k)
+    return u.ravel()
+
+
+def gamma_eigensolve(g, top_vector=False, grid=None):
+    """(ascending eigenvalues, unit top eigenvector or None, label) of symmetric gamma g.
+
+    g is folded over a tuple `grid` of axis lengths whose every axis reversal leaves it
+    unchanged: the given one (the caller vouches for it, as CouplingMatrices.grid does), else
+    (N,) when g is centrosymmetric (parity_blocks). Each of the 2^D mirror blocks
+    (_mirror_blocks), about N/2^D rows, is solved alone; the top vector is the top mode of
+    the block with the largest top eigenvalue (ties: the first block, all-even first). The
+    label is "parity" for a one-axis fold, "mirror" for more axes and "dense" for a g solved
+    whole."""
     solve = np.linalg.eigh if top_vector else lambda x: (np.linalg.eigvalsh(x), None)
-    blocks = parity_blocks(g)
-    if blocks is None:
+    if grid is None and parity_blocks(g) is not None:
+        grid = (len(g),)
+    if grid is None:
         vals, vecs = solve(g)
         return vals, None if vecs is None else vecs[:, -1], "dense"
-    (a, b), c = blocks, np.sqrt(2.0) * g[:m, m:n - m]
-    odd, uo = solve(a - b)
-    even, ue = solve(np.block([[a + b, c], [c.T, g[m:n - m, m:n - m]]]))
-    vals = np.sort(np.concatenate([even, odd]))
-    if not top_vector:
-        return vals, None, "parity"
-    sign = -1.0 if odd[-1] > even[-1] else 1.0  # ties: the even mode
-    u = ue[:, -1] if sign > 0 else np.append(uo[:, -1], [0.0] * (n - 2 * m))
-    half = u[:m] / np.sqrt(2.0)
-    return vals, np.concatenate([half, u[m:], sign * half[::-1]]), "parity"
+    parts, top = [], None
+    for s, block in enumerate(_mirror_blocks(g, grid)):
+        if block.size:
+            w, v = solve(block)
+            parts.append(w)
+            if top_vector and (top is None or w[-1] > top[0]):  # ties: the earlier block
+                top = w[-1], s, v[:, -1].copy()
+    vals = np.sort(np.concatenate(parts))
+    label = "parity" if len(grid) == 1 else "mirror"
+    return vals, None if top is None else _unfold(top[2], top[1], grid), label
 
 
 def validate_psd(mats: CouplingMatrices) -> PsdDiagnostic:
     """PsdDiagnostic.of the minimum eigenvalue of gamma (diagnostic only)."""
-    return PsdDiagnostic.of(gamma_eigensolve(mats.gamma)[0][0], mats.gamma0)
+    return PsdDiagnostic.of(gamma_eigensolve(mats.gamma, grid=mats.grid)[0][0], mats.gamma0)
 
 
 def offdiagonal_sum(mats: CouplingMatrices) -> float:

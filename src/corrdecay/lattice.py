@@ -67,7 +67,7 @@ class LatticeSpec:
     disorder_eta: per-coordinate Gaussian displacement std. dev. in units of d.
     seed: 64-bit seed for the disorder draws.
     dimension, n_per_axis and seed must be integers, spacing and disorder_eta real numbers
-    (a bool is neither), else ConfigError naming the field.
+    within the float range (a bool is neither), else ConfigError naming the field.
     """
 
     dimension: int
@@ -84,6 +84,10 @@ class LatticeSpec:
                 value = getattr(self, name)
                 if isinstance(value, bool) or not isinstance(value, kind):
                     raise ConfigError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
+                try:
+                    float(value)
+                except OverflowError:
+                    raise ConfigError(f"{name} must be within the float range") from None
         check_geometry(self.dimension, self.spacing)
         if self.n_per_axis < 1:
             raise ConfigError(f"n_per_axis must be >= 1, got {self.n_per_axis}")

@@ -21,7 +21,7 @@ class SpectralSummary:
     is positive); delta is the relative fluctuation of |dominant_vec| entries
     (0 for a uniform mode, sqrt(N-1) for a single-site mode); degeneracy
     counts eigenvalues within 1e-10*gamma_max of the top; eigensolver names
-    gamma_eigensolve's path ("parity" or "dense").
+    gamma_eigensolve's path ("parity", "mirror" or "dense").
     """
 
     eigenvalues: np.ndarray
@@ -52,7 +52,7 @@ def delocalization_delta(dominant_vec) -> float:
 
 def decompose(mats: CouplingMatrices) -> SpectralSummary:
     """Eigenvalues of gamma, sorted descending, and its brightest mode."""
-    vals, vec, solver = gamma_eigensolve(mats.gamma, top_vector=True)
+    vals, vec, solver = gamma_eigensolve(mats.gamma, top_vector=True, grid=mats.grid)
     vals = vals[::-1]
     if vec[np.argmax(np.abs(vec))] < 0:
         vec = -vec
@@ -65,7 +65,7 @@ def decompose(mats: CouplingMatrices) -> SpectralSummary:
 
 def gamma_max_only(mats: CouplingMatrices) -> float:
     """Largest collective rate without eigenvectors (cheaper for sweeps)."""
-    return float(gamma_eigensolve(mats.gamma)[0][-1])
+    return float(gamma_eigensolve(mats.gamma, grid=mats.grid)[0][-1])
 
 
 @dataclass

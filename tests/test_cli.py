@@ -154,7 +154,7 @@ def test_scan_single_realization_follows_seed(tmp_path):
 ], ids=["analyze", "sdp", "analyze-disordered"])
 def test_one_dense_eigensolve_per_command(tmp_path, monkeypatch, argv):
     # one gamma_eigensolve per command, which solves the whole 25 x 25 Gamma (unit
-    # diagonal) only on the disordered array: the ordered plane splits into two parity
+    # diagonal) only on the disordered array: the ordered plane splits into four mirror
     # blocks. sdp adds one values-only eigvalsh of its dual certificate per rank round.
     from corrdecay import cli, coupling, spectral
 
@@ -181,7 +181,7 @@ def test_one_dense_eigensolve_per_command(tmp_path, monkeypatch, argv):
     assert certificates == [("eigvalsh", "certificate")] * rounds, calls
 
 
-@pytest.mark.parametrize("eta, solver", [(0.0, "parity"), (0.05, "dense")])
+@pytest.mark.parametrize("eta, solver", [(0.0, "mirror"), (0.05, "dense")])
 def test_analysis_records_the_eigensolver(tmp_path, eta, solver):
     assert main(["analyze", "--dim", "2", "--n", "4", "--d", "0.4", "--eta", str(eta),
                  "--seed", "3", "--sdp-max-n", "2", "--exact-max-n", "2",

@@ -24,8 +24,8 @@ from corrdecay.coupling import (
     write_matrix_binary,
 )
 from corrdecay.errors import CoincidentEmittersError, ConfigError, PhysicsValidationError
-from corrdecay.lattice import AtomArray, LatticeSpec, build_array, generate_lattice
-from corrdecay.spectral import gamma_max_only
+from corrdecay.lattice import AtomArray, LatticeSpec, build_array, generate_lattice, grid_points
+from corrdecay.spectral import decompose, gamma_max_only
 
 
 def green_tensor(r) -> np.ndarray:
@@ -297,6 +297,58 @@ def test_ordered_gamma_is_exactly_centrosymmetric(dimension, n, pol):
         LatticeSpec(dimension=dimension, n_per_axis=n, spacing=0.37, polarization=pol))).gamma
     assert np.array_equal(gamma, gamma[::-1, ::-1])
     assert gamma_eigensolve(gamma)[2] == "parity"
+
+
+def index_gather(spec, pol, kernel, diagonal):
+    # the reference build: entry (i, j) gathered as table[code_i - code_j + center], with
+    # each site's offset code in base 2n - 1, through one (N, N) index array
+    n, dim = spec.n_per_axis, spec.dimension
+    sep = grid_points(np.arange(1 - n, n, dtype=float) * spec.spacing, dim)
+    center = len(sep) // 2
+    half = coupling._kernel_values(sep[: center + 1], center, pol, kernel, lambda b: (0, 1))
+    half[center] = diagonal
+    table = np.concatenate([half, half[:center][::-1]])
+    codes = np.ravel_multi_index(np.unravel_index(np.arange(n**dim), (n,) * dim),
+                                 (2 * n - 1,) * dim)
+    return np.take(table, codes[:, None] + center - codes)
+
+
+@pytest.mark.parametrize("kernel, diagonal", [(_gamma_kernel, GAMMA0), (_j_kernel, 0.0)],
+                         ids=["gamma", "j"])
+@pytest.mark.parametrize("dimension, n", [(1, 1), (1, 2), (1, 37), (2, 1), (2, 6), (2, 7),
+                                          (3, 2), (3, 5)])
+def test_offset_rows_equal_the_index_gather(dimension, n, kernel, diagonal):
+    spec = LatticeSpec(dimension=dimension, n_per_axis=n, spacing=0.37, polarization=OBLIQUE)
+    matrix, table = coupling._offset_matrix(spec, spec.pol_vector, kernel, diagonal)
+    assert table.shape == (2 * n - 1,) * dimension
+    assert matrix.tobytes() == index_gather(spec, spec.pol_vector, kernel, diagonal).tobytes()
+
+
+MIRROR_POLS = {"x": (1.0, 0, 0), "y": (0, 1.0, 0), "z": (0, 0, 1.0), "xy": (0.6, 0.8, 0),
+               "xz": (0.6, 0, 0.8)}
+
+
+@pytest.mark.parametrize("pol", list(MIRROR_POLS), ids=list(MIRROR_POLS))
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 7])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_ordered_gamma_folds_over_its_mirror_axes(dimension, n, pol):
+    # grid is set exactly when Gamma is unchanged by reversing each lattice axis on its own:
+    # every chain and axis-aligned polarization; an xy-oblique dipole breaks both plane axes,
+    # an xz-oblique one the cube's x and z axes. Either way the spectrum is the dense one.
+    mats = build_coupling_matrices(generate_lattice(LatticeSpec(
+        dimension=dimension, n_per_axis=n, spacing=0.37, polarization=MIRROR_POLS[pol])))
+    t = mats.gamma.reshape((n,) * 2 * dimension)
+    mirrored = all(np.array_equal(t, np.flip(t, (k, dimension + k))) for k in range(dimension))
+    assert mirrored == (dimension == 1 or n == 1 or len(pol) == 1 or (dimension, pol) == (2, "xz"))
+    assert mats.grid == ((n,) * dimension if mirrored else None)
+    summary = decompose(mats)
+    assert summary.eigensolver == ("parity" if not mirrored or dimension == 1 else "mirror")
+    dense = np.linalg.eigvalsh(mats.gamma)
+    scale = np.abs(dense).max()
+    np.testing.assert_allclose(summary.eigenvalues, dense[::-1], rtol=0, atol=1e-12 * scale)
+    assert abs(gamma_max_only(mats) - dense[-1]) <= 1e-12 * scale
+    vec = summary.dominant_vec
+    assert np.linalg.norm(mats.gamma @ vec - summary.gamma_max * vec) <= 1e-12 * scale
 
 
 def test_disordered_gamma_takes_the_dense_eigensolve():

@@ -144,9 +144,12 @@ def test_spec_json_roundtrip():
     ('{"dimension": 1, "n_per_axis": 3, "spacing": 0.4, "polarization": [1, [0, 0], 0]}',
      "polarization"),
     ('[1, 2]', "object"),
+    ('{"dimension": 1, "n_per_axis": 3, "spacing": 1%s}' % ("0" * 400), "spacing"),
+    ('{"dimension": 1, "n_per_axis": 3, "spacing": 0.4, "disorder_eta": 1%s}' % ("0" * 400),
+     "disorder_eta"),
 ], ids=["n_per_axis-str", "n_per_axis-float", "polarization-str", "dimension-bool", "seed-float",
         "spacing-str", "disorder_eta-bool", "polarization-bool", "polarization-ragged",
-        "not-an-object"])
+        "not-an-object", "spacing-past-float", "disorder_eta-past-float"])
 def test_spec_fields_are_type_checked(text, field):
     # each is refused by a ConfigError naming the field, before any array is built
     with pytest.raises(ConfigError, match=field):

@@ -225,6 +225,31 @@ def test_parity_blocks_match_dense_solve_property(n, seed):
     assert gamma_max_only(mats) == pytest.approx(decompose(mats).gamma_max, rel=0, abs=1e-12 * scale)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(grid=st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
+       seed=st.integers(0, 2**32 - 1))
+def test_mirror_blocks_match_dense_solve_property(grid, seed):
+    # a random symmetric matrix unchanged by reversing each axis of the site grid on its own:
+    # the merged spectrum of the 2^D mirror blocks is the dense one, and the rebuilt top
+    # vector is a unit eigenvector of the top eigenvalue
+    n, dim = int(np.prod(grid)), len(grid)
+    x = np.random.default_rng(seed).standard_normal((n, n))
+    t = (x + x.T).reshape(grid + grid)
+    for k in range(dim):
+        t = t + np.flip(t, (k, dim + k))
+    g = np.ascontiguousarray(t.reshape(n, n))
+    dense = np.linalg.eigvalsh(g)
+    scale = np.abs(dense).max()
+    vals, vec, solver = gamma_eigensolve(g, top_vector=True, grid=grid)
+    assert solver == ("parity" if dim == 1 else "mirror")
+    np.testing.assert_allclose(vals, dense, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(gamma_eigensolve(g, grid=grid)[0], dense, rtol=0,
+                               atol=1e-12 * scale)
+    assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+    assert abs(vals[-1] - dense[-1]) <= 1e-12 * scale
+    assert np.linalg.norm(g @ vec - vals[-1] * vec) <= 1e-12 * scale
+
+
 def test_degenerate_parity_top_is_a_unit_eigenvector():
     # Dicke: the top mode is even; the identity: every mode is top, the even block wins ties
     for g in (np.ones((7, 7)), np.eye(6)):
