@@ -384,7 +384,7 @@ def cmd_scan(config: dict, run: Run) -> int:
 
 def cmd_sdp(config: dict, run: Run) -> int:
     mats, _ = _coupling_from_config(config)
-    rates = gamma_eigensolve(mats.gamma, grid=mats.grid)[0]
+    rates = gamma_eigensolve(mats)[0]
     PsdDiagnostic.of(rates[0], mats.gamma0).require()
     problem = SdpProblem.from_coupling(mats)
     limits = {key: config[key] for key in ("max_iters", "tol") if key in config}

@@ -33,7 +33,7 @@ K0 = 2.0 * np.pi  # resonant wavenumber in lambda0 units
 GAMMA0 = 1.0  # single-emitter decay rate, the internal unit of all rates
 PSD_TOLERANCE = -1e-8  # in units of gamma0; absorbs eigensolver noise at N ~ 1e4
 COINCIDENT_TOL = 1e-12  # separations below this (in lambda0) are treated as coincident
-PAIR_BLOCK = 512  # rows per pass of the pair loop; bounds its (PAIR_BLOCK, N, 3) temporaries
+PAIR_BLOCK = 32  # rows per pass of the triangle pair loop; sizes its (PAIR_BLOCK, N, 3) temporaries
 
 _BINARY_MAGIC = b"CDMATRX1"  # 8 bytes; followed by uint64 N, then N*N float64 row-major
 
@@ -54,36 +54,60 @@ def _j_kernel(x, c2):
     return t + (l - t) * c2
 
 
+class _BuiltOnFirstRead:
+    """The gamma field of CouplingMatrices. As a non-data descriptor it yields to the gamma an
+    instance holds; one that __post_init__ removed is built from the table on first read and
+    kept. It has no class-level value, so gamma stays a required field."""
+
+    def __get__(self, mats, owner=None):
+        if mats is None:
+            raise AttributeError("gamma")
+        mats.gamma = _offset_matrix(mats.table)
+        return mats.gamma
+
+
 @dataclass
 class CouplingMatrices:
     """Dense symmetric dissipative (gamma) and, for export only, coherent (jmat) matrices.
 
     gamma has gamma0 on the diagonal; jmat has zero diagonal. Both are in
     units of gamma0 and store one value per unordered pair, mirrored exactly.
-    Construction checks, in O(1), that gamma is n x n (n >= 1) and that gamma0
-    is gamma[0, 0] to 1e-12; the O(N^2) checks run only on matrices read from files
-    (validated_coupling). A hand-built gamma must be exactly symmetric: the
-    eigensolvers silently read one triangle of an asymmetric one.
+    Construction checks, in O(1), that gamma is n x n (n >= 1) and that gamma0 is
+    gamma[0, 0] to 1e-12, reading the table's grid and centre when gamma is left to it;
+    the O(N^2) checks run only on matrices read from files (validated_coupling). A
+    hand-built gamma must be exactly symmetric: the eigensolvers silently read one triangle
+    of an asymmetric one.
 
-    grid is the site grid (n,)*D of an ordered array whose gamma is exactly unchanged by
-    reversing each lattice axis on its own (every chain, and planes and cubes polarized along
-    an axis), else None. Only build_coupling_matrices sets it, from the offset table; the
-    eigensolve trusts it unchecked and folds gamma into 2^D mirror blocks.
+    table is the (2n - 1,)*D offset table (_offset_table) of an ordered array whose table is
+    its own reversal along every axis (every chain, and planes and cubes polarized along an
+    axis), else None. Only build_coupling_matrices sets it, with gamma=None: the eigensolve
+    trusts it unchecked and folds it straight into 2^D mirror blocks, and gamma is built from
+    it (_offset_matrix) on first read and kept.
     """
 
-    gamma: np.ndarray
+    gamma: np.ndarray | None = _BuiltOnFirstRead()
     gamma0: float
     n: int
     jmat: np.ndarray | None = None
-    grid: tuple[int, ...] | None = None
+    table: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.n < 1 or np.shape(self.gamma) != (self.n, self.n):
+        lazy = self.gamma is None and self.table is not None
+        if lazy:
+            del self.gamma  # built on first read (_BuiltOnFirstRead)
+        shape = (math.prod(self.grid),) * 2 if lazy else np.shape(self.gamma)
+        if self.n < 1 or shape != (self.n, self.n):
             raise PhysicsValidationError(
-                f"coupling matrix of shape {np.shape(self.gamma)} is not {self.n} x {self.n}")
-        if not abs(self.gamma0 - self.gamma[0, 0]) <= 1e-12:
+                f"coupling matrix of shape {shape} is not {self.n} x {self.n}")
+        first = self.table[tuple(n - 1 for n in self.grid)] if lazy else self.gamma[0, 0]
+        if not abs(self.gamma0 - first) <= 1e-12:
             raise PhysicsValidationError(
-                f"gamma0 = {self.gamma0!r} is not gamma[0, 0] = {self.gamma[0, 0]!r}")
+                f"gamma0 = {self.gamma0!r} is not gamma[0, 0] = {first!r}")
+
+    @property
+    def grid(self) -> tuple[int, ...] | None:
+        """The site grid (n,)*D of the offset table, or None without one."""
+        return None if self.table is None else tuple((s + 1) // 2 for s in self.table.shape)
 
 
 @dataclass
@@ -122,12 +146,13 @@ def _kernel_values(sep, self_at, pol, kernel, locate) -> np.ndarray:
     zero separations at self_at get a placeholder for the caller to overwrite; any other r
     within COINCIDENT_TOL raises CoincidentEmittersError on the pair locate(its index), and a
     value that is not finite (a separation past the float range) PhysicsValidationError."""
-    dist = np.linalg.norm(sep, axis=-1)
-    dist[self_at] = 1.0
-    bad = np.argwhere(dist <= COINCIDENT_TOL)
-    if bad.size:
-        raise CoincidentEmittersError(*locate(bad[0]))
-    values = kernel(K0 * dist, (sep @ pol) ** 2 / dist**2)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
+        dist = np.linalg.norm(sep, axis=-1)
+        dist[self_at] = 1.0
+        bad = np.argwhere(dist <= COINCIDENT_TOL)
+        if bad.size:
+            raise CoincidentEmittersError(*locate(bad[0]))
+        values = kernel(K0 * dist, (sep @ pol) ** 2 / dist**2)
     if not np.isfinite(values).all():
         far = dist[~np.isfinite(values)].max()
         raise PhysicsValidationError(f"coupling kernel is not finite at separation {far:.3e}")
@@ -137,14 +162,20 @@ def _kernel_values(sep, self_at, pol, kernel, locate) -> np.ndarray:
 def _lattice_spec(array: AtomArray) -> LatticeSpec | None:
     """The spec of an ordered array (positions exactly its spec's lattice), else None."""
     spec = array.source_spec
-    lattice = grid_points(np.arange(spec.n_per_axis, dtype=float) * spec.spacing, spec.dimension)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range, refused later
+        lattice = grid_points(np.arange(spec.n_per_axis, dtype=float) * spec.spacing,
+                              spec.dimension)
     return spec if spec.disorder_eta == 0 and np.array_equal(array.positions, lattice) else None
 
 
 def _pair_matrix(positions, pol, kernel, diagonal) -> np.ndarray:
     """kernel(k0*r, (r_hat . p)^2), p = pol a unit vector, for every pair of an (N, 3) position
     list with the given diagonal, by the blocked pair loop. Raises CoincidentEmittersError if
-    two overlap."""
+    two overlap.
+
+    Rows [start, stop) are evaluated on the columns start: only, and written there and
+    transposed below: the kernel is exactly even in r, so both triangles hold the same bytes,
+    and the first coincident pair in row-major order is the one a full sweep finds."""
     pos = np.asarray(positions, dtype=float)
     n = pos.shape[0]
     if n < 1:
@@ -154,54 +185,59 @@ def _pair_matrix(positions, pol, kernel, diagonal) -> np.ndarray:
     out = np.empty((n, n))
     for start in range(0, n, PAIR_BLOCK):
         stop = min(start + PAIR_BLOCK, n)
-        local = np.arange(start, stop)
-        out[start:stop] = _kernel_values(pos[start:stop, None, :] - pos[None, :, :],  # (b, n, 3)
-                                         (local - start, local), pol, kernel,
-                                         lambda b: (int(b[0]) + start, int(b[1])))
-
-    # one value per unordered pair: mirror the strict upper triangle
-    iu = np.triu_indices(n, k=1)
-    out[(iu[1], iu[0])] = out[iu]
+        local = np.arange(stop - start)
+        block = _kernel_values(pos[start:stop, None, :] - pos[None, start:, :],  # (b, n - start, 3)
+                               (local, local), pol, kernel,
+                               lambda b: (int(b[0]) + start, int(b[1]) + start))
+        out[start:stop, start:] = block
+        out[start:, start:stop] = block.T
     np.fill_diagonal(out, diagonal)
     return out
 
 
-def _offset_matrix(spec: LatticeSpec, pol, kernel, diagonal):
-    """(matrix, table): _pair_matrix of the lattice of spec from one kernel call per lattice
-    offset, and the (2n - 1,)*D table of those values. The pair value depends only on the
-    offset m = b - a of the sites' integer coordinates and is mirrored (table(-m) =
-    table(m), as i > j mirrors i < j), so with table[m + n - 1] the row of site a, viewed as
-    an (n,)*D block, is the slice [n - 1 - a_k : 2n - 1 - a_k] on each axis k. Every row is
-    such a window of the table, and all are copied in one pass without index arrays."""
+def _offset_table(spec: LatticeSpec, pol, kernel, diagonal) -> np.ndarray:
+    """The (2n - 1,)*D table of kernel values, one kernel call per lattice offset, with the
+    given diagonal at the zero offset. The pair value of an ordered lattice depends only on the
+    offset m = b - a of the sites' integer coordinates, at table[m + n - 1], and is mirrored:
+    table(-m) = table(m), as i > j mirrors i < j."""
     n, dim = spec.n_per_axis, spec.dimension
-    sep = grid_points(np.arange(1 - n, n, dtype=float) * spec.spacing, dim)  # m*d, raveled
+    with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range, refused below
+        sep = grid_points(np.arange(1 - n, n, dtype=float) * spec.spacing, dim)  # m*d, raveled
     center = len(sep) // 2  # the zero offset
     # a coincident offset means d <= COINCIDENT_TOL, so the nearest sites 0 and 1 coincide
     half = _kernel_values(sep[: center + 1], center, pol, kernel, lambda b: (0, 1))
     half[center] = diagonal
-    table = np.concatenate([half, half[:center][::-1]]).reshape((2 * n - 1,) * dim)
-    windows = np.lib.stride_tricks.sliding_window_view(table, (n,) * dim)  # [s] = table[s:s+n]
-    out = np.empty((n**dim, n**dim))
-    out.reshape((n,) * (2 * dim))[...] = np.flip(windows, tuple(range(dim)))
-    return out, table
+    return np.concatenate([half, half[:center][::-1]]).reshape((2 * n - 1,) * dim)
+
+
+def _offset_matrix(table) -> np.ndarray:
+    """_pair_matrix of the lattice of an _offset_table. Viewed as an (n,)*D block, the row of
+    site a is the slice [n - 1 - a_k : 2n - 1 - a_k] of the table on each axis k: every row is
+    such a window, and all are copied in one pass without index arrays."""
+    grid = tuple((s + 1) // 2 for s in table.shape)
+    windows = np.lib.stride_tricks.sliding_window_view(table, grid)  # [s] = table[s:s+n]
+    out = np.empty((math.prod(grid),) * 2)
+    out.reshape(grid * 2)[...] = np.flip(windows, tuple(range(table.ndim)))
+    return out
 
 
 def build_coupling_matrices(array: AtomArray) -> CouplingMatrices:
     """Gamma for all pairs of `array` at its source spec's polarization; jmat is left unset.
 
-    An ordered array is built from its lattice offsets, with grid set when the offset table
-    is its own reversal along every axis; any other goes through
-    build_coupling_from_positions. Raises CoincidentEmittersError with the offending
-    indices if two emitters overlap.
+    An ordered array is built from its lattice offsets: when the offset table is its own
+    reversal along every axis, it is kept as table and gamma is built only on first read.
+    Any other array goes through build_coupling_from_positions. Raises
+    CoincidentEmittersError with the offending indices if two emitters overlap.
     """
     pol = array.source_spec.pol_vector
     lattice = _lattice_spec(array)
     if lattice is None:
         return build_coupling_from_positions(array.positions, pol)
-    gamma, table = _offset_matrix(lattice, pol, _gamma_kernel, GAMMA0)
-    mirrored = all(np.array_equal(table, np.flip(table, k)) for k in range(table.ndim))
-    grid = (lattice.n_per_axis,) * table.ndim if mirrored else None
-    return CouplingMatrices(gamma=gamma, gamma0=GAMMA0, n=gamma.shape[0], grid=grid)
+    table = _offset_table(lattice, pol, _gamma_kernel, GAMMA0)
+    if all(np.array_equal(table, np.flip(table, k)) for k in range(table.ndim)):
+        return CouplingMatrices(gamma=None, gamma0=GAMMA0, n=lattice.n_atoms, table=table)
+    gamma = _offset_matrix(table)
+    return CouplingMatrices(gamma=gamma, gamma0=GAMMA0, n=gamma.shape[0])
 
 
 def build_coupling_from_positions(positions: np.ndarray, pol) -> CouplingMatrices:
@@ -216,7 +252,7 @@ def build_export_matrices(array: AtomArray) -> CouplingMatrices:
     mats = build_coupling_matrices(array)
     pol, lattice = array.source_spec.pol_vector, _lattice_spec(array)
     mats.jmat = (_pair_matrix(array.positions, pol, _j_kernel, 0.0) if lattice is None
-                 else _offset_matrix(lattice, pol, _j_kernel, 0.0)[0])
+                 else _offset_matrix(_offset_table(lattice, pol, _j_kernel, 0.0)))
     return mats
 
 
@@ -260,18 +296,31 @@ def parity_blocks(g):
     return g[:m, :m], g[:m, ::-1][:, :m]
 
 
-def _mirror_blocks(g, grid):
-    """The 2^D diagonal blocks of g, one at a time as (E, E) arrays, in the basis of modes
+def _mirror_blocks(mats: CouplingMatrices, grid):
+    """The 2^D diagonal blocks of gamma, one at a time as (E, E) arrays, in the basis of modes
     even or odd under reversing each axis of the site grid (bit k of the block index s set:
     odd along axis k). Axis k of length n keeps its first e = ceil(n/2) sites: block s sums
-    the views of g with the column axes of the set bits of r reversed, each signed by the
+    the views of gamma with the column axes of the set bits of r reversed, each signed by the
     parity of s & r; then on an odd axis the middle site's rows and columns are scaled by
-    1/sqrt2 (their crossing by 1/2) in the even blocks and dropped from the odd ones. g is
-    only read, and only the block being solved is held."""
+    1/sqrt2 (their crossing by 1/2) in the even blocks and dropped from the odd ones. Only
+    the block being solved is held.
+
+    The views are read from mats.table when it is set, else from mats.gamma on `grid`. Along
+    an axis, gamma[a, b] = table[n - 1 - a + b] is window row n - 1 - a, column b of the
+    table's (n,)*D sliding windows ([s][c] = table[s + c]): the unreversed view reverses the
+    window rows, and the reversed one, table[2n - 2 - a - b] = table[a + b] as the table is
+    its own reversal, is the windows as they are. Both hold the numbers of the gamma views
+    in the same order, so the blocks are the same bytes."""
     dim = len(grid)
-    t = g.reshape(grid + grid)
     head = tuple(slice((n + 1) // 2) for n in grid) * 2
-    views = [np.flip(t, [dim + k for k in range(dim) if r >> k & 1])[head] for r in range(2**dim)]
+    if mats.table is None:
+        t = mats.gamma.reshape(grid + grid)
+        views = [np.flip(t, [dim + k for k in range(dim) if r >> k & 1])[head]
+                 for r in range(2**dim)]
+    else:
+        t = np.lib.stride_tricks.sliding_window_view(mats.table, grid)
+        views = [np.flip(t, [k for k in range(dim) if not r >> k & 1])[head]
+                 for r in range(2**dim)]
     for s in range(2**dim):
         b = views[0].copy()
         for r in range(1, 2**dim):
@@ -305,24 +354,25 @@ def _unfold(u, s, grid):
     return u.ravel()
 
 
-def gamma_eigensolve(g, top_vector=False, grid=None):
-    """(ascending eigenvalues, unit top eigenvector or None, label) of symmetric gamma g.
+def gamma_eigensolve(mats: CouplingMatrices, top_vector=False):
+    """(ascending eigenvalues, unit top eigenvector or None, label) of mats.gamma.
 
-    g is folded over a tuple `grid` of axis lengths whose every axis reversal leaves it
-    unchanged: the given one (the caller vouches for it, as CouplingMatrices.grid does), else
-    (N,) when g is centrosymmetric (parity_blocks). Each of the 2^D mirror blocks
+    Gamma is folded over a tuple `grid` of axis lengths whose every axis reversal leaves it
+    unchanged: mats.grid, read from the offset table without building gamma, else (N,) when
+    gamma is centrosymmetric (parity_blocks). Each of the 2^D mirror blocks
     (_mirror_blocks), about N/2^D rows, is solved alone; the top vector is the top mode of
     the block with the largest top eigenvalue (ties: the first block, all-even first). The
-    label is "parity" for a one-axis fold, "mirror" for more axes and "dense" for a g solved
-    whole."""
+    label is "parity" for a one-axis fold, "mirror" for more axes and "dense" for a gamma
+    solved whole."""
     solve = np.linalg.eigh if top_vector else lambda x: (np.linalg.eigvalsh(x), None)
-    if grid is None and parity_blocks(g) is not None:
-        grid = (len(g),)
+    grid = mats.grid
+    if grid is None and parity_blocks(mats.gamma) is not None:
+        grid = (mats.n,)
     if grid is None:
-        vals, vecs = solve(g)
+        vals, vecs = solve(mats.gamma)
         return vals, None if vecs is None else vecs[:, -1], "dense"
     parts, top = [], None
-    for s, block in enumerate(_mirror_blocks(g, grid)):
+    for s, block in enumerate(_mirror_blocks(mats, grid)):
         if block.size:
             w, v = solve(block)
             parts.append(w)
@@ -335,7 +385,7 @@ def gamma_eigensolve(g, top_vector=False, grid=None):
 
 def validate_psd(mats: CouplingMatrices) -> PsdDiagnostic:
     """PsdDiagnostic.of the minimum eigenvalue of gamma (diagnostic only)."""
-    return PsdDiagnostic.of(gamma_eigensolve(mats.gamma, grid=mats.grid)[0][0], mats.gamma0)
+    return PsdDiagnostic.of(gamma_eigensolve(mats)[0][0], mats.gamma0)
 
 
 def offdiagonal_sum(mats: CouplingMatrices) -> float:

@@ -171,7 +171,8 @@ def grid_points(axis, dimension: int) -> np.ndarray:
 def generate_lattice(spec: LatticeSpec) -> AtomArray:
     """Ordered positions of `spec`: grid_points of the axis 0, d, ..., (n-1) d, so the
     origin sits at a lattice corner. Pure function of the spec."""
-    axis = np.arange(spec.n_per_axis, dtype=float) * spec.spacing
+    with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range, refused later
+        axis = np.arange(spec.n_per_axis, dtype=float) * spec.spacing
     return AtomArray(positions=grid_points(axis, spec.dimension), source_spec=spec)
 
 
@@ -190,7 +191,8 @@ def apply_position_disorder(array: AtomArray, disorder_eta: float, seed: int) ->
     offsets = _rng(seed).normal(0.0, sigma, size=array.positions.shape)
     new_spec = replace(array.source_spec, disorder_eta=disorder_eta, seed=seed)
     out = AtomArray(positions=array.positions + offsets, source_spec=new_spec)
-    if np.unique(out.positions, axis=0).shape[0] < out.n_atoms:
+    rows = out.positions[np.lexsort(out.positions.T)]
+    if (rows[1:] == rows[:-1]).all(axis=1).any():
         raise PhysicsValidationError("disorder draw produced coincident emitters")
     return out
 

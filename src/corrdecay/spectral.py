@@ -52,7 +52,7 @@ def delocalization_delta(dominant_vec) -> float:
 
 def decompose(mats: CouplingMatrices) -> SpectralSummary:
     """Eigenvalues of gamma, sorted descending, and its brightest mode."""
-    vals, vec, solver = gamma_eigensolve(mats.gamma, top_vector=True, grid=mats.grid)
+    vals, vec, solver = gamma_eigensolve(mats, top_vector=True)
     vals = vals[::-1]
     if vec[np.argmax(np.abs(vec))] < 0:
         vec = -vec
@@ -65,7 +65,7 @@ def decompose(mats: CouplingMatrices) -> SpectralSummary:
 
 def gamma_max_only(mats: CouplingMatrices) -> float:
     """Largest collective rate without eigenvectors (cheaper for sweeps)."""
-    return float(gamma_eigensolve(mats.gamma, grid=mats.grid)[0][-1])
+    return float(gamma_eigensolve(mats)[0][-1])
 
 
 @dataclass

@@ -153,16 +153,17 @@ def test_scan_single_realization_follows_seed(tmp_path):
      "--eta", "0.05", "--seed", "3"],
 ], ids=["analyze", "sdp", "analyze-disordered"])
 def test_one_dense_eigensolve_per_command(tmp_path, monkeypatch, argv):
-    # one gamma_eigensolve per command, which solves the whole 25 x 25 Gamma (unit
-    # diagonal) only on the disordered array: the ordered plane splits into four mirror
-    # blocks. sdp adds one values-only eigvalsh of its dual certificate per rank round.
+    # one gamma_eigensolve per command, of the N = 25 coupling, which solves the whole
+    # 25 x 25 Gamma (unit diagonal) only on the disordered array: the ordered plane splits
+    # into four mirror blocks. sdp adds one values-only eigvalsh of its dual certificate per
+    # rank round.
     from corrdecay import cli, coupling, spectral
 
     solves, calls = [], []
 
-    def counted_solve(gamma, *args, _solve=coupling.gamma_eigensolve, **kwargs):
-        solves.append(np.shape(gamma))
-        return _solve(gamma, *args, **kwargs)
+    def counted_solve(mats, *args, _solve=coupling.gamma_eigensolve, **kwargs):
+        solves.append(mats.n)
+        return _solve(mats, *args, **kwargs)
 
     for module in (coupling, spectral, cli):
         monkeypatch.setattr(module, "gamma_eigensolve", counted_solve)
@@ -174,7 +175,7 @@ def test_one_dense_eigensolve_per_command(tmp_path, monkeypatch, argv):
             return _solve(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     assert main(argv + ["--out", str(tmp_path)]) == 0
-    assert solves == [(25, 25)]
+    assert solves == [25]
     assert sum(kind == "gamma" for _, kind in calls) == ("--eta" in argv), calls
     rounds = json.loads((tmp_path / "sdp.json").read_text())["rounds"] if argv[0] == "sdp" else 0
     certificates = [call for call in calls if call[1] == "certificate"]
@@ -738,13 +739,14 @@ for argv in (["gamma", "--dim", "2", "--n", "4", "--d", "0.4", "--eta", "0.05",
              ["analyze", "--dim", "1", "--n", "4", "--d", "0.3", "--pol", "z"],
              ["kspace", "--dim", "3", "--n", "4", "--d", "0.4"]):
     assert main(argv + ["--out", out + "/" + argv[0]]) == 0, argv
-print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema")))
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("scipy", "jsonschema") or m == "numpy.ma"))
 """
 
 
 def test_cold_start_imports_no_scipy(tmp_path):
     # a fresh interpreter runs the disordered export and the CLI on numpy alone,
-    # importing neither scipy nor jsonschema
+    # importing neither scipy nor jsonschema nor numpy.ma
     proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mats_from_gamma, random_small_lattice
 from corrdecay import coupling
@@ -7,6 +9,7 @@ from corrdecay.coupling import (
     COINCIDENT_TOL,
     GAMMA0,
     K0,
+    PAIR_BLOCK,
     CouplingMatrices,
     PsdDiagnostic,
     _gamma_kernel,
@@ -219,6 +222,17 @@ def test_coupling_matrices_refuses_n_or_gamma0_off_gamma(gamma, gamma0, n):
         CouplingMatrices(gamma=gamma, gamma0=gamma0, n=n)
 
 
+@pytest.mark.parametrize("gamma0, n", [(1.0, 9), (2.0, 3), (1.0 + 2e-12, 3)],
+                         ids=["three-sites-claim-nine", "gamma0-2-centre-1",
+                              "gamma0-beyond-1e-12"])
+def test_coupling_matrices_refuses_n_or_gamma0_off_the_table(gamma0, n):
+    # a 1D table of 3 sites (shape (5,), centre table[2] = 1) stands for gamma
+    table = np.array([0.1, 0.5, 1.0, 0.5, 0.1])
+    assert CouplingMatrices(gamma=None, gamma0=1.0, n=3, table=table).grid == (3,)
+    with pytest.raises(PhysicsValidationError):
+        CouplingMatrices(gamma=None, gamma0=gamma0, n=n, table=table)
+
+
 def test_coupling_matrices_accepts_gamma0_within_1e12():
     # a diagonal of 1 +- 1 ulp (as a normalized Gram matrix has) against gamma0 = 1
     for diagonal in (np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 1.0 + 5e-13):
@@ -296,7 +310,7 @@ def test_ordered_gamma_is_exactly_centrosymmetric(dimension, n, pol):
     gamma = build_coupling_matrices(generate_lattice(
         LatticeSpec(dimension=dimension, n_per_axis=n, spacing=0.37, polarization=pol))).gamma
     assert np.array_equal(gamma, gamma[::-1, ::-1])
-    assert gamma_eigensolve(gamma)[2] == "parity"
+    assert gamma_eigensolve(mats_from_gamma(gamma))[2] == "parity"
 
 
 def index_gather(spec, pol, kernel, diagonal):
@@ -319,8 +333,9 @@ def index_gather(spec, pol, kernel, diagonal):
                                           (3, 2), (3, 5)])
 def test_offset_rows_equal_the_index_gather(dimension, n, kernel, diagonal):
     spec = LatticeSpec(dimension=dimension, n_per_axis=n, spacing=0.37, polarization=OBLIQUE)
-    matrix, table = coupling._offset_matrix(spec, spec.pol_vector, kernel, diagonal)
+    table = coupling._offset_table(spec, spec.pol_vector, kernel, diagonal)
     assert table.shape == (2 * n - 1,) * dimension
+    matrix = coupling._offset_matrix(table)
     assert matrix.tobytes() == index_gather(spec, spec.pol_vector, kernel, diagonal).tobytes()
 
 
@@ -332,15 +347,17 @@ MIRROR_POLS = {"x": (1.0, 0, 0), "y": (0, 1.0, 0), "z": (0, 0, 1.0), "xy": (0.6,
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 7])
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_ordered_gamma_folds_over_its_mirror_axes(dimension, n, pol):
-    # grid is set exactly when Gamma is unchanged by reversing each lattice axis on its own:
+    # the table is kept exactly when Gamma is unchanged by reversing each lattice axis on its own:
     # every chain and axis-aligned polarization; an xy-oblique dipole breaks both plane axes,
     # an xz-oblique one the cube's x and z axes. Either way the spectrum is the dense one.
     mats = build_coupling_matrices(generate_lattice(LatticeSpec(
         dimension=dimension, n_per_axis=n, spacing=0.37, polarization=MIRROR_POLS[pol])))
+    unbuilt = "gamma" not in vars(mats)  # a kept table leaves gamma to its first read
     t = mats.gamma.reshape((n,) * 2 * dimension)
     mirrored = all(np.array_equal(t, np.flip(t, (k, dimension + k))) for k in range(dimension))
     assert mirrored == (dimension == 1 or n == 1 or len(pol) == 1 or (dimension, pol) == (2, "xz"))
     assert mats.grid == ((n,) * dimension if mirrored else None)
+    assert (mats.table is not None) == mirrored == unbuilt
     summary = decompose(mats)
     assert summary.eigensolver == ("parity" if not mirrored or dimension == 1 else "mirror")
     dense = np.linalg.eigvalsh(mats.gamma)
@@ -354,10 +371,90 @@ def test_ordered_gamma_folds_over_its_mirror_axes(dimension, n, pol):
 def test_disordered_gamma_takes_the_dense_eigensolve():
     gamma = build_coupling_matrices(build_array(
         LatticeSpec(dimension=2, n_per_axis=5, spacing=0.4, disorder_eta=0.05, seed=3))).gamma
-    vals, _, solver = gamma_eigensolve(gamma)
+    vals, _, solver = gamma_eigensolve(mats_from_gamma(gamma))
     assert solver == "dense"
     assert np.array_equal(vals, np.linalg.eigvalsh(gamma))
     assert gamma_max_only(mats_from_gamma(gamma)) == np.linalg.eigvalsh(gamma)[-1]
+
+
+def built(mats):
+    # whether the dense gamma of mats exists yet
+    return "gamma" in vars(mats)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(dimension=st.integers(1, 3), n=st.integers(1, 7), pol=st.sampled_from("xyz"))
+def test_table_folded_blocks_equal_the_gamma_folded_ones(dimension, n, pol):
+    # the mirror blocks folded straight from the offset table are, byte for byte, the ones
+    # folded from the dense gamma; gamma read afterwards is _offset_matrix of the table
+    spec = LatticeSpec(dimension=dimension, n_per_axis=n, spacing=0.37,
+                       polarization=MIRROR_POLS[pol])
+    mats = build_coupling_matrices(generate_lattice(spec))
+    assert mats.table is not None and mats.grid == (n,) * dimension and not built(mats)
+    dense = coupling._offset_matrix(
+        coupling._offset_table(spec, spec.pol_vector, _gamma_kernel, GAMMA0))
+    from_gamma = CouplingMatrices(gamma=dense, gamma0=GAMMA0, n=mats.n)
+    pairs = zip(coupling._mirror_blocks(mats, mats.grid),
+                coupling._mirror_blocks(from_gamma, mats.grid), strict=True)
+    for folded, reference in pairs:
+        assert folded.shape == reference.shape and folded.tobytes() == reference.tobytes()
+    assert not built(mats)
+    assert mats.gamma.tobytes() == dense.tobytes()
+    assert built(mats) and mats.gamma is mats.gamma
+
+
+@pytest.mark.parametrize("solve", [gamma_max_only, decompose, validate_psd],
+                         ids=["gamma_max_only", "decompose", "validate_psd"])
+@pytest.mark.parametrize("dimension, n", [(1, 9), (2, 6), (3, 3)])
+def test_eigensolves_leave_the_ordered_gamma_unbuilt(dimension, n, solve):
+    mats = build_coupling_matrices(generate_lattice(
+        LatticeSpec(dimension=dimension, n_per_axis=n, spacing=0.37, polarization=(0, 0, 1.0))))
+    solve(mats)
+    assert mats.table is not None and not built(mats)
+
+
+def full_pair_loop(positions, pol, kernel, diagonal):
+    # reference pair loop: each row block against every column, then the strict upper
+    # triangle mirrored onto the lower one
+    pos = np.asarray(positions, dtype=float)
+    n = pos.shape[0]
+    out = np.empty((n, n))
+    for start in range(0, n, PAIR_BLOCK):
+        stop = min(start + PAIR_BLOCK, n)
+        local = np.arange(start, stop)
+        out[start:stop] = coupling._kernel_values(pos[start:stop, None, :] - pos[None, :, :],
+                                                  (local - start, local), pol, kernel,
+                                                  lambda b: (int(b[0]) + start, int(b[1])))
+    iu = np.triu_indices(n, k=1)
+    out[(iu[1], iu[0])] = out[iu]
+    np.fill_diagonal(out, diagonal)
+    return out
+
+
+@pytest.mark.parametrize("kernel, diagonal", [(_gamma_kernel, GAMMA0), (_j_kernel, 0.0)],
+                         ids=["gamma", "j"])
+@pytest.mark.parametrize("n", [1, PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1,
+                               3 * PAIR_BLOCK + 5])
+def test_triangle_pair_loop_matches_the_full_one(n, kernel, diagonal):
+    pos = np.random.default_rng(n).uniform(0.0, 3.0, (n, 3))
+    expected = full_pair_loop(pos, OBLIQUE, kernel, diagonal)
+    assert _pair_matrix(pos, OBLIQUE, kernel, diagonal).tobytes() == expected.tobytes()
+
+
+def test_triangle_pair_loop_reports_the_same_coincident_pair():
+    # two coincident pairs: rows PAIR_BLOCK + 1 and 3 * PAIR_BLOCK + 2 in different row
+    # blocks, and a pair inside a later block with the smaller second atom. Both loops name
+    # the first pair in row-major order.
+    n = 3 * PAIR_BLOCK + 5
+    pos = np.random.default_rng(1).uniform(0.0, 3.0, (n, 3))
+    pos[3 * PAIR_BLOCK + 2] = pos[PAIR_BLOCK + 1]
+    pos[2 * PAIR_BLOCK + 3] = pos[2 * PAIR_BLOCK + 1]
+    found = []
+    for loop in (_pair_matrix, full_pair_loop):
+        with pytest.raises(CoincidentEmittersError) as err:
+            loop(pos, OBLIQUE, _gamma_kernel, GAMMA0)
+        found.append(err.value.indices)
+    assert found == [(PAIR_BLOCK + 1, 3 * PAIR_BLOCK + 2)] * 2
 
 
 def kernel_points(monkeypatch, array):

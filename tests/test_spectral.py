@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dicke_mats, mats_from_gamma, random_unit_diag_psd
-from corrdecay.coupling import build_coupling_matrices, gamma_eigensolve
+from corrdecay.coupling import CouplingMatrices, build_coupling_matrices, gamma_eigensolve
 from corrdecay.errors import PhysicsValidationError
 from corrdecay.lattice import LatticeSpec, generate_lattice
 from corrdecay.spectral import (
@@ -215,13 +215,13 @@ def test_parity_blocks_match_dense_solve_property(n, seed):
     g = g + g[::-1, ::-1]
     dense = np.linalg.eigvalsh(g)
     scale = np.abs(dense).max()
-    vals, vec, solver = gamma_eigensolve(g, top_vector=True)
+    mats = mats_from_gamma(g)
+    vals, vec, solver = gamma_eigensolve(mats, top_vector=True)
     assert solver == ("parity" if n > 1 else "dense")
     np.testing.assert_allclose(vals, dense, rtol=0, atol=1e-12 * scale)
-    np.testing.assert_allclose(gamma_eigensolve(g)[0], dense, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(gamma_eigensolve(mats)[0], dense, rtol=0, atol=1e-12 * scale)
     assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
     assert np.linalg.norm(g @ vec - vals[-1] * vec) <= 1e-12 * scale
-    mats = mats_from_gamma(g)
     assert gamma_max_only(mats) == pytest.approx(decompose(mats).gamma_max, rel=0, abs=1e-12 * scale)
 
 
@@ -229,22 +229,25 @@ def test_parity_blocks_match_dense_solve_property(n, seed):
 @given(grid=st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
        seed=st.integers(0, 2**32 - 1))
 def test_mirror_blocks_match_dense_solve_property(grid, seed):
-    # a random symmetric matrix unchanged by reversing each axis of the site grid on its own:
-    # the merged spectrum of the 2^D mirror blocks is the dense one, and the rebuilt top
-    # vector is a unit eigenvector of the top eigenvalue
-    n, dim = int(np.prod(grid)), len(grid)
-    x = np.random.default_rng(seed).standard_normal((n, n))
-    t = (x + x.T).reshape(grid + grid)
+    # a random offset table on the site grid that is its own reversal along each axis: the
+    # merged spectrum of the 2^D mirror blocks folded from it is the dense one of the matrix
+    # it builds, and the rebuilt top vector is a unit eigenvector of the top eigenvalue
+    dim = len(grid)
+    table = np.random.default_rng(seed).standard_normal([2 * n - 1 for n in grid])
     for k in range(dim):
-        t = t + np.flip(t, (k, dim + k))
-    g = np.ascontiguousarray(t.reshape(n, n))
+        table = table + np.flip(table, k)
+    mats = CouplingMatrices(gamma=None, gamma0=float(table[tuple(n - 1 for n in grid)]),
+                            n=int(np.prod(grid)), table=table)
+    vals, vec, solver = gamma_eigensolve(mats, top_vector=True)
+    assert solver == ("parity" if dim == 1 else "mirror")
+    only = gamma_eigensolve(mats)[0]
+    assert "gamma" not in vars(mats)  # folded from the table alone
+    g = mats.gamma
+    assert np.array_equal(g, g.T)
     dense = np.linalg.eigvalsh(g)
     scale = np.abs(dense).max()
-    vals, vec, solver = gamma_eigensolve(g, top_vector=True, grid=grid)
-    assert solver == ("parity" if dim == 1 else "mirror")
     np.testing.assert_allclose(vals, dense, rtol=0, atol=1e-12 * scale)
-    np.testing.assert_allclose(gamma_eigensolve(g, grid=grid)[0], dense, rtol=0,
-                               atol=1e-12 * scale)
+    np.testing.assert_allclose(only, dense, rtol=0, atol=1e-12 * scale)
     assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
     assert abs(vals[-1] - dense[-1]) <= 1e-12 * scale
     assert np.linalg.norm(g @ vec - vals[-1] * vec) <= 1e-12 * scale
