@@ -21,6 +21,7 @@ Only the coupling export evaluates J; everything else reads gamma alone.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -33,7 +34,7 @@ K0 = 2.0 * np.pi  # resonant wavenumber in lambda0 units
 GAMMA0 = 1.0  # single-emitter decay rate, the internal unit of all rates
 PSD_TOLERANCE = -1e-8  # in units of gamma0; absorbs eigensolver noise at N ~ 1e4
 COINCIDENT_TOL = 1e-12  # separations below this (in lambda0) are treated as coincident
-PAIR_BLOCK = 32  # rows per pass of the triangle pair loop; sizes its (PAIR_BLOCK, N, 3) temporaries
+PAIR_BLOCK = 32  # rows per pass of the pair loop and the matrix checks; sizes their temporaries
 
 _BINARY_MAGIC = b"CDMATRX1"  # 8 bytes; followed by uint64 N, then N*N float64 row-major
 
@@ -258,14 +259,23 @@ def build_export_matrices(array: AtomArray) -> CouplingMatrices:
 
 def check_symmetric_matrix(g: np.ndarray) -> None:
     """PhysicsValidationError unless g is a nonempty square matrix with finite entries,
-    symmetric to atol 1e-12 (no relative tolerance)."""
+    symmetric to atol 1e-12 (no relative tolerance). Both checks run over blocks of
+    PAIR_BLOCK rows, the finite one over the whole matrix first, so a non-finite entry
+    anywhere gets the non-finite message and no temporary exceeds PAIR_BLOCK x N."""
     g = np.asarray(g)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.size == 0:
         raise PhysicsValidationError(f"coupling matrix of shape {g.shape} is not square")
-    if not np.all(np.isfinite(g)):
+    n = len(g)
+    if not all(np.isfinite(g[a:a + PAIR_BLOCK]).all() for a in range(0, n, PAIR_BLOCK)):
         raise PhysicsValidationError("coupling matrix holds non-finite entries")
-    if np.abs(g - g.T).max() > 1e-12:
-        raise PhysicsValidationError("coupling matrix is asymmetric")
+    buf = np.empty((min(PAIR_BLOCK, n), n), dtype=g.dtype)  # one block's |g[a:b] - g[:, a:b].T|
+    for a in range(0, n, PAIR_BLOCK):
+        rows = g[a:a + PAIR_BLOCK]
+        diff = buf[: len(rows)]
+        np.copyto(diff, g[:, a:a + PAIR_BLOCK].T)
+        diff -= rows
+        if np.abs(diff, out=diff).max() > 1e-12:
+            raise PhysicsValidationError("coupling matrix is asymmetric")
 
 
 def check_coupling_matrix(gamma: np.ndarray) -> None:
@@ -395,15 +405,17 @@ def offdiagonal_sum(mats: CouplingMatrices) -> float:
 
 def write_coupling_csv(mats: CouplingMatrices, path):
     """Dense pair listing with header i,j,gamma,jcoupling (N^2 rows, row-major), values
-    as %.17g so they read back exactly.
+    as %.17g so they read back exactly. Written one row of gamma and jmat at a time, so
+    nothing N^2-sized is built beside the matrices.
 
     mats.jmat must be set, as build_export_matrices does.
     """
-    i, j = np.divmod(np.arange(mats.n**2), mats.n)
-    rows = zip(i.tolist(), j.tolist(), mats.gamma.ravel().tolist(), mats.jmat.ravel().tolist())
+    cols = range(mats.n)
     with open(path, "w") as fh:
         fh.write("i,j,gamma,jcoupling\n")
-        fh.writelines(map("%d,%d,%.17g,%.17g\n".__mod__, rows))
+        for i, (g, j) in enumerate(zip(mats.gamma, mats.jmat)):
+            rows = zip(cols, g.tolist(), j.tolist())
+            fh.writelines(map(f"{i},%d,%.17g,%.17g\n".__mod__, rows))
 
 
 def read_coupling_csv(path) -> CouplingMatrices:
@@ -418,22 +430,31 @@ def read_coupling_csv(path) -> CouplingMatrices:
 
 
 def write_matrix_binary(matrix: np.ndarray, path):
-    """Binary dump: 16-byte header (8-byte magic + uint64 N), then row-major float64."""
+    """Binary dump: 16-byte header (8-byte magic + uint64 N), then row-major float64,
+    written from the contiguous array's own buffer (a copy only of a matrix that is not
+    C-contiguous float64)."""
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    n = matrix.shape[0]
     with open(path, "wb") as fh:
         fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack("<Q", n))
-        fh.write(matrix.tobytes())
+        fh.write(struct.pack("<Q", matrix.shape[0]))
+        fh.write(memoryview(matrix))
 
 
 def read_matrix_binary(path) -> np.ndarray:
+    """The (N, N) float64 matrix of a write_matrix_binary file. The magic, the header N and
+    the file length, exactly 16 + 8 N^2 bytes, are checked before anything is allocated
+    (PhysicsValidationError otherwise); the payload is then read straight into the array."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _BINARY_MAGIC:
             raise PhysicsValidationError(f"bad matrix file magic {magic!r}")
-        (n,) = struct.unpack("<Q", fh.read(8))
-        data = np.frombuffer(fh.read(), dtype=np.float64)
-    if data.size != n * n:
-        raise PhysicsValidationError("matrix file payload does not match header N")
-    return data.reshape(n, n).copy()
+        header = fh.read(8)
+        if len(header) != 8:
+            raise PhysicsValidationError("matrix file header is cut short")
+        (n,) = struct.unpack("<Q", header)
+        if os.fstat(fh.fileno()).st_size != 16 + 8 * n * n:
+            raise PhysicsValidationError("matrix file payload does not match header N")
+        matrix = np.empty((n, n))
+        if fh.readinto(matrix) != matrix.nbytes:  # the file shrank after the length check
+            raise PhysicsValidationError("matrix file payload does not match header N")
+    return matrix

@@ -16,7 +16,6 @@ cheaper beast.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .coupling import CouplingMatrices, check_coupling_matrix
 from .errors import ConfigError, SolverConvergenceError
-from .lattice import _rng
+from .lattice import _rng, thread_map
 
 MAX_QUBITS = 23  # largest N measured: a d = 0.2 chain takes 176 s and 920 MiB (2 cores, OpenBLAS)
 MAX_DENSE_DIM = 400  # measured dense/Lanczos crossover: about 450 (chains, N = 11-17)
@@ -213,11 +212,7 @@ def exact_rstar(mats: CouplingMatrices, force_method: str | None = None, seed: i
         value, _ = lanczos_largest(lambda v: sector_matvec(mats, basis, v), basis.dim, seed=seed)
         return value, "lanczos"
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve_sector, range(n // 2 + 1)))
-    else:  # a one-worker pool costs a thread start and a malloc arena per call
-        solved = [solve_sector(m) for m in range(n // 2 + 1)]
+    solved = list(thread_map(solve_sector, range(n // 2 + 1), threads))
     per_sector = [value for value, _ in solved]
     per_sector += [per_sector[n - m] + mats.gamma0 * (n - 2 * m)
                    for m in range(n // 2 + 1, n + 1)]

@@ -1,16 +1,15 @@
 """N-sweeps of collective-rate quantities and power-law fits with a fit-quality gate.
 
-Sweep points (and disorder realizations within a point) run in a bounded
-thread pool; numpy releases the GIL in the heavy kernels. Results are keyed
-by (point, realization) seeds, so the table is identical however the pool
-schedules the work.
+Sweep points (and disorder realizations within a point) run on a bounded
+thread pool when threads > 1 (lattice.thread_map); numpy releases the GIL in
+the heavy kernels. Results are keyed by (point, realization) seeds, so the
+table is identical however the pool schedules the work.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .bounds import bounds_report
 from .coupling import build_coupling_matrices
 from .errors import ConfigError
-from .lattice import LatticeSpec, build_array, check_disorder
+from .lattice import LatticeSpec, build_array, check_disorder, thread_map
 from .sdp import SdpProblem, solve_low_rank
 from .spectral import decompose, gamma_max_only
 
@@ -158,13 +157,12 @@ def run_sweep(plan: SweepPlan, threads: int = 1, on_row=None) -> SweepTable:
         return SweepRow(n_atoms=n_atoms, value=float(arr.mean()), stderr=stderr, error=err)
 
     table = SweepTable()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        outcomes = pool.map(_run, jobs)  # in job order: a point's realizations arrive together
-        for n_1d in plan.n_1d_values:
-            row = _aggregate(n_1d**plan.dimension, itertools.islice(outcomes, r_count))
-            table.rows.append(row)
-            if on_row is not None:
-                on_row(row)
+    outcomes = thread_map(_run, jobs, threads)  # in job order: a point's realizations together
+    for n_1d in plan.n_1d_values:
+        row = _aggregate(n_1d**plan.dimension, itertools.islice(outcomes, r_count))
+        table.rows.append(row)
+        if on_row is not None:
+            on_row(row)
     return table
 
 

@@ -2,6 +2,7 @@ import argparse
 import functools
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -100,6 +101,26 @@ def test_gamma_file_rejects_invalid_matrix(tmp_path, command, kind):
     write_matrix_binary(INVALID_MATRICES[kind], mat_file)
     rc = main([command, "--gamma-file", str(mat_file), "--out", str(tmp_path)])
     assert rc == 3
+
+
+MALFORMED_FILES = {
+    "10-byte": b"CDMATRX1\x02\x00",
+    "n2-33-byte-payload": b"CDMATRX1" + struct.pack("<Q", 2) + bytes(33),
+    "n2-40-byte-payload": b"CDMATRX1" + struct.pack("<Q", 2) + bytes(40),
+    "n2**40-32-byte-payload": b"CDMATRX1" + struct.pack("<Q", 2**40) + bytes(32),
+}
+
+
+@pytest.mark.parametrize("command", ["exact", "analyze", "sdp"])
+@pytest.mark.parametrize("kind", list(MALFORMED_FILES))
+def test_gamma_file_rejects_malformed_file(tmp_path, capsys, command, kind):
+    mat_file = tmp_path / "bad.bin"
+    mat_file.write_bytes(MALFORMED_FILES[kind])
+    out = tmp_path / "out"
+    rc = main([command, "--gamma-file", str(mat_file), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3 and "physics validation error: matrix file" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["sdp", "analyze"])
@@ -740,15 +761,16 @@ for argv in (["gamma", "--dim", "2", "--n", "4", "--d", "0.4", "--eta", "0.05",
              ["kspace", "--dim", "3", "--n", "4", "--d", "0.4"]):
     assert main(argv + ["--out", out + "/" + argv[0]]) == 0, argv
 print(sorted(m for m in sys.modules
-             if m.split(".")[0] in ("scipy", "jsonschema") or m == "numpy.ma"))
+             if m.split(".")[0] in ("scipy", "jsonschema") or m in ("numpy.ma", "concurrent.futures")))
 """
 
 
 def test_cold_start_imports_no_scipy(tmp_path):
-    # a fresh interpreter runs the disordered export and the CLI on numpy alone,
-    # importing neither scipy nor jsonschema nor numpy.ma
+    # a fresh interpreter runs the disordered export and the CLI on numpy alone, importing
+    # neither scipy nor jsonschema nor numpy.ma, and at one thread no concurrent.futures
     proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
-                          capture_output=True, text=True, env=child_env())
+                          capture_output=True, text=True,
+                          env={**child_env(), "CORRDECAY_THREADS": "1"})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "coupling.csv").exists() and (tmp_path / "gamma" / "coupling.csv").exists()

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,11 +21,13 @@ from corrdecay.coupling import (
     build_coupling_from_positions,
     build_coupling_matrices,
     build_export_matrices,
+    check_symmetric_matrix,
     gamma_eigensolve,
     offdiagonal_sum,
     read_coupling_csv,
     read_matrix_binary,
     validate_psd,
+    validated_coupling,
     write_coupling_csv,
     write_matrix_binary,
 )
@@ -541,7 +546,14 @@ def hand_built_export():
         dimension=2, n_per_axis=5, spacing=0.37, polarization=(0.6, 0.0, 0.8),
         disorder_eta=0.05, seed=11))),
     hand_built_export,
-], ids=["n1", "disordered-2d", "hand-built"])
+    lambda: chain_mats(PAIR_BLOCK + 1, 0.37, (0, 0, 1.0), build=build_export_matrices),
+    lambda: build_export_matrices(build_array(LatticeSpec(
+        dimension=3, n_per_axis=3, spacing=0.4, polarization=(0.0, 0.0, 1.0)))),
+    lambda: build_export_matrices(build_array(LatticeSpec(
+        dimension=1, n_per_axis=PAIR_BLOCK + 1, spacing=0.3, polarization=(1.0, 0.0, 0.0),
+        disorder_eta=0.05, seed=4))),
+], ids=["n1", "disordered-2d", "hand-built", "ordered-chain-block+1", "ordered-3d",
+        "disordered-chain-block+1"])
 def test_csv_bytes_match_savetxt(tmp_path, make):
     mats = make()
     write_coupling_csv(mats, tmp_path / "new.csv")
@@ -565,10 +577,102 @@ def test_csv_reader_requires_row_major_listing(tmp_path, edit):
         read_coupling_csv(path)
 
 
+def tobytes_binary(matrix):
+    # the writer's former header + tobytes() copy, kept as the byte-level oracle
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    return b"CDMATRX1" + struct.pack("<Q", matrix.shape[0]) + matrix.tobytes()
+
+
 def test_binary_roundtrip(tmp_path):
-    mats = chain_mats(5, 0.29, (1.0, 0, 0))
+    for matrix in (chain_mats(5, 0.29, (1.0, 0, 0)).gamma,
+                   chain_mats(PAIR_BLOCK + 1, 0.29, (1.0, 0, 0), build=build_export_matrices).jmat,
+                   np.random.default_rng(2).standard_normal((4, 4)).T,  # Fortran order: copied
+                   np.eye(3, dtype=int)):  # cast to float64
+        n = matrix.shape[0]
+        path = tmp_path / "gamma.bin"
+        write_matrix_binary(matrix, path)
+        assert path.stat().st_size == 16 + 8 * n * n
+        assert path.read_bytes() == tobytes_binary(matrix)
+        back = read_matrix_binary(path)
+        assert back.dtype == np.float64 and back.flags.c_contiguous and back.flags.writeable
+        np.testing.assert_array_equal(back, matrix)
+
+
+@pytest.mark.parametrize("payload", [
+    b"CDMATRX1\x02\x00",  # the header N cut short
+    b"CDMATRX1" + struct.pack("<Q", 2) + bytes(33),  # a partial float
+    b"CDMATRX1" + struct.pack("<Q", 2) + bytes(40),  # a float too many
+    b"CDMATRX1" + struct.pack("<Q", 2) + bytes(24),  # a float too few
+    b"CDMATRX1" + struct.pack("<Q", 2**40) + bytes(32),  # N^2 past any file here
+    b"CDMATRX1" + struct.pack("<Q", 2**63) + bytes(32),
+    b"CDMATRX2" + struct.pack("<Q", 2) + bytes(32),
+    b"",
+], ids=["short-header", "partial-float", "extra-float", "missing-float", "huge-n", "huger-n",
+        "bad-magic", "empty"])
+def test_binary_reader_refuses_malformed_files(tmp_path, payload):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(payload)
+    with pytest.raises(PhysicsValidationError, match="matrix file"):
+        read_matrix_binary(path)
+
+
+def test_csv_writer_streams_rows(tmp_path):
+    # no N^2-long list or string: the traced peak stays far below the 11 MiB of four
+    # N^2-long Python lists at N = 300
+    mats = chain_mats(300, 0.37, (0, 0, 1.0), build=build_export_matrices)
+    assert mats.gamma.shape == mats.jmat.shape == (300, 300)  # both built before tracing
+    tracemalloc.start()
+    try:
+        write_coupling_csv(mats, tmp_path / "coupling.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_binary_ingest_holds_one_matrix(tmp_path):
+    # reading and validating a gamma file holds the matrix, one (PAIR_BLOCK, N) float block
+    # and the (PAIR_BLOCK, N) finite mask, not a bytes copy or an N x N difference
+    n = 300
     path = tmp_path / "gamma.bin"
-    write_matrix_binary(mats.gamma, path)
-    assert path.stat().st_size == 16 + 8 * 25
-    back = read_matrix_binary(path)
-    np.testing.assert_array_equal(back, mats.gamma)
+    write_matrix_binary(chain_mats(n, 0.29, (1.0, 0, 0)).gamma, path)
+    tracemalloc.start()
+    try:
+        mats = validated_coupling(read_matrix_binary(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mats.n == n
+    assert peak <= 8 * n * n + 9 * n * PAIR_BLOCK + 2**16
+
+
+def symmetric_test_matrix(n):
+    g = np.random.default_rng(n).standard_normal((n, n))
+    return g + g.T
+
+
+@pytest.mark.parametrize("n, where", [
+    (PAIR_BLOCK + 1, lambda n: (n - 1, 0)),
+    (2 * PAIR_BLOCK + 3, lambda n: (n - 1, n - 2)),  # both in the last, partial row block
+    (2 * PAIR_BLOCK + 3, lambda n: (0, n - 1)),
+], ids=["last-row-first-column", "inside-last-block", "first-row-last-column"])
+def test_symmetry_check_reaches_every_row_block(n, where):
+    g = symmetric_test_matrix(n)
+    g[where(n)] += 0.5e-12
+    check_symmetric_matrix(g)  # within atol 1e-12
+    g[where(n)] += 1.5e-12
+    with pytest.raises(PhysicsValidationError, match="asymmetric"):
+        check_symmetric_matrix(g)
+
+
+@pytest.mark.parametrize("where", [
+    lambda n: (0, 0), lambda n: (n - 1, n - 1), lambda n: (PAIR_BLOCK, 1), lambda n: (1, n - 1),
+], ids=["first", "last", "second-block", "last-column"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entry_anywhere_is_named(where, bad):
+    n = 2 * PAIR_BLOCK + 3
+    g = symmetric_test_matrix(n)
+    g[0, 1] += 1.0  # an asymmetry in the first row block does not hide it
+    g[where(n)] = bad
+    with pytest.raises(PhysicsValidationError, match="non-finite"):
+        check_symmetric_matrix(g)
