@@ -211,15 +211,19 @@ def _offset_table(spec: LatticeSpec, pol, kernel, diagonal) -> np.ndarray:
     return np.concatenate([half, half[:center][::-1]]).reshape((2 * n - 1,) * dim)
 
 
-def _offset_matrix(table) -> np.ndarray:
-    """_pair_matrix of the lattice of an _offset_table. Viewed as an (n,)*D block, the row of
-    site a is the slice [n - 1 - a_k : 2n - 1 - a_k] of the table on each axis k: every row is
-    such a window, and all are copied in one pass without index arrays."""
+def _table_view(table) -> np.ndarray:
+    """Gamma of the lattice of an _offset_table as a read-only (n,)*D + (n,)*D view of the
+    table: along each axis, gamma[a, b] = table[n - 1 - a + b], row n - 1 - a and column b of
+    the table's sliding windows ([s][c] = table[s + c]), so the window rows are reversed."""
     grid = tuple((s + 1) // 2 for s in table.shape)
-    windows = np.lib.stride_tricks.sliding_window_view(table, grid)  # [s] = table[s:s+n]
-    out = np.empty((math.prod(grid),) * 2)
-    out.reshape(grid * 2)[...] = np.flip(windows, tuple(range(table.ndim)))
-    return out
+    windows = np.lib.stride_tricks.sliding_window_view(table, grid)
+    return np.flip(windows, tuple(range(table.ndim)))
+
+
+def _offset_matrix(table) -> np.ndarray:
+    """_pair_matrix of the lattice of an _offset_table: _table_view copied in one pass."""
+    view = _table_view(table)
+    return np.array(view, order="C").reshape((math.prod(view.shape[:table.ndim]),) * 2)
 
 
 def build_coupling_matrices(array: AtomArray) -> CouplingMatrices:
@@ -296,41 +300,29 @@ def validated_coupling(gamma) -> CouplingMatrices:
     return CouplingMatrices(gamma=gamma, gamma0=float(gamma[0, 0]), n=gamma.shape[0])
 
 
-def parity_blocks(g):
-    """Views (A, B) = (g[:m, :m], g[:m, ::-1][:, :m]), m = N // 2, of an exactly
-    centrosymmetric g (== g[::-1, ::-1], as every ordered array's Gamma and Gtilde are), else
-    None (also for N < 2). For even N, g = [[A, B J], [J B, J A J]] with J the row reversal."""
-    m = len(g) // 2
-    if m == 0 or not np.array_equal(g, g[::-1, ::-1]):
-        return None
-    return g[:m, :m], g[:m, ::-1][:, :m]
+def centrosymmetric(g) -> bool:
+    """Whether the square g equals its reversal g[::-1, ::-1] exactly, as every ordered
+    array's Gamma and Gtilde do: the rule under which Gamma and the SDP product fold over
+    the grid (N,). Compared over blocks of PAIR_BLOCK rows, stopping at the first that
+    differs, so no temporary exceeds PAIR_BLOCK x N."""
+    flipped = g[::-1, ::-1]
+    return all(np.array_equal(g[a:a + PAIR_BLOCK], flipped[a:a + PAIR_BLOCK])
+               for a in range(0, len(g), PAIR_BLOCK))
 
 
-def _mirror_blocks(mats: CouplingMatrices, grid):
-    """The 2^D diagonal blocks of gamma, one at a time as (E, E) arrays, in the basis of modes
-    even or odd under reversing each axis of the site grid (bit k of the block index s set:
-    odd along axis k). Axis k of length n keeps its first e = ceil(n/2) sites: block s sums
-    the views of gamma with the column axes of the set bits of r reversed, each signed by the
-    parity of s & r; then on an odd axis the middle site's rows and columns are scaled by
-    1/sqrt2 (their crossing by 1/2) in the even blocks and dropped from the odd ones. Only
-    the block being solved is held.
-
-    The views are read from mats.table when it is set, else from mats.gamma on `grid`. Along
-    an axis, gamma[a, b] = table[n - 1 - a + b] is window row n - 1 - a, column b of the
-    table's (n,)*D sliding windows ([s][c] = table[s + c]): the unreversed view reverses the
-    window rows, and the reversed one, table[2n - 2 - a - b] = table[a + b] as the table is
-    its own reversal, is the windows as they are. Both hold the numbers of the gamma views
-    in the same order, so the blocks are the same bytes."""
+def _mirror_blocks(t, grid):
+    """The 2^D diagonal blocks of a matrix, one at a time as (E, E) arrays, given as its
+    (grid, grid) view t (_table_view, or gamma.reshape(grid * 2)) and unchanged by reversing
+    each axis of the site grid, in the basis of modes even or odd under those reversals (bit k
+    of the block index s set: odd along axis k). Axis k of length n keeps its first
+    e = ceil(n/2) sites: block s sums the views of t with the column axes of the set bits of r
+    reversed, each signed by the parity of s & r; then on an odd axis the middle site's rows
+    and columns are scaled by 1/sqrt2 (their crossing by 1/2) in the even blocks and dropped
+    from the odd ones. Only the block being solved is held."""
     dim = len(grid)
     head = tuple(slice((n + 1) // 2) for n in grid) * 2
-    if mats.table is None:
-        t = mats.gamma.reshape(grid + grid)
-        views = [np.flip(t, [dim + k for k in range(dim) if r >> k & 1])[head]
-                 for r in range(2**dim)]
-    else:
-        t = np.lib.stride_tricks.sliding_window_view(mats.table, grid)
-        views = [np.flip(t, [k for k in range(dim) if not r >> k & 1])[head]
-                 for r in range(2**dim)]
+    views = [np.flip(t, [dim + k for k in range(dim) if r >> k & 1])[head]
+             for r in range(2**dim)]
     for s in range(2**dim):
         b = views[0].copy()
         for r in range(1, 2**dim):
@@ -369,20 +361,21 @@ def gamma_eigensolve(mats: CouplingMatrices, top_vector=False):
 
     Gamma is folded over a tuple `grid` of axis lengths whose every axis reversal leaves it
     unchanged: mats.grid, read from the offset table without building gamma, else (N,) when
-    gamma is centrosymmetric (parity_blocks). Each of the 2^D mirror blocks
+    gamma is centrosymmetric (N > 1). Each of the 2^D mirror blocks
     (_mirror_blocks), about N/2^D rows, is solved alone; the top vector is the top mode of
     the block with the largest top eigenvalue (ties: the first block, all-even first). The
     label is "parity" for a one-axis fold, "mirror" for more axes and "dense" for a gamma
     solved whole."""
     solve = np.linalg.eigh if top_vector else lambda x: (np.linalg.eigvalsh(x), None)
     grid = mats.grid
-    if grid is None and parity_blocks(mats.gamma) is not None:
+    if grid is None and mats.n > 1 and centrosymmetric(mats.gamma):
         grid = (mats.n,)
     if grid is None:
         vals, vecs = solve(mats.gamma)
         return vals, None if vecs is None else vecs[:, -1], "dense"
+    t = mats.gamma.reshape(grid * 2) if mats.table is None else _table_view(mats.table)
     parts, top = [], None
-    for s, block in enumerate(_mirror_blocks(mats, grid)):
+    for s, block in enumerate(_mirror_blocks(t, grid)):
         if block.size:
             w, v = solve(block)
             parts.append(w)

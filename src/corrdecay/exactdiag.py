@@ -270,13 +270,3 @@ def haar_rate_samples(mats: CouplingMatrices, n_samples: int, seed: int = 0) -> 
         n_samples=n_samples,
     )
 
-
-def dicke_rstar(n: int, gamma0: float = 1.0) -> float:
-    """Exact all-to-all maximum: (J+M)(J-M+1) at J = N/2 optimized over M.
-
-    Equals N(N+2)/4 for even N and (N+1)^2/4 for odd N (integer vs
-    half-integer magnetization closest to 1/2).
-    """
-    if n % 2 == 0:
-        return 0.25 * n * (n + 2) * gamma0
-    return 0.25 * (n + 1) ** 2 * gamma0

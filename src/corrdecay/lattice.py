@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import ConfigError, PhysicsValidationError
 
-RNG_ALGORITHM = "numpy.random.Philox (counter-based), keyed via SeedSequence"
-
 # 46341^2 overflows signed 32-bit indexing used by dense LAPACK drivers;
 # dense storage/eigensolvers are the regime of interest, so hard-stop there.
 MAX_ATOMS = 46341

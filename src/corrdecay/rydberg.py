@@ -43,7 +43,8 @@ class TransitionRow:
     nbar: float
 
     def __post_init__(self):
-        if self.wavelength_um <= 0 or self.gamma0_2pi_hz <= 0 or self.nbar < 0:
+        if not (0 < self.wavelength_um < math.inf and 0 < self.gamma0_2pi_hz < math.inf
+                and 0 <= self.nbar < math.inf):
             raise ConfigError(f"invalid transition row {self.label!r}")
 
 
@@ -56,14 +57,13 @@ def read_transition_table(path) -> list[TransitionRow]:
         if reader.fieldnames is None or set(reader.fieldnames) != expected:
             raise ConfigError(f"transition table header must be {sorted(expected)}")
         for raw in reader:
-            rows.append(
-                TransitionRow(
-                    label=raw["label"],
-                    wavelength_um=float(raw["wavelength_um"]),
-                    gamma0_2pi_hz=float(raw["gamma0_2pi_hz"]),
-                    nbar=float(raw["nbar"]),
-                )
-            )
+            try:  # a short row leaves its missing fields None
+                values = [float(raw[key]) for key in ("wavelength_um", "gamma0_2pi_hz", "nbar")]
+            except (TypeError, ValueError):
+                raise ConfigError(f"transition table line {reader.line_num} "
+                                  f"({raw['label']!r}) has a missing or non-numeric field"
+                                  ) from None
+            rows.append(TransitionRow(raw["label"], *values))
     if not rows:
         raise ConfigError("transition table is empty")
     return rows

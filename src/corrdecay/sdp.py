@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import CouplingMatrices, check_symmetric_matrix, parity_blocks
+from .coupling import CouplingMatrices, _mirror_blocks, centrosymmetric, check_symmetric_matrix
 from .errors import CertificateError, ConfigError, SolverConvergenceError
 from .lattice import _rng
 
@@ -137,19 +137,18 @@ def _settled(history, it, tol) -> bool:
 
 def _product(gtilde, r):
     """product(v, out), which writes gtilde @ v into out for (N, r) factors v. An even-N
-    centrosymmetric gtilde (coupling.parity_blocks) multiplies through
-    K = [(A + B)/2, (A - B)/2], reading N^2/2 numbers per product: with
-    W = [v1 + J v2, v1 - J v2] and R = K W, the top half is R0 + R1 and the row-reversed
-    bottom half is R0 - R1. Any other gtilde is one dense matmul."""
+    centrosymmetric gtilde (coupling.centrosymmetric), [[A, B J], [J B, J A J]] with J the
+    row reversal, multiplies through K = [(A + B)/2, (A - B)/2], its two parity blocks
+    (coupling._mirror_blocks over the grid (N,)) halved, reading N^2/2 numbers per product:
+    with W = [v1 + J v2, v1 - J v2] and R = K W, the top half is R0 + R1 and the
+    row-reversed bottom half is R0 - R1. Any other gtilde is one dense matmul."""
     n = len(gtilde)
-    blocks = parity_blocks(gtilde) if n % 2 == 0 else None
-    if blocks is None:
+    if n % 2 or not centrosymmetric(gtilde):
         return lambda v, out: np.matmul(gtilde, v, out=out)
-    (a, b), m = blocks, n // 2
+    m = n // 2
     k = np.empty((2, m, m))
-    np.add(a, b, out=k[0])
-    np.subtract(a, b, out=k[1])
-    k *= 0.5
+    for half, block in zip(k, _mirror_blocks(gtilde, (n,))):
+        np.multiply(block, 0.5, out=half)
     w, res = np.empty((2, m, r)), np.empty((2, m, r))
 
     def product(v, out):

@@ -22,6 +22,17 @@ def dicke_mats(n):
     return mats_from_gamma(np.ones((n, n)))
 
 
+def dicke_rstar(n: int, gamma0: float = 1.0) -> float:
+    """Exact all-to-all maximum: (J+M)(J-M+1) at J = N/2 optimized over M.
+
+    Equals N(N+2)/4 for even N and (N+1)^2/4 for odd N (integer vs
+    half-integer magnetization closest to 1/2).
+    """
+    if n % 2 == 0:
+        return 0.25 * n * (n + 2) * gamma0
+    return 0.25 * (n + 1) ** 2 * gamma0
+
+
 def full_space_hamiltonian(gamma):
     """Independent oracle: the 2^N x 2^N decay Hamiltonian sum_ij Gamma_ij s+_i s-_j,
     entry by entry on the bitmask states (bit q set = qubit q excited)."""

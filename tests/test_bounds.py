@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dicke_mats, mats_from_gamma, random_unit_diag_psd
+from conftest import dicke_mats, dicke_rstar, mats_from_gamma, random_unit_diag_psd
 from corrdecay.bounds import (
     bounds_report,
     burst_slope,
@@ -21,7 +21,7 @@ from corrdecay.bounds import (
     typical_rate,
 )
 from corrdecay.errors import ConfigError
-from corrdecay.exactdiag import dicke_rstar, exact_rstar
+from corrdecay.exactdiag import exact_rstar
 from corrdecay.spectral import decompose
 
 

@@ -634,6 +634,24 @@ def test_rydberg_missing_dominant(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("row, text", [
+    ("A,abc,1.0,0.1", "line 2 ('A') has a missing or non-numeric field"),
+    ("A,1.0,1.0", "line 2 ('A') has a missing or non-numeric field"),
+    ("A,nan,1.0,0.1", "invalid transition row 'A'"),
+    ("A,1.0,1.0,inf", "invalid transition row 'A'"),
+], ids=["non-numeric", "short-row", "nan", "inf"])
+def test_rydberg_malformed_table_exits_2(tmp_path, capsys, row, text):
+    # exit 2 with the row named, no traceback, and nothing written
+    table = tmp_path / "table.csv"
+    table.write_text(f"label,wavelength_um,gamma0_2pi_hz,nbar\n{row}\n")
+    out = tmp_path / "out"
+    rc = main(["rydberg", "--table", str(table), "--n-atoms", "160", "--spacing-um", "2.0",
+               "--c6", "28.8", "--rabi", "4.6", "--dominant", "A", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and text in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_rydberg_requires_table(tmp_path):
     rc = main(["rydberg", "--n-atoms", "160", "--spacing-um", "2.0", "--c6", "28.8",
                "--rabi", "4.6", "--dominant", "x", "--out", str(tmp_path)])

@@ -21,6 +21,7 @@ from corrdecay.coupling import (
     build_coupling_from_positions,
     build_coupling_matrices,
     build_export_matrices,
+    centrosymmetric,
     check_symmetric_matrix,
     gamma_eigensolve,
     offdiagonal_sum,
@@ -390,22 +391,31 @@ def built(mats):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(dimension=st.integers(1, 3), n=st.integers(1, 7), pol=st.sampled_from("xyz"))
 def test_table_folded_blocks_equal_the_gamma_folded_ones(dimension, n, pol):
-    # the mirror blocks folded straight from the offset table are, byte for byte, the ones
+    # the mirror blocks folded from the table's view of gamma are, byte for byte, the ones
     # folded from the dense gamma; gamma read afterwards is _offset_matrix of the table
     spec = LatticeSpec(dimension=dimension, n_per_axis=n, spacing=0.37,
                        polarization=MIRROR_POLS[pol])
     mats = build_coupling_matrices(generate_lattice(spec))
-    assert mats.table is not None and mats.grid == (n,) * dimension and not built(mats)
+    grid = (n,) * dimension
+    assert mats.table is not None and mats.grid == grid and not built(mats)
     dense = coupling._offset_matrix(
         coupling._offset_table(spec, spec.pol_vector, _gamma_kernel, GAMMA0))
-    from_gamma = CouplingMatrices(gamma=dense, gamma0=GAMMA0, n=mats.n)
-    pairs = zip(coupling._mirror_blocks(mats, mats.grid),
-                coupling._mirror_blocks(from_gamma, mats.grid), strict=True)
+    pairs = zip(coupling._mirror_blocks(coupling._table_view(mats.table), grid),
+                coupling._mirror_blocks(dense.reshape(grid * 2), grid), strict=True)
     for folded, reference in pairs:
         assert folded.shape == reference.shape and folded.tobytes() == reference.tobytes()
     assert not built(mats)
     assert mats.gamma.tobytes() == dense.tobytes()
     assert built(mats) and mats.gamma is mats.gamma
+
+
+def test_table_view_is_a_read_only_view_of_gamma():
+    spec = LatticeSpec(dimension=2, n_per_axis=4, spacing=0.37, polarization=OBLIQUE)
+    table = coupling._offset_table(spec, spec.pol_vector, _gamma_kernel, GAMMA0)
+    view = coupling._table_view(table)
+    assert view.shape == (4,) * 4 and np.shares_memory(view, table)
+    assert not view.flags.writeable
+    assert np.array_equal(view.reshape(16, 16), coupling._offset_matrix(table))
 
 
 @pytest.mark.parametrize("solve", [gamma_max_only, decompose, validate_psd],
@@ -663,6 +673,33 @@ def test_symmetry_check_reaches_every_row_block(n, where):
     g[where(n)] += 1.5e-12
     with pytest.raises(PhysicsValidationError, match="asymmetric"):
         check_symmetric_matrix(g)
+
+
+def centrosymmetric_test_matrix(n):
+    g = symmetric_test_matrix(n)
+    return g + g[::-1, ::-1]
+
+
+@pytest.mark.parametrize("n", [1, 2, PAIR_BLOCK, PAIR_BLOCK + 1, 3 * PAIR_BLOCK + 5])
+def test_centrosymmetric_is_exact_reversal(n):
+    # one change of a few ulp in row N - 1, at N = PAIR_BLOCK + 1 the last, partial row block
+    g = centrosymmetric_test_matrix(n)
+    assert centrosymmetric(g) and centrosymmetric(g[::-1, ::-1])
+    g[n - 1, 0] += 1e-15 * max(1.0, abs(g[n - 1, 0]))
+    assert centrosymmetric(g) == (n == 1)
+
+
+def test_centrosymmetry_check_holds_one_row_block():
+    # one (PAIR_BLOCK, N) bool block at a time, not the N x N comparison
+    n = 600
+    g = centrosymmetric_test_matrix(n)
+    tracemalloc.start()
+    try:
+        assert centrosymmetric(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * PAIR_BLOCK * n + 2**16 < n * n
 
 
 @pytest.mark.parametrize("where", [

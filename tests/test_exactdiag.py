@@ -5,14 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dicke_mats, full_space_hamiltonian, mats_from_gamma, random_unit_diag_psd
+from conftest import (
+    dicke_mats,
+    dicke_rstar,
+    full_space_hamiltonian,
+    mats_from_gamma,
+    random_unit_diag_psd,
+)
 from corrdecay.coupling import CouplingMatrices, build_coupling_matrices
 from corrdecay.errors import ConfigError, PhysicsValidationError, SolverConvergenceError
 from corrdecay.exactdiag import (
     MAX_QUBITS,
     SectorBasis,
     build_sector_dense,
-    dicke_rstar,
     exact_rstar,
     haar_rate_samples,
     lanczos_largest,

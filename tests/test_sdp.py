@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mats_from_gamma, random_unit_diag_psd
-from corrdecay.coupling import build_coupling_matrices, parity_blocks
+from corrdecay import coupling
+from corrdecay.coupling import build_coupling_matrices
 from corrdecay.errors import CertificateError, ConfigError, PhysicsValidationError
 from corrdecay import sdp
 from corrdecay.lattice import LatticeSpec, generate_lattice
@@ -331,7 +332,7 @@ def test_value_and_rounding_below_dual_bound(n, seed):
 @given(n=st.integers(2, 60), r=st.integers(1, 16), centrosymmetric=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_parity_product_matches_dense(n, r, centrosymmetric, seed):
-    # the half-size product of an even-N centrosymmetric matrix (parity_blocks) is g @ v;
+    # the half-size product of an even-N centrosymmetric matrix is g @ v;
     # odd N and any other symmetric matrix take the dense path
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, n))
@@ -340,7 +341,7 @@ def test_parity_product_matches_dense(n, r, centrosymmetric, seed):
         g += g[::-1, ::-1]
     v = rng.standard_normal((n, r))
     product = sdp._product(g, r)
-    assert (parity_blocks(g) is not None) == centrosymmetric
+    assert coupling.centrosymmetric(g) == centrosymmetric
     out = np.empty((n, r))
     product(v, out)
     scale = np.abs(g).sum(axis=1).max() * np.abs(v).max()
@@ -357,7 +358,7 @@ def test_parity_and_dense_ascents_take_the_same_iterates():
     start = v0.copy()
     perm = rng.permutation(60)
     g_perm = g[np.ix_(perm, perm)]
-    assert parity_blocks(g) is not None and parity_blocks(g_perm) is None
+    assert coupling.centrosymmetric(g) and not coupling.centrosymmetric(g_perm)
     best, iters = sdp._ascend(g, v0, 20000, DEFAULT_TOL)
     best_perm, iters_perm = sdp._ascend(g_perm, v0[perm], 20000, DEFAULT_TOL)
     assert np.array_equal(v0, start)  # the start is not overwritten
