@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import operator
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -62,9 +61,6 @@ _LATTICE_KEYS = {
     "seed": {"type": "integer", "description": f"RNG seed (default {DEFAULT_SEED})"},
 }
 
-_THREADS_KEY = {"threads": {"type": "integer", "minimum": 1,
-                            "description": "worker threads (default $CORRDECAY_THREADS or 1)"}}
-
 _GLOBAL_KEYS = {"out": {"type": "string", "description": "output directory (default .)"}}
 
 _GAMMA_FILE_KEY = {"gamma_file": {"type": "string", "description": "binary gamma matrix input"}}
@@ -78,7 +74,6 @@ SCHEMAS = {
     },
     "analyze": {
         **_LATTICE_KEYS,
-        **_THREADS_KEY,
         **_GLOBAL_KEYS,
         **_GAMMA_FILE_KEY,
         "exact_max_n": {"type": "integer", "minimum": 2, "maximum": MAX_QUBITS,
@@ -89,7 +84,7 @@ SCHEMAS = {
     },
     "scan": {
         **{key: rule for key, rule in _LATTICE_KEYS.items() if key != "n"},
-        **_THREADS_KEY,
+        "threads": {"type": "integer", "minimum": 1, "description": "worker threads (default 1)"},
         **_GLOBAL_KEYS,
         "quantity": {"type": "string", "enum": list(QUANTITIES),
                      "description": "rate recorded per point (default gamma_max)"},
@@ -121,7 +116,6 @@ SCHEMAS = {
     },
     "exact": {
         **_LATTICE_KEYS,
-        **_THREADS_KEY,
         **_GLOBAL_KEYS,
         **_GAMMA_FILE_KEY,
     },
@@ -340,7 +334,7 @@ def cmd_analyze(config: dict, run: Run) -> int:
         sdp_certificates(problem, sol, summary.gamma_max)
         doc["sdp"] = sol.to_dict()
     if mats.n <= config.get("exact_max_n", 14):
-        doc["exact"] = asdict(exact_rstar(mats, seed=seed, threads=_threads(config)))
+        doc["exact"] = asdict(exact_rstar(mats, seed=seed))
     run.write_json("analysis.json", doc)
     spectrum_to_csv(summary, run.path("spectrum.csv"))
     if array is not None and array.source_spec.disorder_eta == 0:
@@ -368,9 +362,8 @@ def cmd_scan(config: dict, run: Run) -> int:
         quantity=config.get("quantity", "gamma_max"),
         disorder=disorder,
     )
-    threads = _threads(config)  # before sweep.csv exists: a bad value writes nothing
     with open(run.path("sweep.csv"), "w") as fh:
-        table = run_sweep(plan, threads=threads, on_row=csv_row_writer(fh))
+        table = run_sweep(plan, threads=config.get("threads", 1), on_row=csv_row_writer(fh))
     if len(table.clean()) >= 3:
         fit = fit_table(table)
         run.path("fit.json").write_text(fit.to_json() + "\n")
@@ -410,7 +403,7 @@ def cmd_sdp(config: dict, run: Run) -> int:
 def cmd_exact(config: dict, run: Run) -> int:
     mats, _ = _coupling_from_config(config)
     validate_psd(mats).require()
-    result = exact_rstar(mats, seed=config.get("seed", DEFAULT_SEED), threads=_threads(config))
+    result = exact_rstar(mats, seed=config.get("seed", DEFAULT_SEED))
     run.write_json("exact.json", asdict(result))
     print(f"rstar_exact = {result.rstar_exact:.9f} (sector m = {result.argmax_sector})")
     return 0
@@ -449,16 +442,6 @@ def cmd_rydberg(config: dict, run: Run) -> int:
     run.write_json("rydberg.json", asdict(report))
     print(f"chi = {report.chi:.6e}, gate_error = {report.gate_error:.6e}")
     return 0
-
-
-def _threads(config: dict) -> int:
-    """The threads key, else $CORRDECAY_THREADS (default 1) under the same rule."""
-    if "threads" in config:
-        return config["threads"]
-    text = os.environ.get("CORRDECAY_THREADS", "1").strip()
-    threads = int(text) if text.isdecimal() else text  # a str fails the integer rule
-    _check("CORRDECAY_THREADS", threads, _THREADS_KEY["threads"])
-    return threads
 
 
 COMMANDS = {

@@ -23,7 +23,7 @@ import numpy as np
 
 from .coupling import CouplingMatrices, check_coupling_matrix
 from .errors import ConfigError, SolverConvergenceError
-from .lattice import _rng, thread_map
+from .lattice import _rng
 
 MAX_QUBITS = 23  # largest N measured: a d = 0.2 chain takes 176 s and 920 MiB (2 cores, OpenBLAS)
 MAX_DENSE_DIM = 400  # measured dense/Lanczos crossover: about 450 (chains, N = 11-17)
@@ -181,8 +181,8 @@ class ExactResult:
     method: str  # "dense", "lanczos" or "dense+lanczos"
 
 
-def exact_rstar(mats: CouplingMatrices, force_method: str | None = None, seed: int = 7,
-                threads: int = 1) -> ExactResult:
+def exact_rstar(mats: CouplingMatrices, force_method: str | None = None,
+                seed: int = 7) -> ExactResult:
     """Largest eigenvalue of the auxiliary Hamiltonian over all sectors.
 
     Only the sectors m_ground <= N/2 are solved: with the uniform diagonal gamma0
@@ -190,11 +190,7 @@ def exact_rstar(mats: CouplingMatrices, force_method: str | None = None, seed: i
     spec(m) = spec(N - m) + gamma0 (N - 2m), so each other entry of per_sector_max
     is derived from its partner and lies below it. Sectors with dimension <=
     MAX_DENSE_DIM are solved densely, larger ones with matrix-free Lanczos;
-    force_method = "dense" | "lanczos" overrides. Sector solves are independent
-    and can run on a thread pool, which oversubscribes the cores when BLAS runs its
-    own threads too: a d = 0.2 x-chain at N = 17 took 0.95-1.16 s at threads=1 and
-    1.64-1.77 s at threads=2 with OpenBLAS's default 2 threads, but 0.76-0.78 s at
-    threads=2 with OPENBLAS_NUM_THREADS=1 (2-core machine, best of 2).
+    force_method = "dense" | "lanczos" overrides.
     """
     n = mats.n
     if n > MAX_QUBITS:
@@ -203,7 +199,7 @@ def exact_rstar(mats: CouplingMatrices, force_method: str | None = None, seed: i
         raise ConfigError("force_method must be None, 'dense' or 'lanczos'")
     check_coupling_matrix(mats.gamma)
 
-    def solve_sector(m_ground):
+    def solve_sector(m_ground):  # a sector's basis and matrix are freed before the next
         basis = SectorBasis.build(n, m_ground)
         use_dense = basis.dim <= MAX_DENSE_DIM if force_method is None else force_method == "dense"
         if use_dense:
@@ -212,7 +208,7 @@ def exact_rstar(mats: CouplingMatrices, force_method: str | None = None, seed: i
         value, _ = lanczos_largest(lambda v: sector_matvec(mats, basis, v), basis.dim, seed=seed)
         return value, "lanczos"
 
-    solved = list(thread_map(solve_sector, range(n // 2 + 1), threads))
+    solved = [solve_sector(m_ground) for m_ground in range(n // 2 + 1)]
     per_sector = [value for value, _ in solved]
     per_sector += [per_sector[n - m] + mats.gamma0 * (n - 2 * m)
                    for m in range(n // 2 + 1, n + 1)]

@@ -27,19 +27,6 @@ def _rng(seed: int, *subkeys: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def thread_map(fn, items, threads: int):
-    """fn(item) for each item, lazily and in item order: in the calling thread when
-    threads <= 1, else on a pool of `threads` threads (concurrent.futures is imported only
-    then, so a one-thread run neither starts a thread nor pays for that import)."""
-    if threads <= 1:
-        yield from map(fn, items)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(fn, items)
-
-
 def check_geometry(dimension, spacing) -> None:
     """ConfigError unless dimension is 1, 2 or 3 and spacing a positive finite number."""
     if dimension not in (1, 2, 3):

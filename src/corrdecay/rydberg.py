@@ -25,11 +25,13 @@ GATE_TIME_CONSTANT = 2.95  # optimal entangling-gate duration in units of 1/Omeg
 
 def thermal_nbar(wavelength_um: float, temperature_k: float = 300.0) -> float:
     """Mean thermal photon number 1/(exp(h nu / kB T) - 1) at this wavelength."""
-    if wavelength_um <= 0 or temperature_k <= 0:
-        raise ConfigError("wavelength and temperature must be positive")
+    if not (0 < wavelength_um < math.inf and 0 < temperature_k < math.inf):
+        raise ConfigError("wavelength and temperature must be positive and finite")
     hnu_over_kt = H_PLANCK * C_LIGHT / (wavelength_um * 1e-6 * K_BOLTZMANN * temperature_k)
     if hnu_over_kt > 700:
         return 0.0
+    if not hnu_over_kt > 0:  # wavelength * temperature past the float range
+        raise ConfigError(f"h nu / kB T underflows at {wavelength_um} um and {temperature_k} K")
     return 1.0 / math.expm1(hnu_over_kt)
 
 
@@ -49,7 +51,7 @@ class TransitionRow:
 
 
 def read_transition_table(path) -> list[TransitionRow]:
-    """CSV with header label,wavelength_um,gamma0_2pi_hz,nbar."""
+    """CSV with header label,wavelength_um,gamma0_2pi_hz,nbar: four fields a row."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -57,6 +59,9 @@ def read_transition_table(path) -> list[TransitionRow]:
         if reader.fieldnames is None or set(reader.fieldnames) != expected:
             raise ConfigError(f"transition table header must be {sorted(expected)}")
         for raw in reader:
+            if None in raw:  # DictReader files a long row's surplus fields under None
+                raise ConfigError(f"transition table line {reader.line_num} "
+                                  f"({raw['label']!r}) has more than 4 fields")
             try:  # a short row leaves its missing fields None
                 values = [float(raw[key]) for key in ("wavelength_um", "gamma0_2pi_hz", "nbar")]
             except (TypeError, ValueError):
@@ -87,19 +92,22 @@ class RydbergInput:
     exact_gamma_max_2pi_hz: float | None = None
 
     def __post_init__(self):
-        if self.n_atoms < 2:
-            raise ConfigError("n_atoms must be at least 2")
-        if self.spacing_um <= 0:
-            raise ConfigError("spacing_um must be positive")
-        if self.c6_2pi_ghz_um6 <= 0:
-            raise ConfigError("c6 must be positive")
-        if not self.rabi_2pi_mhz > 0:
-            raise ConfigError("rabi frequency must be positive")
+        if not 2 <= self.n_atoms < math.inf:
+            raise ConfigError("n_atoms must be finite and at least 2")
+        for name in ("spacing_um", "c6_2pi_ghz_um6", "rabi_2pi_mhz"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
+        exact = self.exact_gamma_max_2pi_hz
+        if exact is not None and not 0 < exact < math.inf:
+            raise ConfigError("exact_gamma_max_2pi_hz must be positive and finite")
         labels = [t.label for t in self.transitions]
         if self.dominant_label not in labels:
             raise ConfigError(
                 f"dominant transition {self.dominant_label!r} not in table {labels}"
             )
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ConfigError(f"transition label {label!r} appears more than once")
 
 
 @dataclass
@@ -136,8 +144,6 @@ def rydberg_report(inp: RydbergInput) -> RydbergReport:
 
     dominant = next(t for t in inp.transitions if t.label == inp.dominant_label)
     if inp.exact_gamma_max_2pi_hz is not None:
-        if inp.exact_gamma_max_2pi_hz <= 0:
-            raise ConfigError("exact_gamma_max_2pi_hz must be positive")
         gamma_coll = 0.25 * inp.exact_gamma_max_2pi_hz
         mode = "exact"
     else:

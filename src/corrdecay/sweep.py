@@ -1,9 +1,9 @@
 """N-sweeps of collective-rate quantities and power-law fits with a fit-quality gate.
 
 Sweep points (and disorder realizations within a point) run on a bounded
-thread pool when threads > 1 (lattice.thread_map); numpy releases the GIL in
-the heavy kernels. Results are keyed by (point, realization) seeds, so the
-table is identical however the pool schedules the work.
+thread pool when threads > 1; numpy releases the GIL in the heavy kernels.
+Results are keyed by (point, realization) seeds, so the table is identical
+however the pool schedules the work.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from .bounds import bounds_report
 from .coupling import build_coupling_matrices
 from .errors import ConfigError
-from .lattice import LatticeSpec, build_array, check_disorder, thread_map
+from .lattice import LatticeSpec, build_array, check_disorder
 from .sdp import SdpProblem, solve_low_rank
 from .spectral import decompose, gamma_max_only
 
@@ -119,6 +119,19 @@ def _evaluate_point(plan: SweepPlan, n_1d: int, eta: float, seed: int) -> float:
     return report.lb_best if plan.quantity == "lb_best" else report.ub
 
 
+def _thread_map(fn, items, threads: int):
+    """fn(item) for each item, lazily and in item order: in the calling thread when
+    threads <= 1, else on a pool of `threads` threads (concurrent.futures is imported only
+    then, so a one-thread run neither starts a thread nor pays for that import)."""
+    if threads <= 1:
+        yield from map(fn, items)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield from pool.map(fn, items)
+
+
 def run_sweep(plan: SweepPlan, threads: int = 1, on_row=None) -> SweepTable:
     """Evaluate the planned quantity at every size, averaging any disorder ensemble.
 
@@ -157,7 +170,7 @@ def run_sweep(plan: SweepPlan, threads: int = 1, on_row=None) -> SweepTable:
         return SweepRow(n_atoms=n_atoms, value=float(arr.mean()), stderr=stderr, error=err)
 
     table = SweepTable()
-    outcomes = thread_map(_run, jobs, threads)  # in job order: a point's realizations together
+    outcomes = _thread_map(_run, jobs, threads)  # in job order: a point's realizations together
     for n_1d in plan.n_1d_values:
         row = _aggregate(n_1d**plan.dimension, itertools.islice(outcomes, r_count))
         table.rows.append(row)

@@ -271,6 +271,8 @@ SCAN = ["scan", "--dim", "1", "--d", "0.4", "--sizes", "4,5,6"]
     ["sdp", "--dim", "1", "--n", "6", "--d", "0.4", "--threads", "4"],
     ["kspace", "--dim", "1", "--n", "8", "--d", "0.3", "--threads", "4"],
     RYDBERG + ["--threads", "4"],
+    ["exact", "--dim", "1", "--n", "4", "--d", "0.3", "--threads", "2"],
+    ["analyze", "--dim", "1", "--n", "4", "--d", "0.3", "--threads", "2"],
     ["analyze", "--gamma-file", "GAMMA_FILE", "--dim", "2", "--n", "5", "--d", "0.9",
      "--eta", "0.3"],
     ["sdp", "--gamma-file", "GAMMA_FILE", "--dim", "2"],
@@ -289,7 +291,8 @@ SCAN = ["scan", "--dim", "1", "--d", "0.4", "--sizes", "4,5,6"]
     SCAN + ["--seed", "5"],
     SCAN + ["--quantity", "ub", "--seed", "5"],
 ], ids=["scan-n", "analyze-output-format", "kspace-seed", "rydberg-seed", "gamma-threads",
-        "sdp-threads", "kspace-threads", "rydberg-threads", "analyze-gamma-file-lattice",
+        "sdp-threads", "kspace-threads", "rydberg-threads", "exact-threads", "analyze-threads",
+        "analyze-gamma-file-lattice",
         "sdp-gamma-file-dim", "exact-gamma-file-dim", "sdp-projection-rank",
         "gamma-ordered-seed", "gamma-eta0-seed", "sdp-projection-seed",
         "sdp-projection-gamma-file-seed", "scan-ordered-realizations", "scan-eta0-realizations",
@@ -470,6 +473,8 @@ SCHEMA_MISSES = {
     "maximum": ("analyze", {**CHAIN, "exact_max_n": 24}, "exact_max_n"),
     "enum": ("sdp", {**CHAIN, "solver": "foo"}, "solver"),
     "unknown-key": ("gamma", {**CHAIN, "typo_key": 1}, "typo_key"),
+    "exact-threads": ("exact", {**CHAIN, "threads": 2}, "threads"),
+    "analyze-threads": ("analyze", {**CHAIN, "threads": 2}, "threads"),
 }
 
 
@@ -497,18 +502,6 @@ def test_config_schema_error_names_key(tmp_path, capsys, case):
 def test_scan_empty_sizes_config_rejected(tmp_path):
     assert _run_config(tmp_path, "scan", {"d": 0.4, "sizes": []}) == 2
     assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("value", ["0", "-2", "abc"])
-def test_threads_env_checked(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("CORRDECAY_THREADS", value)
-    argv = ["exact", "--dim", "1", "--n", "4", "--d", "0.3"]
-    out = tmp_path / "out"
-    assert main(argv + ["--out", str(out)]) == 2
-    assert not out.exists()
-    assert "CORRDECAY_THREADS" in capsys.readouterr().err
-    # an explicit --threads is read instead of the variable
-    assert main(argv + ["--threads", "2", "--out", str(out)]) == 0
 
 
 def test_sdp_command(tmp_path):
@@ -639,7 +632,9 @@ def test_rydberg_missing_dominant(tmp_path):
     ("A,1.0,1.0", "line 2 ('A') has a missing or non-numeric field"),
     ("A,nan,1.0,0.1", "invalid transition row 'A'"),
     ("A,1.0,1.0,inf", "invalid transition row 'A'"),
-], ids=["non-numeric", "short-row", "nan", "inf"])
+    ("A,1.0,1.0,0.1,junk", "line 2 ('A') has more than 4 fields"),
+    ("A,1.0,1.0,0.1\nA,2.0,5.0,0.0", "transition label 'A' appears more than once"),
+], ids=["non-numeric", "short-row", "nan", "inf", "long-row", "duplicate-label"])
 def test_rydberg_malformed_table_exits_2(tmp_path, capsys, row, text):
     # exit 2 with the row named, no traceback, and nothing written
     table = tmp_path / "table.csv"
@@ -732,20 +727,14 @@ def test_analyze_unconverged_sdp_exits_4(tmp_path, capsys, monkeypatch):
     assert "solver error: certified SDP gap" in capsys.readouterr().err
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("CORRDECAY_THREADS", "3")
-    rc = main(["scan", "--dim", "1", "--d", "0.4", "--pol", "z",
-               "--sizes", "6,10,14", "--eta", "0.02", "--realizations", "2",
-               "--out", str(tmp_path)])
-    assert rc == 0
-    monkeypatch.setenv("CORRDECAY_THREADS", "1")
-    other = tmp_path / "single"
-    rc = main(["scan", "--dim", "1", "--d", "0.4", "--pol", "z",
-               "--sizes", "6,10,14", "--eta", "0.02", "--realizations", "2",
-               "--out", str(other)])
-    assert rc == 0
+def test_scan_threads_flag_keeps_sweep_csv(tmp_path):
+    argv = ["scan", "--dim", "1", "--d", "0.4", "--pol", "z", "--sizes", "6,10,14",
+            "--eta", "0.02", "--realizations", "2"]
+    for threads in ("3", "1"):
+        assert main(argv + ["--threads", threads, "--out", str(tmp_path / threads)]) == 0
     # threading must not change the numbers
-    assert (tmp_path / "sweep.csv").read_text() == (other / "sweep.csv").read_text()
+    sweeps = [(tmp_path / threads / "sweep.csv").read_bytes() for threads in ("3", "1")]
+    assert sweeps[0] == sweeps[1]
 
 
 def child_env():
@@ -785,10 +774,9 @@ print(sorted(m for m in sys.modules
 
 def test_cold_start_imports_no_scipy(tmp_path):
     # a fresh interpreter runs the disordered export and the CLI on numpy alone, importing
-    # neither scipy nor jsonschema nor numpy.ma, and at one thread no concurrent.futures
+    # neither scipy nor jsonschema nor numpy.ma nor concurrent.futures
     proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
-                          capture_output=True, text=True,
-                          env={**child_env(), "CORRDECAY_THREADS": "1"})
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "coupling.csv").exists() and (tmp_path / "gamma" / "coupling.csv").exists()

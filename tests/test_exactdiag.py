@@ -144,11 +144,6 @@ def test_per_sector_max_matches_all_sector_solve(n, rng):
         assert res.rstar_exact == res.per_sector_max[res.argmax_sector] == max(res.per_sector_max)
 
 
-def test_exact_rstar_same_at_any_thread_count():
-    mats = chain_mats(9)
-    assert exact_rstar(mats, threads=3) == exact_rstar(mats, threads=1)
-
-
 def test_exact_rstar_solves_half_the_sectors(monkeypatch):
     built = []
     build = SectorBasis.build

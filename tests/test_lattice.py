@@ -1,4 +1,3 @@
-import threading
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from corrdecay.lattice import (
     apply_position_disorder,
     build_array,
     generate_lattice,
-    thread_map,
 )
 
 
@@ -192,17 +190,3 @@ def test_disorder_rejects_coincident_draw(monkeypatch, dim, n, moved, target):
     near = apply_position_disorder(ordered, 0.1, 7)
     assert not np.array_equal(near.positions[moved], near.positions[target])
 
-
-
-@pytest.mark.parametrize("threads", [1, 3])
-def test_thread_map_keeps_item_order(threads):
-    callers = []
-
-    def square(x):
-        callers.append(threading.get_ident())
-        return x * x
-
-    mapped = thread_map(square, range(20), threads)
-    assert callers == []  # lazy: nothing runs before the first item is read
-    assert list(mapped) == [x * x for x in range(20)]
-    assert (set(callers) == {threading.get_ident()}) == (threads == 1)

@@ -90,6 +90,21 @@ def test_nonpositive_drive_rejected():
         TransitionRow(label="x", wavelength_um=1.0, gamma0_2pi_hz=-1.0, nbar=0.0)
 
 
+@pytest.mark.parametrize("field", ["n_atoms", "spacing_um", "c6_2pi_ghz_um6", "rabi_2pi_mhz",
+                                   "exact_gamma_max_2pi_hz"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
+def test_non_finite_or_nonpositive_input_rejected(field, value):
+    with pytest.raises(ConfigError, match=field):
+        RydbergInput(**{**vars(paper_input(exact=176.0)), field: value})
+
+
+def test_duplicate_label_rejected():
+    row = TransitionRow("A", 1.0, 1.0, 0.1)
+    with pytest.raises(ConfigError, match="'A' appears more than once"):
+        RydbergInput(n_atoms=4, spacing_um=2.0, c6_2pi_ghz_um6=28.8, rabi_2pi_mhz=4.6,
+                     transitions=[row, TransitionRow("A", 2.0, 5.0, 0.0)], dominant_label="A")
+
+
 def test_gate_error_from_gamma_tot():
     rep = rydberg_report(paper_input(exact=176.0))
     assert rep.gate_error == 2.95 * rep.gamma_tot_2pi_hz / 4.6e6
@@ -110,6 +125,16 @@ def test_thermal_nbar_matches_planck():
     assert np.isclose(thermal_nbar(lam, temp), 1.0 / np.expm1(x))
     assert np.isclose(thermal_nbar(1540.0), 31.6, rtol=0.02)  # table value provenance
     assert thermal_nbar(0.4858) < 1e-20  # optical transitions see no 300 K photons
+
+
+@pytest.mark.parametrize("args", [(np.nan,), (1.0, np.nan), (np.inf,), (1.0, np.inf),
+                                  (0.0,), (1.0, -300.0), (1e300, 1e300)],
+                         ids=["nan-wavelength", "nan-temperature", "inf-wavelength",
+                              "inf-temperature", "zero-wavelength", "negative-temperature",
+                              "underflow"])
+def test_thermal_nbar_rejects_invalid_input(args):
+    with pytest.raises(ConfigError):
+        thermal_nbar(*args)
 
 
 def test_exact_pair_array_helper_matches_dicke_regime():

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from corrdecay.errors import ConfigError
 from corrdecay.sweep import (
     DisorderSpec,
     SweepPlan,
+    _thread_map,
     csv_row_writer,
     fit_power_law,
     fit_table,
@@ -84,6 +87,20 @@ def test_sweep_1d_plateau():
     table = run_sweep(plan_1d(sizes=(50, 100, 200)))
     values = [r.value for r in table.rows]
     assert all(abs(v - 1.875) < 0.01 for v in values)  # 3*pi/(2 k0 d) at d = 0.4
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_thread_map_keeps_item_order(threads):
+    callers = []
+
+    def square(x):
+        callers.append(threading.get_ident())
+        return x * x
+
+    mapped = _thread_map(square, range(20), threads)
+    assert callers == []  # lazy: nothing runs before the first item is read
+    assert list(mapped) == [x * x for x in range(20)]
+    assert (set(callers) == {threading.get_ident()}) == (threads == 1)
 
 
 def test_sweep_deterministic_and_threaded():
