@@ -104,6 +104,8 @@ def optimal_m(n: int, gamma_max: float, gamma0: float) -> int:
     """
     if n < 2:
         raise ConfigError("optimal_m needs n >= 2")
+    if not (0 < gamma0 < np.inf and 0 <= gamma_max < np.inf):
+        raise ConfigError("optimal_m needs 0 < gamma0 and 0 <= gamma_max, both finite")
     if gamma_max == gamma0:
         return 0
     m_cont = 0.5 * n * (1.0 + 2.0 / n + (n - 1.0) / n * gamma0 / (gamma0 - gamma_max))
@@ -157,13 +159,15 @@ def burst_time(dimension: int, spacing: float, n: int,
     explicit values to probe other regimes (e.g. alpha = 1, beta = 1 for
     all-to-all coupling, giving tau0 ~ log(N/2)/(N gamma0)).
     """
+    if not (1 <= n < np.inf and 0 < gamma0 < np.inf):
+        raise ConfigError(f"burst_time needs n >= 1 and 0 < gamma0 < inf, got {n}, {gamma0}")
     if alpha is None or beta is None:
         pref = asymptotic_prefactors(dimension, spacing)
         alpha = pref.alpha if alpha is None else alpha
         beta = pref.beta if beta is None else beta
     per_atom = beta * float(n) ** alpha * gamma0
-    if per_atom <= 0:
-        raise ConfigError("per-atom rate must be positive")
+    if not 0 < per_atom < np.inf:
+        raise ConfigError(f"per-atom rate must be positive and finite, got {per_atom}")
     t_r = 1.0 / per_atom
     log_arg = 1.0 / (2.0 * gamma0 * t_r)
     if log_arg <= 1.0:
@@ -259,12 +263,16 @@ def observable_rate_bounds(r_star: float, a_norm: float | None = None,
     per unit time; a sum of q k-local bounded terms at most
     2*k*q*sqrt(gamma0*r_star). At least one input group must be present.
     """
-    if r_star < 0:
-        raise ConfigError("r_star must be non-negative")
+    if not (0 <= r_star < np.inf and 0 < gamma0 < np.inf):
+        raise ConfigError(f"need 0 <= r_star and 0 < gamma0, both finite, got {r_star}, {gamma0}")
     out = {}
     if a_norm is not None:
+        if not 0 <= a_norm < np.inf:
+            raise ConfigError(f"a_norm must be non-negative and finite, got {a_norm}")
         out["positive_operator_bound"] = r_star * a_norm
     if k is not None and q is not None:
+        if not (1 <= k < np.inf and 1 <= q < np.inf):
+            raise ConfigError(f"k and q must be finite and >= 1, got {k}, {q}")
         out["local_observable_bound"] = 2.0 * k * q * math.sqrt(gamma0 * r_star)
     if not out:
         raise ConfigError("provide a_norm and/or both k and q")

@@ -121,14 +121,13 @@ def build_sector_dense(mats: CouplingMatrices, basis: SectorBasis) -> np.ndarray
     """
     down, up = basis.hops
     raised, below = np.divmod(up, down.shape[1] or 1)  # qubit i and state t of each up hop
-    src = down[:, below]  # (n, dim, n_excited): t with qubit j excited, for every qubit j
-    dst = np.broadcast_to(np.arange(basis.dim)[:, None], src.shape)
+    src = down[:, below]  # (n, dim, n_excited): t with qubit j excited, or dim, for every qubit j
     amp = mats.gamma[raised, np.arange(basis.n)[:, None, None]]  # Gamma_ij
-    hop = src < basis.dim
-    h = np.zeros((basis.dim, basis.dim))
-    # np.add.at adds in index order: j ascending gives the diagonal its ascending Gamma_ii sum
-    np.add.at(h, (dst[hop], src[hop]), amp[hop])
-    return h
+    # rows of width dim + 1: a missing hop (src = dim) lands in the padding column, dropped below;
+    # bincount adds in index order, so j ascending gives the diagonal its ascending Gamma_ii sum
+    flat = src + (basis.dim + 1) * np.arange(basis.dim)[:, None]
+    h = np.bincount(flat.ravel(), weights=amp.ravel(), minlength=basis.dim * (basis.dim + 1))
+    return h.reshape(basis.dim, basis.dim + 1)[:, :-1]
 
 
 def lanczos_largest(matvec, dim: int, tol: float = 1e-10, max_iter: int = 300, seed: int = 0):

@@ -107,8 +107,8 @@ def gamma_k(dimension: int, spacing: float, pol_tag: str, k, reg_delta: float | 
     u0 = np.atleast_1d(np.asarray(k, dtype=float))
     if u0.size != dimension:
         raise ConfigError(f"k must have {dimension} components")
-    if np.any(np.abs(u0) > 0.5 / spacing * (1 + 1e-12)):
-        raise ConfigError("k outside the first Brillouin zone")
+    if not np.all(np.abs(u0) <= 0.5 / spacing * (1 + 1e-12)):
+        raise ConfigError(f"k = {u0} must be finite and inside the first Brillouin zone")
     if dimension == 3 and reg_delta is None:
         raise ConfigError("D = 3 rates need a positive reg_delta regularizer")
     rates, on_line = _rates(dimension, spacing, pol_tag, u0.reshape(1, dimension), reg_delta)

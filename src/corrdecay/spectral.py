@@ -44,8 +44,8 @@ def delocalization_delta(dominant_vec) -> float:
     """
     v = np.asarray(dominant_vec, dtype=float)
     norm2 = np.linalg.norm(v)
-    if norm2 == 0:
-        raise PhysicsValidationError("zero vector has no delocalization measure")
+    if not 0 < norm2 < np.inf:
+        raise PhysicsValidationError(f"delocalization needs a positive finite norm, got {norm2}")
     l1 = np.abs(v).sum() / norm2
     return float(np.sqrt(max(0.0, v.size / l1**2 - 1.0)))
 

@@ -151,28 +151,23 @@ def run_sweep(plan: SweepPlan, threads: int = 1, on_row=None) -> SweepTable:
                 entropy=dis.seed, spawn_key=(p_idx, r_idx)).generate_state(1)[0])
             jobs.append((n_1d, eta, seed))
 
-    def _run(job):
+    def _run(job):  # the point's value, or its failure message
         try:
-            return "ok", _evaluate_point(plan, *job)
+            return _evaluate_point(plan, *job)
         except Exception as exc:  # per-point failure must not kill the sweep
-            return "error", f"{type(exc).__name__}: {exc}"
-
-    def _aggregate(n_atoms, outcomes):
-        vals, errors = [], []
-        for status, payload in outcomes:
-            (vals if status == "ok" else errors).append(payload)
-        if not vals:
-            return SweepRow(n_atoms=n_atoms, value=float("nan"),
-                            error="; ".join(errors))
-        arr = np.asarray(vals, dtype=float)
-        stderr = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else None
-        err = f"partial: {'; '.join(errors)}" if errors else None
-        return SweepRow(n_atoms=n_atoms, value=float(arr.mean()), stderr=stderr, error=err)
+            return f"{type(exc).__name__}: {exc}"
 
     table = SweepTable()
     outcomes = _thread_map(_run, jobs, threads)  # in job order: a point's realizations together
     for n_1d in plan.n_1d_values:
-        row = _aggregate(n_1d**plan.dimension, itertools.islice(outcomes, r_count))
+        got = list(itertools.islice(outcomes, r_count))
+        vals = np.array([v for v in got if not isinstance(v, str)], dtype=float)
+        errors = "; ".join(v for v in got if isinstance(v, str)) or None
+        row = SweepRow(n_atoms=n_1d**plan.dimension, value=float("nan"), error=errors)
+        if vals.size:  # the mean over the realizations that ran, flagged partial if any failed
+            row.value = float(vals.mean())
+            row.error = f"partial: {errors}" if errors else None
+            row.stderr = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else None
         table.rows.append(row)
         if on_row is not None:
             on_row(row)
@@ -214,19 +209,22 @@ R_SQUARED_GATE = 0.95
 
 
 def fit_power_law(n_atoms, values) -> ScalingFit:
-    """Fit value = beta * N^alpha by OLS on (log N, log value).
+    """Fit value = beta * N^alpha by OLS on (log N, log value), covariance scaled by rss/(n-2).
 
-    Requires >= 3 points with positive values. A zero-variance response is
-    reported as alpha = 0, beta = the common value, degenerate and rejected
-    (r_squared is meaningless there and reported as 0).
+    Requires >= 3 points, finite positive sizes (two or more distinct) and finite positive
+    values. A zero-variance response is reported as alpha = 0, beta = the common value,
+    degenerate and rejected (r_squared is meaningless there and reported as 0).
     """
-    x = np.log(np.asarray(n_atoms, dtype=float))
+    sizes = np.asarray(n_atoms, dtype=float)
     yvals = np.asarray(values, dtype=float)
-    if x.size < 3:
-        raise ConfigError("power-law fit needs at least 3 points")
-    if np.any(yvals <= 0) or not np.all(np.isfinite(yvals)):
+    if sizes.size < 3 or sizes.shape != yvals.shape:
+        raise ConfigError("power-law fit needs at least 3 (size, value) pairs")
+    # distinct in log space: sizes equal to within rounding would make the fit singular
+    if not (np.all((0 < sizes) & (sizes < np.inf)) and np.ptp(np.log(sizes)) > 0):
+        raise ConfigError("power-law fit needs finite positive sizes, at least two distinct")
+    if not np.all((0 < yvals) & (yvals < np.inf)):
         raise ConfigError("power-law fit needs positive finite values")
-    y = np.log(yvals)
+    x, y = np.log(sizes), np.log(yvals)
 
     tss = float(np.sum((y - y.mean()) ** 2))
     if tss < 1e-28:
@@ -234,24 +232,15 @@ def fit_power_law(n_atoms, values) -> ScalingFit:
                           alpha_ci_1sigma=0.0, beta_ci_1sigma=0.0,
                           r_squared=0.0, accepted=False, degenerate=True)
 
-    design = np.column_stack([x, np.ones_like(x)])
-    coef, residuals, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    alpha, intercept = float(coef[0]), float(coef[1])
-    fitted = design @ coef
-    rss = float(np.sum((y - fitted) ** 2))
-    r2 = 1.0 - rss / tss
-    dof = max(x.size - 2, 1)
-    sigma2 = rss / dof
-    cov = sigma2 * np.linalg.inv(design.T @ design)
-    alpha_ci = float(np.sqrt(cov[0, 0]))
-    intercept_ci = float(np.sqrt(cov[1, 1]))
+    (alpha, intercept), cov = np.polyfit(x, y, 1, cov=True)
+    r2 = 1.0 - float(np.sum((y - (alpha * x + intercept)) ** 2)) / tss
     beta = float(np.exp(intercept))
     return ScalingFit(
-        alpha=alpha,
+        alpha=float(alpha),
         beta=beta,
-        alpha_ci_1sigma=alpha_ci,
-        beta_ci_1sigma=beta * intercept_ci,
-        r_squared=float(r2),
+        alpha_ci_1sigma=float(np.sqrt(cov[0, 0])),
+        beta_ci_1sigma=beta * float(np.sqrt(cov[1, 1])),
+        r_squared=r2,
         accepted=bool(r2 >= R_SQUARED_GATE),
     )
 

@@ -236,6 +236,31 @@ def test_observable_bounds():
         observable_rate_bounds(-1.0, a_norm=1.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: observable_rate_bounds(NAN, a_norm=1.0),
+    lambda: observable_rate_bounds(INF, a_norm=1.0),
+    lambda: observable_rate_bounds(1.0, a_norm=-1.0),
+    lambda: observable_rate_bounds(1.0, a_norm=NAN),
+    lambda: observable_rate_bounds(1.0, k=2, q=3, gamma0=-1.0),
+    lambda: observable_rate_bounds(1.0, k=NAN, q=3),
+    lambda: burst_time(1, 0.2, 10, gamma0=NAN),
+    lambda: burst_time(1, 0.2, 10, gamma0=INF),
+    lambda: burst_time(1, 0.2, 10, alpha=NAN, beta=1.0),
+    lambda: burst_time(1, 0.2, -10, alpha=0.5, beta=1.0),
+    lambda: optimal_m(10, NAN, 1.0),
+    lambda: optimal_m(10, INF, 1.0),
+    lambda: optimal_m(10, 3.0, NAN),
+], ids=["r_star-nan", "r_star-inf", "a_norm-negative", "a_norm-nan", "gamma0-negative", "k-nan",
+        "burst-gamma0-nan", "burst-gamma0-inf", "burst-alpha-nan", "burst-n-negative",
+        "optimal_m-gamma_max-nan", "optimal_m-gamma_max-inf", "optimal_m-gamma0-nan"])
+def test_helpers_reject_non_finite_input(call):
+    with pytest.raises(ConfigError):
+        call()
+
+
 def test_typical_rate():
     assert typical_rate(8, 1.0) == 4.0
     assert typical_rate(0, 1.0) == 0.0

@@ -12,6 +12,7 @@ import pytest
 
 import corrdecay
 from corrdecay.cli import SCHEMAS, build_parser, main
+from corrdecay.sweep import fit_power_law
 
 DATA = Path(__file__).parent / "data" / "rb87_53s_transitions.csv"
 
@@ -248,6 +249,19 @@ def test_scan_writes_table_and_fit(tmp_path):
     assert lines[0] == "n_atoms,value,stderr"
     fit = json.loads((tmp_path / "fit.json").read_text())
     assert "alpha" in fit and "r_squared" in fit
+
+
+def test_scan_flags_a_failed_size_and_fits_the_rest(tmp_path, capsys):
+    # 50000 atoms exceed the dense-solver ceiling: that row fails, the sweep goes on
+    rc = main(["scan", "--dim", "1", "--d", "0.4", "--sizes", "2,3,4,50000",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    text = (tmp_path / "sweep.csv").read_text()
+    assert text.endswith("\n50000,nan,\n")
+    assert "1 sweep rows flagged" in capsys.readouterr().err
+    clean = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=1, usecols=(0, 1))[:3]
+    fit = json.loads((tmp_path / "fit.json").read_text())
+    assert fit == fit_power_law(clean[:, 0], clean[:, 1]).to_dict()
 
 
 def test_scan_empty_sizes_rejected(tmp_path):

@@ -48,6 +48,13 @@ def test_2d_outside_bz_rejected():
         gamma_k(2, 0.4, "perpendicular", [2.0, 0.0])
 
 
+@pytest.mark.parametrize("dim, k", [(1, [np.nan]), (1, [np.inf]), (2, [0.1, np.nan]),
+                                    (2, [-np.inf, 0.0])])
+def test_non_finite_wavevector_rejected(dim, k):
+    with pytest.raises(ConfigError, match="Brillouin"):
+        gamma_k(dim, 0.2, "parallel", k)
+
+
 def test_2d_closed_form_point():
     # k inside the light cone, g = 0 only: direct formula check
     u = np.array([0.5, 0.25])

@@ -96,6 +96,12 @@ def test_delta_examples():
         delocalization_delta(np.zeros(4))
 
 
+@pytest.mark.parametrize("vec", [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf, 0.0]])
+def test_delta_rejects_non_finite_vector(vec):
+    with pytest.raises(PhysicsValidationError, match="finite norm"):
+        delocalization_delta(vec)
+
+
 def test_delta_range(rng):
     for _ in range(50):
         n = int(rng.integers(2, 40))

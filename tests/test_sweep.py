@@ -3,6 +3,7 @@ import threading
 import numpy as np
 import pytest
 
+from corrdecay import sweep
 from corrdecay.errors import ConfigError
 from corrdecay.sweep import (
     DisorderSpec,
@@ -37,6 +38,12 @@ def test_fit_rejects_bad_input():
         fit_power_law([10, 100], [1.0, 2.0])
     with pytest.raises(ConfigError):
         fit_power_law([10, 100, 1000], [1.0, -2.0, 3.0])
+    with pytest.raises(ConfigError, match="pairs"):
+        fit_power_law([10, 100, 1000], [1.0, 2.0])
+    for sizes in ([0, 1, 2], [-1, 2, 3], [1, 2, np.nan], [1, 2, np.inf], [4, 4, 4],
+                  [1e15, 1e15 + 1, 1e15 + 2]):
+        with pytest.raises(ConfigError, match="sizes"):
+            fit_power_law(sizes, [1.0, 2.0, 3.0])
 
 
 def test_fit_scale_equivariance(rng):
@@ -155,3 +162,34 @@ def test_sweep_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "n_atoms,value,stderr"
     assert len(lines) == 4
+
+
+def test_sweep_failed_points(monkeypatch):
+    # realizations fail by (point, realization index): a partial row with two survivors,
+    # an all-failed row, a partial row with one survivor and a clean row
+    plan = plan_1d(sizes=(4, 5, 6, 7), disorder=DisorderSpec(eta=0.05, n_realizations=3, seed=9))
+    calls = []
+    monkeypatch.setattr(sweep, "_evaluate_point",
+                        lambda plan, n_1d, eta, seed: calls.append((n_1d, seed)) or 0.0)
+    run_sweep(plan)
+    fail = {calls[0], calls[3], calls[4], calls[5], calls[6], calls[8]}
+
+    def evaluate(plan, n_1d, eta, seed):
+        if (n_1d, seed) in fail:
+            raise RuntimeError(f"boom {n_1d}")
+        return n_1d + (seed % 1000) / 1000
+
+    monkeypatch.setattr(sweep, "_evaluate_point", evaluate)
+    tables = [run_sweep(plan, threads=t) for t in (1, 2)]
+    assert repr(tables[0]) == repr(tables[1])
+    rows = tables[0].rows
+    survivors = [evaluate(plan, n_1d, 0.0, seed) for n_1d, seed in calls[1:3]]
+    assert rows[0].value == np.mean(survivors)
+    assert rows[0].stderr == np.std(survivors, ddof=1) / np.sqrt(2)
+    assert rows[0].error == "partial: RuntimeError: boom 4"
+    assert np.isnan(rows[1].value) and rows[1].stderr is None
+    assert rows[1].error == "; ".join(["RuntimeError: boom 5"] * 3)
+    assert rows[2].value == evaluate(plan, 6, 0.0, calls[7][1]) and rows[2].stderr is None
+    assert rows[2].error == "partial: RuntimeError: boom 6; RuntimeError: boom 6"
+    assert rows[3].error is None and rows[3].stderr > 0
+    assert [r.n_atoms for r in tables[0].clean()] == [7]
