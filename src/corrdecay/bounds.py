@@ -42,6 +42,13 @@ class BoundsReport:
     in_phase: bool
 
 
+def _check_rates(who: str, gamma0, gamma_max=0.0) -> None:
+    """ConfigError unless 0 < gamma0 < inf and 0 <= gamma_max < inf."""
+    if not (0 < gamma0 < np.inf and 0 <= gamma_max < np.inf):
+        raise ConfigError(f"{who} needs 0 < gamma0 and 0 <= gamma_max, both finite, "
+                          f"got {gamma0}, {gamma_max}")
+
+
 def product_state_rate(theta: float, n: int, gamma0: float, s_sum: float) -> float:
     """Decay rate of the uniform product ansatz at mixing angle theta."""
     return 0.5 * n * gamma0 * (1.0 - math.cos(theta)) + 0.25 * s_sum * math.sin(theta) ** 2
@@ -53,6 +60,9 @@ def product_state_max(n: int, gamma0: float, s_sum: float) -> float:
     (N*gamma0 + S)^2 / (4S) when S >= N*gamma0 (optimum at cos(theta) =
     -N*gamma0/S), else N*gamma0 from the fully excited state.
     """
+    _check_rates("product_state_max", gamma0)
+    if not -np.inf < s_sum < np.inf:
+        raise ConfigError(f"product_state_max needs a finite s_sum, got {s_sum}")
     ng = n * gamma0
     if s_sum >= ng and s_sum > 0:
         return (ng + s_sum) ** 2 / (4.0 * s_sum)
@@ -92,6 +102,7 @@ def spin_wave_rate(m: int, n: int, gamma_max: float, gamma0: float) -> float:
         raise ConfigError("spin-wave rate needs n >= 2")
     if not 0 <= m <= n:
         raise ConfigError(f"excitation index m = {m} outside [0, {n}]")
+    _check_rates("spin_wave_rate", gamma0, gamma_max)
     return ((n - m) * (n - m - 1) * gamma0 + m * (n - m) * gamma_max) / (n - 1)
 
 
@@ -104,8 +115,7 @@ def optimal_m(n: int, gamma_max: float, gamma0: float) -> int:
     """
     if n < 2:
         raise ConfigError("optimal_m needs n >= 2")
-    if not (0 < gamma0 < np.inf and 0 <= gamma_max < np.inf):
-        raise ConfigError("optimal_m needs 0 < gamma0 and 0 <= gamma_max, both finite")
+    _check_rates("optimal_m", gamma0, gamma_max)
     if gamma_max == gamma0:
         return 0
     m_cont = 0.5 * n * (1.0 + 2.0 / n + (n - 1.0) / n * gamma0 / (gamma0 - gamma_max))
@@ -182,8 +192,8 @@ def markov_limit(dimension: int, spacing: float, omega0_over_gamma0: float = 1e8
     x <= 1 and 1/x beyond.
     """
     check_geometry(dimension, spacing)
-    if not omega0_over_gamma0 > 0:
-        raise ConfigError("omega0/gamma0 must be positive")
+    if not 0 < omega0_over_gamma0 < np.inf:
+        raise ConfigError(f"omega0/gamma0 must be positive and finite, got {omega0_over_gamma0}")
     x = 2.0 * np.pi * spacing
     f = x ** ((dimension - 1.0) / (dimension + 1.0)) if x <= 1.0 else 1.0 / x
     return float(omega0_over_gamma0 ** (2.0 / (dimension + 1.0)) * f)
@@ -229,6 +239,7 @@ class DrivenReport:
 
 def drive_threshold(gamma_max: float, gamma0: float) -> float:
     """Critical coherent pump strength (gamma0/2) sqrt(1 + gamma_max/gamma0)."""
+    _check_rates("drive_threshold", gamma0, gamma_max)
     return 0.5 * gamma0 * math.sqrt(1.0 + gamma_max / gamma0)
 
 
@@ -281,4 +292,5 @@ def observable_rate_bounds(r_star: float, a_norm: float | None = None,
 
 def typical_rate(n: int, gamma0: float) -> float:
     """Haar-average decay rate N*gamma0/2."""
+    _check_rates("typical_rate", gamma0)
     return 0.5 * n * gamma0

@@ -84,7 +84,6 @@ SCHEMAS = {
     },
     "scan": {
         **{key: rule for key, rule in _LATTICE_KEYS.items() if key != "n"},
-        "threads": {"type": "integer", "minimum": 1, "description": "worker threads (default 1)"},
         **_GLOBAL_KEYS,
         "quantity": {"type": "string", "enum": list(QUANTITIES),
                      "description": "rate recorded per point (default gamma_max)"},
@@ -218,9 +217,10 @@ def _parse_pol(text: str):
         vec = np.array(text.split(","), dtype=float)
     except ValueError as exc:
         raise ConfigError(f"cannot parse polarization {text!r}") from exc
-    norm = np.linalg.norm(vec)
-    if norm == 0:
-        raise ConfigError("polarization must be nonzero")
+    with np.errstate(over="ignore"):  # a norm past the float range reads inf
+        norm = np.linalg.norm(vec)
+    if not 0 < norm < np.inf:
+        raise ConfigError(f"polarization {text!r} needs a nonzero norm within the float range")
     return unit_polarization(vec / norm)
 
 
@@ -363,7 +363,7 @@ def cmd_scan(config: dict, run: Run) -> int:
         disorder=disorder,
     )
     with open(run.path("sweep.csv"), "w") as fh:
-        table = run_sweep(plan, threads=config.get("threads", 1), on_row=csv_row_writer(fh))
+        table = run_sweep(plan, on_row=csv_row_writer(fh))
     if len(table.clean()) >= 3:
         fit = fit_table(table)
         run.path("fit.json").write_text(fit.to_json() + "\n")

@@ -1,23 +1,21 @@
 """N-sweeps of collective-rate quantities and power-law fits with a fit-quality gate.
 
-Sweep points (and disorder realizations within a point) run on a bounded
-thread pool when threads > 1; numpy releases the GIL in the heavy kernels.
-Results are keyed by (point, realization) seeds, so the table is identical
-however the pool schedules the work.
+Sweep points, and the disorder realizations within a point, run one after another
+in the calling thread; each realization draws from its own (point, realization) seed.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from .bounds import bounds_report
 from .coupling import build_coupling_matrices
 from .errors import ConfigError
-from .lattice import LatticeSpec, build_array, check_disorder
+from .lattice import LatticeSpec, build_array, check_disorder, check_geometry, unit_polarization
 from .sdp import SdpProblem, solve_low_rank
 from .spectral import decompose, gamma_max_only
 
@@ -50,9 +48,13 @@ class SweepPlan:
     disorder: DisorderSpec | None = None
 
     def __post_init__(self):
+        check_geometry(self.dimension, self.spacing)
+        self.polarization = unit_polarization(self.polarization)
         if self.quantity not in QUANTITIES:
             raise ConfigError(f"quantity must be one of {QUANTITIES}")
         sizes = list(self.n_1d_values)
+        if not all(isinstance(n, Integral) and not isinstance(n, bool) and n >= 1 for n in sizes):
+            raise ConfigError(f"n_1d_values must be integers >= 1, got {sizes}")
         if len(sizes) < 3:
             raise ConfigError("a sweep needs at least 3 points")
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -119,55 +121,33 @@ def _evaluate_point(plan: SweepPlan, n_1d: int, eta: float, seed: int) -> float:
     return report.lb_best if plan.quantity == "lb_best" else report.ub
 
 
-def _thread_map(fn, items, threads: int):
-    """fn(item) for each item, lazily and in item order: in the calling thread when
-    threads <= 1, else on a pool of `threads` threads (concurrent.futures is imported only
-    then, so a one-thread run neither starts a thread nor pays for that import)."""
-    if threads <= 1:
-        yield from map(fn, items)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(fn, items)
-
-
 def run_sweep(plan: SweepPlan, threads: int = 1, on_row=None) -> SweepTable:
     """Evaluate the planned quantity at every size, averaging any disorder ensemble.
 
-    Rows are emitted in N order as soon as every realization of a point has
-    finished (on_row callback), however the pool schedules the work; values
-    are keyed by per-(point, realization) seeds so threading never changes
-    them. Per-point failures are recorded in the row and the sweep continues.
+    Rows are emitted in N order (on_row callback) as each point finishes. Per-point
+    failures are recorded in the row and the sweep continues. threads is read nowhere;
+    it stays only because the benchmark under perfbench/ passes it.
     """
     dis = plan.disorder
     eta = 0.0 if dis is None else dis.eta
     r_count = 1 if eta == 0 else dis.n_realizations
-    jobs = []  # (n_1d, eta, seed), point-major
+    table = SweepTable()
     for p_idx, n_1d in enumerate(plan.n_1d_values):
+        vals, errors = [], []
         for r_idx in range(r_count):
-            # stable per-(point, realization) seed, independent of scheduling
             seed = 0 if eta == 0 else int(np.random.SeedSequence(
                 entropy=dis.seed, spawn_key=(p_idx, r_idx)).generate_state(1)[0])
-            jobs.append((n_1d, eta, seed))
-
-    def _run(job):  # the point's value, or its failure message
-        try:
-            return _evaluate_point(plan, *job)
-        except Exception as exc:  # per-point failure must not kill the sweep
-            return f"{type(exc).__name__}: {exc}"
-
-    table = SweepTable()
-    outcomes = _thread_map(_run, jobs, threads)  # in job order: a point's realizations together
-    for n_1d in plan.n_1d_values:
-        got = list(itertools.islice(outcomes, r_count))
-        vals = np.array([v for v in got if not isinstance(v, str)], dtype=float)
-        errors = "; ".join(v for v in got if isinstance(v, str)) or None
-        row = SweepRow(n_atoms=n_1d**plan.dimension, value=float("nan"), error=errors)
-        if vals.size:  # the mean over the realizations that ran, flagged partial if any failed
-            row.value = float(vals.mean())
-            row.error = f"partial: {errors}" if errors else None
-            row.stderr = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else None
+            try:
+                vals.append(_evaluate_point(plan, n_1d, eta, seed))
+            except Exception as exc:  # per-point failure must not kill the sweep
+                errors.append(f"{type(exc).__name__}: {exc}")
+        error = "; ".join(errors) or None
+        row = SweepRow(n_atoms=n_1d**plan.dimension, value=float("nan"), error=error)
+        if vals:  # the mean over the realizations that ran, flagged partial if any failed
+            row.value = float(np.mean(vals))
+            row.error = f"partial: {error}" if error else None
+            if len(vals) > 1:
+                row.stderr = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
         table.rows.append(row)
         if on_row is not None:
             on_row(row)

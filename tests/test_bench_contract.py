@@ -4,7 +4,7 @@ The tracer there rebinds functions listed in its TARGETS table and its
 counters read some of their arguments by name, and the workloads construct
 CouplingMatrices, LatticeSpec, SdpProblem, DisorderSpec and SweepPlan by keyword.
 A rename under src/ would only show up as failed benchmark runs, so it is
-checked here.
+checked here, and every job of the workloads runs here at their tiny sizes.
 """
 
 import ast
@@ -12,6 +12,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -30,17 +31,18 @@ CONSTRUCTED = {cls.__name__: cls for cls in
                (CouplingMatrices, LatticeSpec, SdpProblem, DisorderSpec, SweepPlan)}
 
 
-def load_tracing():
-    name = "cdbench_tracing_contract"
-    spec = importlib.util.spec_from_file_location(name, TRACING)
+def load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module  # its dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
-TRACING_MODULE = load_tracing()
+TRACING_MODULE = load_module("cdbench_tracing_contract", TRACING)
 TARGETS = TRACING_MODULE.TARGETS
+WORKLOADS_MODULE = load_module("cdbench_workloads_contract", WORKLOADS)
+TINY_REFERENCES = json.loads((CDBENCH.parent / "references.json").read_text())["tiny"]
 
 
 def resolve(module_name, attr):
@@ -141,3 +143,13 @@ def test_workload_constructions():
     plan = SweepPlan(dimension=2, spacing=0.4, polarization=x, n_1d_values=[3, 4, 5],
                      disorder=disorder)
     assert plan.disorder is disorder and plan.n_1d_values == [3, 4, 5]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS_MODULE.WORKLOADS)
+def test_tiny_workload_jobs_match_references(tmp_path, workload):
+    # the benchmark's own calls (run_sweep's threads=, sdp_certificates' positional gamma0,
+    # exact_rstar's force_method=, the CLI argument lists) with its two-thread pool setting
+    ctx = {"pool_threads": 2, "workdir": tmp_path, "runner": WORKLOADS_MODULE.inprocess_runner}
+    refs = TINY_REFERENCES[workload]
+    for job in WORKLOADS_MODULE.build_jobs(workload, "tiny", 0, ctx):
+        assert WORKLOADS_MODULE.mismatches(job.run(), refs.get(job.name)) == [], job.name

@@ -253,9 +253,22 @@ NAN, INF = float("nan"), float("inf")
     lambda: optimal_m(10, NAN, 1.0),
     lambda: optimal_m(10, INF, 1.0),
     lambda: optimal_m(10, 3.0, NAN),
+    lambda: spin_wave_rate(0, 9, NAN, 1.0),
+    lambda: spin_wave_rate(3, 9, 1.0, INF),
+    lambda: drive_threshold(NAN, 1.0),
+    lambda: drive_threshold(1.0, -1.0),
+    lambda: drive_threshold(1.0, 0.0),
+    lambda: product_state_max(5, NAN, 1.0),
+    lambda: product_state_max(5, 1.0, NAN),
+    lambda: typical_rate(5, NAN),
+    lambda: typical_rate(5, -1.0),
+    lambda: markov_limit(1, 0.3, INF),
 ], ids=["r_star-nan", "r_star-inf", "a_norm-negative", "a_norm-nan", "gamma0-negative", "k-nan",
         "burst-gamma0-nan", "burst-gamma0-inf", "burst-alpha-nan", "burst-n-negative",
-        "optimal_m-gamma_max-nan", "optimal_m-gamma_max-inf", "optimal_m-gamma0-nan"])
+        "optimal_m-gamma_max-nan", "optimal_m-gamma_max-inf", "optimal_m-gamma0-nan",
+        "spin_wave-gamma_max-nan", "spin_wave-gamma0-inf", "drive-gamma_max-nan",
+        "drive-gamma0-negative", "drive-gamma0-zero", "product-gamma0-nan", "product-s_sum-nan",
+        "typical-gamma0-nan", "typical-gamma0-negative", "markov-ratio-inf"])
 def test_helpers_reject_non_finite_input(call):
     with pytest.raises(ConfigError):
         call()

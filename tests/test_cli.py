@@ -304,6 +304,7 @@ SCAN = ["scan", "--dim", "1", "--d", "0.4", "--sizes", "4,5,6"]
     SCAN + ["--spacing-mode", "linear"],
     SCAN + ["--seed", "5"],
     SCAN + ["--quantity", "ub", "--seed", "5"],
+    SCAN + ["--threads", "2"],
 ], ids=["scan-n", "analyze-output-format", "kspace-seed", "rydberg-seed", "gamma-threads",
         "sdp-threads", "kspace-threads", "rydberg-threads", "exact-threads", "analyze-threads",
         "analyze-gamma-file-lattice",
@@ -311,7 +312,7 @@ SCAN = ["scan", "--dim", "1", "--d", "0.4", "--sizes", "4,5,6"]
         "gamma-ordered-seed", "gamma-eta0-seed", "sdp-projection-seed",
         "sdp-projection-gamma-file-seed", "scan-ordered-realizations", "scan-eta0-realizations",
         "scan-sizes-n-min", "scan-sizes-n-max", "scan-sizes-count", "scan-sizes-spacing-mode",
-        "scan-ordered-seed", "scan-ordered-ub-seed"])
+        "scan-ordered-seed", "scan-ordered-ub-seed", "scan-threads"])
 def test_unused_option_rejected(tmp_path, argv):
     # argparse (no such flag), the schema (flag unused by the command) and the command
     # (flag unused next to another one) all exit 2, before anything is written
@@ -456,6 +457,30 @@ def test_boundary_inputs_exit_cleanly(tmp_path, capsys, case):
         assert out.read_text() == "kept" if out.is_file() else not out.exists()
 
 
+CHAIN_ARGV = ["analyze", "--dim", "1", "--n", "4", "--d", "0.4"]
+BAD_INPUT = {
+    "pol-overflow": (CHAIN_ARGV + ["--pol", "1e308,1e308,0"], "polarization '1e308,1e308,0'"),
+    "pol-zero": (CHAIN_ARGV + ["--pol", "0,0,0"], "polarization '0,0,0'"),
+    "pol-text": (CHAIN_ARGV + ["--pol", "a,b,c"], "cannot parse polarization 'a,b,c'"),
+    "scan-no-sizes": (["scan", "--d", "0.4"], "scan needs either sizes or n_min/n_max"),
+    "config-list": (["gamma", "--config", "CONFIG"], "config file must hold a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUT)
+def test_bad_input_exits_2_without_writing(tmp_path, capsys, case):
+    # the overflowing norm is refused as given, not as the zero vector it divides down to
+    argv, text = BAD_INPUT[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    argv = [str(cfg) if arg == "CONFIG" else arg for arg in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"config error: {text}" in err
+    assert not out.exists()
+
+
 def test_config_integer_past_json_limit_exits_2(tmp_path, capsys):
     # json refuses integers past its digit limit with a ValueError
     cfg = tmp_path / "cfg.json"
@@ -489,6 +514,7 @@ SCHEMA_MISSES = {
     "unknown-key": ("gamma", {**CHAIN, "typo_key": 1}, "typo_key"),
     "exact-threads": ("exact", {**CHAIN, "threads": 2}, "threads"),
     "analyze-threads": ("analyze", {**CHAIN, "threads": 2}, "threads"),
+    "scan-threads": ("scan", {"d": 0.4, "sizes": [4, 5, 6], "threads": 2}, "threads"),
 }
 
 
@@ -741,16 +767,6 @@ def test_analyze_unconverged_sdp_exits_4(tmp_path, capsys, monkeypatch):
     assert "solver error: certified SDP gap" in capsys.readouterr().err
 
 
-def test_scan_threads_flag_keeps_sweep_csv(tmp_path):
-    argv = ["scan", "--dim", "1", "--d", "0.4", "--pol", "z", "--sizes", "6,10,14",
-            "--eta", "0.02", "--realizations", "2"]
-    for threads in ("3", "1"):
-        assert main(argv + ["--threads", threads, "--out", str(tmp_path / threads)]) == 0
-    # threading must not change the numbers
-    sweeps = [(tmp_path / threads / "sweep.csv").read_bytes() for threads in ("3", "1")]
-    assert sweeps[0] == sweeps[1]
-
-
 def child_env():
     """os.environ with the corrdecay tree under test first on a child's PYTHONPATH."""
     paths = [str(Path(corrdecay.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
@@ -779,7 +795,9 @@ write_coupling_csv(build_export_matrices(build_array(spec)), out + "/coupling.cs
 for argv in (["gamma", "--dim", "2", "--n", "4", "--d", "0.4", "--eta", "0.05",
               "--output-format", "both"],
              ["analyze", "--dim", "1", "--n", "4", "--d", "0.3", "--pol", "z"],
-             ["kspace", "--dim", "3", "--n", "4", "--d", "0.4"]):
+             ["kspace", "--dim", "3", "--n", "4", "--d", "0.4"],
+             ["scan", "--dim", "2", "--d", "0.4", "--sizes", "3,4,5", "--eta", "0.05",
+              "--realizations", "2"]):
     assert main(argv + ["--out", out + "/" + argv[0]]) == 0, argv
 print(sorted(m for m in sys.modules
              if m.split(".")[0] in ("scipy", "jsonschema") or m in ("numpy.ma", "concurrent.futures")))
@@ -787,8 +805,8 @@ print(sorted(m for m in sys.modules
 
 
 def test_cold_start_imports_no_scipy(tmp_path):
-    # a fresh interpreter runs the disordered export and the CLI on numpy alone, importing
-    # neither scipy nor jsonschema nor numpy.ma nor concurrent.futures
+    # a fresh interpreter runs the disordered export and the CLI (a disordered scan too) on
+    # numpy alone, importing neither scipy nor jsonschema nor numpy.ma nor concurrent.futures
     proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,6 @@ from corrdecay.errors import ConfigError
 from corrdecay.sweep import (
     DisorderSpec,
     SweepPlan,
-    _thread_map,
     csv_row_writer,
     fit_power_law,
     fit_table,
@@ -85,6 +82,23 @@ def test_plan_validation():
         DisorderSpec(eta=float("nan"), n_realizations=2, seed=1)
 
 
+@pytest.mark.parametrize("field, value, text", [
+    ("dimension", 4, "dimension"),
+    ("spacing", -1.0, "spacing"),
+    ("spacing", float("nan"), "spacing"),
+    ("polarization", (1, 1, 0), "polarization"),
+    ("n_1d_values", [1.5, 2, 3], "n_1d_values"),
+    ("n_1d_values", [True, 2, 3], "n_1d_values"),
+    ("n_1d_values", [0, 2, 3], "n_1d_values"),
+])
+def test_plan_rejects_bad_fields(field, value, text):
+    # refused when planned, not as a table in which every row failed alike
+    kwargs = {"dimension": 1, "spacing": 0.4, "polarization": (1, 0, 0), "n_1d_values": [2, 3, 4],
+              field: value}
+    with pytest.raises(ConfigError, match=text):
+        SweepPlan(**kwargs)
+
+
 def plan_1d(quantity="gamma_max", sizes=(20, 40, 80), **kw):
     return SweepPlan(dimension=1, spacing=0.4, polarization=(0.0, 0.0, 1.0),
                      n_1d_values=list(sizes), quantity=quantity, **kw)
@@ -96,24 +110,10 @@ def test_sweep_1d_plateau():
     assert all(abs(v - 1.875) < 0.01 for v in values)  # 3*pi/(2 k0 d) at d = 0.4
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_thread_map_keeps_item_order(threads):
-    callers = []
-
-    def square(x):
-        callers.append(threading.get_ident())
-        return x * x
-
-    mapped = _thread_map(square, range(20), threads)
-    assert callers == []  # lazy: nothing runs before the first item is read
-    assert list(mapped) == [x * x for x in range(20)]
-    assert (set(callers) == {threading.get_ident()}) == (threads == 1)
-
-
 def test_sweep_deterministic_and_threaded():
     plan = plan_1d(sizes=(10, 20, 40), disorder=DisorderSpec(eta=0.02, n_realizations=3, seed=5))
-    t1 = run_sweep(plan, threads=1)
-    t2 = run_sweep(plan, threads=4)
+    t1 = run_sweep(plan)
+    t2 = run_sweep(plan, threads=4)  # the benchmark's call shape; threads is read nowhere
     for a, b in zip(t1.rows, t2.rows):
         assert a.n_atoms == b.n_atoms
         assert a.value == b.value
@@ -147,7 +147,7 @@ def test_sweep_quantities_consistent():
 def test_sweep_rows_stream_in_order():
     seen = []
     plan = plan_1d(sizes=(6, 10, 14), disorder=DisorderSpec(eta=0.03, n_realizations=2, seed=2))
-    table = run_sweep(plan, threads=4, on_row=lambda r: seen.append(r.n_atoms))
+    table = run_sweep(plan, on_row=lambda r: seen.append(r.n_atoms))
     assert seen == [6, 10, 14]
     assert [r.n_atoms for r in table.rows] == seen
 
@@ -180,9 +180,8 @@ def test_sweep_failed_points(monkeypatch):
         return n_1d + (seed % 1000) / 1000
 
     monkeypatch.setattr(sweep, "_evaluate_point", evaluate)
-    tables = [run_sweep(plan, threads=t) for t in (1, 2)]
-    assert repr(tables[0]) == repr(tables[1])
-    rows = tables[0].rows
+    table = run_sweep(plan)
+    rows = table.rows
     survivors = [evaluate(plan, n_1d, 0.0, seed) for n_1d, seed in calls[1:3]]
     assert rows[0].value == np.mean(survivors)
     assert rows[0].stderr == np.std(survivors, ddof=1) / np.sqrt(2)
@@ -192,4 +191,4 @@ def test_sweep_failed_points(monkeypatch):
     assert rows[2].value == evaluate(plan, 6, 0.0, calls[7][1]) and rows[2].stderr is None
     assert rows[2].error == "partial: RuntimeError: boom 6; RuntimeError: boom 6"
     assert rows[3].error is None and rows[3].stderr > 0
-    assert [r.n_atoms for r in tables[0].clean()] == [7]
+    assert [r.n_atoms for r in table.clean()] == [7]
