@@ -1,8 +1,9 @@
 """Command-line front end: seeded, reproducible runs emitting CSV/JSON.
 
 Subcommands: gamma, analyze, scan, sdp, exact, kspace, rydberg.
-Exit codes: 0 success, 2 config error (also an unreadable path or a number past the
-float arithmetic), 3 physics-validation error, 4 solver non-convergence.
+Exit codes: 0 success, 2 config error (also an unreadable path, a number past the
+float arithmetic or a size past memory), 3 physics-validation error, 4 solver
+non-convergence.
 Config precedence: flags > --config file > defaults.
 Every run that writes a file also writes a manifest (config hash, seed,
 versions, wall time) next to its outputs, even when it then fails. Omitted
@@ -337,7 +338,7 @@ def cmd_analyze(config: dict, run: Run) -> int:
         doc["exact"] = asdict(exact_rstar(mats, seed=seed))
     run.write_json("analysis.json", doc)
     spectrum_to_csv(summary, run.path("spectrum.csv"))
-    if array is not None and array.source_spec.disorder_eta == 0:
+    if mats.table is not None:  # an ordered array
         momentum_distribution(summary.dominant_vec, array).to_csv(run.path("momentum.csv"))
     print(f"analysis written to {run.out / 'analysis.json'}")
     return 0
@@ -510,6 +511,9 @@ def main(argv=None) -> int:
         return 2
     except ArithmeticError as exc:  # a number past what the float arithmetic holds
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size past memory; numpy's message names the shape
+        print(f"memory error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -55,18 +55,6 @@ def _j_kernel(x, c2):
     return t + (l - t) * c2
 
 
-class _BuiltOnFirstRead:
-    """The gamma field of CouplingMatrices. As a non-data descriptor it yields to the gamma an
-    instance holds; one that __post_init__ removed is built from the table on first read and
-    kept. It has no class-level value, so gamma stays a required field."""
-
-    def __get__(self, mats, owner=None):
-        if mats is None:
-            raise AttributeError("gamma")
-        mats.gamma = _offset_matrix(mats.table)
-        return mats.gamma
-
-
 @dataclass
 class CouplingMatrices:
     """Dense symmetric dissipative (gamma) and, for export only, coherent (jmat) matrices.
@@ -79,14 +67,12 @@ class CouplingMatrices:
     hand-built gamma must be exactly symmetric: the eigensolvers silently read one triangle
     of an asymmetric one.
 
-    table is the (2n - 1,)*D offset table (_offset_table) of an ordered array whose table is
-    its own reversal along every axis (every chain, and planes and cubes polarized along an
-    axis), else None. Only build_coupling_matrices sets it, with gamma=None: the eigensolve
-    trusts it unchecked and folds it straight into 2^D mirror blocks, and gamma is built from
-    it (_offset_matrix) on first read and kept.
+    table is the (2n - 1,)*D offset table (_offset_table) of an ordered array, else None. Only
+    build_coupling_matrices sets it, with gamma=None: the eigensolve trusts it unchecked and
+    folds it over grid, and gamma is built from it (_offset_matrix) on first read and kept.
     """
 
-    gamma: np.ndarray | None = _BuiltOnFirstRead()
+    gamma: np.ndarray | None
     gamma0: float
     n: int
     jmat: np.ndarray | None = None
@@ -95,20 +81,36 @@ class CouplingMatrices:
     def __post_init__(self):
         lazy = self.gamma is None and self.table is not None
         if lazy:
-            del self.gamma  # built on first read (_BuiltOnFirstRead)
-        shape = (math.prod(self.grid),) * 2 if lazy else np.shape(self.gamma)
+            del self.gamma  # built on first read (__getattr__)
+        centre = tuple(s // 2 for s in self.table.shape) if lazy else None
+        shape = (math.prod(c + 1 for c in centre),) * 2 if lazy else np.shape(self.gamma)
         if self.n < 1 or shape != (self.n, self.n):
             raise PhysicsValidationError(
                 f"coupling matrix of shape {shape} is not {self.n} x {self.n}")
-        first = self.table[tuple(n - 1 for n in self.grid)] if lazy else self.gamma[0, 0]
+        first = self.table[centre] if lazy else self.gamma[0, 0]
         if not abs(self.gamma0 - first) <= 1e-12:
             raise PhysicsValidationError(
                 f"gamma0 = {self.gamma0!r} is not gamma[0, 0] = {first!r}")
 
+    def __getattr__(self, name):
+        # runs only for a missing attribute; the name is checked before self.table is read, so
+        # copy and pickle, which look names up on an instance with no fields yet, do not recurse
+        if name != "gamma":
+            raise AttributeError(name)
+        self.gamma = _offset_matrix(self.table)
+        return self.gamma
+
     @property
     def grid(self) -> tuple[int, ...] | None:
-        """The site grid (n,)*D of the offset table, or None without one."""
-        return None if self.table is None else tuple((s + 1) // 2 for s in self.table.shape)
+        """The axis lengths gamma folds over: the table's site grid (n,)*D when the table is its
+        own reversal along every axis (chains, and planes and cubes polarized along an axis), else
+        (N,), as every table is even, table(-m) = table(m). None without a table."""
+        t = self.table
+        if t is None:
+            return None
+        if all(np.array_equal(t, np.flip(t, k)) for k in range(t.ndim)):
+            return tuple((s + 1) // 2 for s in t.shape)
+        return (self.n,)
 
 
 @dataclass
@@ -229,20 +231,16 @@ def _offset_matrix(table) -> np.ndarray:
 def build_coupling_matrices(array: AtomArray) -> CouplingMatrices:
     """Gamma for all pairs of `array` at its source spec's polarization; jmat is left unset.
 
-    An ordered array is built from its lattice offsets: when the offset table is its own
-    reversal along every axis, it is kept as table and gamma is built only on first read.
-    Any other array goes through build_coupling_from_positions. Raises
+    An ordered array keeps its lattice's offset table as table, and gamma is built only on
+    first read; any other array goes through build_coupling_from_positions. Raises
     CoincidentEmittersError with the offending indices if two emitters overlap.
     """
     pol = array.source_spec.pol_vector
     lattice = _lattice_spec(array)
     if lattice is None:
         return build_coupling_from_positions(array.positions, pol)
-    table = _offset_table(lattice, pol, _gamma_kernel, GAMMA0)
-    if all(np.array_equal(table, np.flip(table, k)) for k in range(table.ndim)):
-        return CouplingMatrices(gamma=None, gamma0=GAMMA0, n=lattice.n_atoms, table=table)
-    gamma = _offset_matrix(table)
-    return CouplingMatrices(gamma=gamma, gamma0=GAMMA0, n=gamma.shape[0])
+    return CouplingMatrices(gamma=None, gamma0=GAMMA0, n=lattice.n_atoms,
+                            table=_offset_table(lattice, pol, _gamma_kernel, GAMMA0))
 
 
 def build_coupling_from_positions(positions: np.ndarray, pol) -> CouplingMatrices:
@@ -255,9 +253,9 @@ def build_coupling_from_positions(positions: np.ndarray, pol) -> CouplingMatrice
 def build_export_matrices(array: AtomArray) -> CouplingMatrices:
     """Gamma and jmat of `array` for the coupling export, the one reader of jmat."""
     mats = build_coupling_matrices(array)
-    pol, lattice = array.source_spec.pol_vector, _lattice_spec(array)
-    mats.jmat = (_pair_matrix(array.positions, pol, _j_kernel, 0.0) if lattice is None
-                 else _offset_matrix(_offset_table(lattice, pol, _j_kernel, 0.0)))
+    pol = array.source_spec.pol_vector
+    mats.jmat = (_pair_matrix(array.positions, pol, _j_kernel, 0.0) if mats.table is None
+                 else _offset_matrix(_offset_table(array.source_spec, pol, _j_kernel, 0.0)))
     return mats
 
 
@@ -302,9 +300,9 @@ def validated_coupling(gamma) -> CouplingMatrices:
 
 def centrosymmetric(g) -> bool:
     """Whether the square g equals its reversal g[::-1, ::-1] exactly, as every ordered
-    array's Gamma and Gtilde do: the rule under which Gamma and the SDP product fold over
-    the grid (N,). Compared over blocks of PAIR_BLOCK rows, stopping at the first that
-    differs, so no temporary exceeds PAIR_BLOCK x N."""
+    array's Gamma and Gtilde do: the rule under which a Gamma without a table and the SDP
+    product fold over the grid (N,). Compared over blocks of PAIR_BLOCK rows, stopping at
+    the first that differs, so no temporary exceeds PAIR_BLOCK x N."""
     flipped = g[::-1, ::-1]
     return all(np.array_equal(g[a:a + PAIR_BLOCK], flipped[a:a + PAIR_BLOCK])
                for a in range(0, len(g), PAIR_BLOCK))
@@ -360,12 +358,11 @@ def gamma_eigensolve(mats: CouplingMatrices, top_vector=False):
     """(ascending eigenvalues, unit top eigenvector or None, label) of mats.gamma.
 
     Gamma is folded over a tuple `grid` of axis lengths whose every axis reversal leaves it
-    unchanged: mats.grid, read from the offset table without building gamma, else (N,) when
-    gamma is centrosymmetric (N > 1). Each of the 2^D mirror blocks
-    (_mirror_blocks), about N/2^D rows, is solved alone; the top vector is the top mode of
-    the block with the largest top eigenvalue (ties: the first block, all-even first). The
-    label is "parity" for a one-axis fold, "mirror" for more axes and "dense" for a gamma
-    solved whole."""
+    unchanged: mats.grid, the table's rule (its site grid folds its view, gamma unbuilt), else
+    (N,) when a gamma without a table is centrosymmetric (N > 1). Each of the 2^D mirror blocks
+    (_mirror_blocks), about N/2^D rows, is solved alone; the top vector is the top mode of the
+    block with the largest top eigenvalue (ties: the first block, all-even first). The label is
+    "parity" for a one-axis fold, "mirror" for more axes and "dense" for a gamma solved whole."""
     solve = np.linalg.eigh if top_vector else lambda x: (np.linalg.eigvalsh(x), None)
     grid = mats.grid
     if grid is None and mats.n > 1 and centrosymmetric(mats.gamma):
@@ -373,7 +370,8 @@ def gamma_eigensolve(mats: CouplingMatrices, top_vector=False):
     if grid is None:
         vals, vecs = solve(mats.gamma)
         return vals, None if vecs is None else vecs[:, -1], "dense"
-    t = mats.gamma.reshape(grid * 2) if mats.table is None else _table_view(mats.table)
+    on_sites = mats.table is not None and len(grid) == mats.table.ndim  # the table's site grid
+    t = _table_view(mats.table) if on_sites else mats.gamma.reshape(grid * 2)
     parts, top = [], None
     for s, block in enumerate(_mirror_blocks(t, grid)):
         if block.size:

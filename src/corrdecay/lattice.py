@@ -27,10 +27,24 @@ def _rng(seed: int, *subkeys: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _check_number(name, value, kind=Real) -> None:
+    """ConfigError naming the field unless value is of kind (Integral or Real; a bool is
+    neither) and within the float range."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must be within the float range") from None
+
+
 def check_geometry(dimension, spacing) -> None:
-    """ConfigError unless dimension is 1, 2 or 3 and spacing a positive finite number."""
+    """ConfigError naming the field unless dimension is an integer 1, 2 or 3 and spacing a
+    positive finite real number (_check_number)."""
+    _check_number("dimension", dimension, Integral)
     if dimension not in (1, 2, 3):
         raise ConfigError(f"dimension must be 1, 2 or 3, got {dimension}")
+    _check_number("spacing", spacing)
     if not 0 < spacing < np.inf:
         raise ConfigError(f"spacing must be positive and finite, got {spacing}")
 
@@ -76,17 +90,9 @@ class LatticeSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for kind, names in ((Integral, ("dimension", "n_per_axis", "seed")),
-                            (Real, ("spacing", "disorder_eta"))):
-            for name in names:
-                value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise ConfigError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
-                try:
-                    float(value)
-                except OverflowError:
-                    raise ConfigError(f"{name} must be within the float range") from None
         check_geometry(self.dimension, self.spacing)
+        for name, kind in (("n_per_axis", Integral), ("seed", Integral), ("disorder_eta", Real)):
+            _check_number(name, getattr(self, name), kind)
         if self.n_per_axis < 1:
             raise ConfigError(f"n_per_axis must be >= 1, got {self.n_per_axis}")
         if self.n_per_axis**self.dimension > MAX_ATOMS:

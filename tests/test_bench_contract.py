@@ -145,11 +145,36 @@ def test_workload_constructions():
     assert plan.disorder is disorder and plan.n_1d_values == [3, 4, 5]
 
 
+def run_tiny_jobs(workload, workdir):
+    """Run every tiny job of the workload and check it against its stored reference."""
+    ctx = {"pool_threads": 2, "workdir": workdir, "runner": WORKLOADS_MODULE.inprocess_runner}
+    refs = TINY_REFERENCES[workload]
+    for job in WORKLOADS_MODULE.build_jobs(workload, "tiny", 0, ctx):
+        assert WORKLOADS_MODULE.mismatches(job.run(), refs.get(job.name)) == [], job.name
+
+
 @pytest.mark.parametrize("workload", WORKLOADS_MODULE.WORKLOADS)
 def test_tiny_workload_jobs_match_references(tmp_path, workload):
     # the benchmark's own calls (run_sweep's threads=, sdp_certificates' positional gamma0,
     # exact_rstar's force_method=, the CLI argument lists) with its two-thread pool setting
-    ctx = {"pool_threads": 2, "workdir": tmp_path, "runner": WORKLOADS_MODULE.inprocess_runner}
-    refs = TINY_REFERENCES[workload]
-    for job in WORKLOADS_MODULE.build_jobs(workload, "tiny", 0, ctx):
-        assert WORKLOADS_MODULE.mismatches(job.run(), refs.get(job.name)) == [], job.name
+    run_tiny_jobs(workload, tmp_path)
+
+
+# counters each workload's traced pass must report; each reads a result by attribute
+TRACED_COUNTERS = {
+    "scaling": {"coupling.pairs", "spectral.eig_n3", "sweep.points"},  # result.n, r.rows
+    "sdp": {"sdp.escape_verified", "spectral.eig_n3"},  # result.rank_escape_verified
+    "exact": {"exactdiag.basis_states", "exactdiag.lanczos_iterations"},  # r.dim, r[1]
+    "cli": {"coupling.pairs", "coupling.io_bytes", "sdp.escape_verified"},
+}
+
+
+@pytest.mark.parametrize("workload", WORKLOADS_MODULE.WORKLOADS)
+def test_tiny_workload_jobs_match_references_traced(tmp_path, workload):
+    # the benchmark's traced mode: the same jobs inside the tracer's wrappers, whose counters
+    # read the results; a renamed result field fails the job that returns it
+    tracer = TRACING_MODULE.Tracer()
+    with tracer.installed():
+        run_tiny_jobs(workload, tmp_path)
+    assert TRACING_MODULE.leftover_wrappers() == []
+    assert TRACED_COUNTERS[workload] <= set(tracer.counts)

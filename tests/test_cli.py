@@ -427,6 +427,9 @@ BOUNDARY.update({
     "rydberg-missing-table": ("rydberg", {**BOUNDARY_BASE["rydberg"], "table": "MISSING"}, 2,
                               "no-such-file"),
     "kspace-out-is-a-file": ("kspace", {"dim": 1, "n": 8, "d": 0.3}, 2, "File exists"),
+    # a 7 PiB grid is past the 64-bit address space: refused before any page is touched
+    "kspace-past-memory": ("kspace", {"dim": 3, "n": 100000, "d": 0.4}, 2,
+                           "memory error: Unable to allocate"),
 })
 
 

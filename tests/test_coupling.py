@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import struct
 import tracemalloc
 
@@ -353,17 +356,18 @@ MIRROR_POLS = {"x": (1.0, 0, 0), "y": (0, 1.0, 0), "z": (0, 0, 1.0), "xy": (0.6,
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 7])
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_ordered_gamma_folds_over_its_mirror_axes(dimension, n, pol):
-    # the table is kept exactly when Gamma is unchanged by reversing each lattice axis on its own:
-    # every chain and axis-aligned polarization; an xy-oblique dipole breaks both plane axes,
-    # an xz-oblique one the cube's x and z axes. Either way the spectrum is the dense one.
+    # every ordered array keeps its table and leaves gamma to its first read. The table folds
+    # over its site grid exactly when Gamma is unchanged by reversing each lattice axis on its
+    # own: every chain and axis-aligned polarization; an xy-oblique dipole breaks both plane
+    # axes, an xz-oblique one the cube's x and z axes. Otherwise it folds over (N,), as every
+    # table is even. Either way the spectrum is the dense one.
     mats = build_coupling_matrices(generate_lattice(LatticeSpec(
         dimension=dimension, n_per_axis=n, spacing=0.37, polarization=MIRROR_POLS[pol])))
-    unbuilt = "gamma" not in vars(mats)  # a kept table leaves gamma to its first read
+    assert mats.table is not None and not built(mats)
     t = mats.gamma.reshape((n,) * 2 * dimension)
     mirrored = all(np.array_equal(t, np.flip(t, (k, dimension + k))) for k in range(dimension))
     assert mirrored == (dimension == 1 or n == 1 or len(pol) == 1 or (dimension, pol) == (2, "xz"))
-    assert mats.grid == ((n,) * dimension if mirrored else None)
-    assert (mats.table is not None) == mirrored == unbuilt
+    assert mats.grid == ((n,) * dimension if mirrored else (n**dimension,))
     summary = decompose(mats)
     assert summary.eigensolver == ("parity" if not mirrored or dimension == 1 else "mirror")
     dense = np.linalg.eigvalsh(mats.gamma)
@@ -426,6 +430,48 @@ def test_eigensolves_leave_the_ordered_gamma_unbuilt(dimension, n, solve):
         LatticeSpec(dimension=dimension, n_per_axis=n, spacing=0.37, polarization=(0, 0, 1.0))))
     solve(mats)
     assert mats.table is not None and not built(mats)
+
+
+@pytest.mark.parametrize("dimension, n, pol", [(2, 6, MIRROR_POLS["xy"]), (2, 5, OBLIQUE),
+                                              (3, 3, MIRROR_POLS["xy"]), (3, 4, MIRROR_POLS["xz"]),
+                                              (3, 3, OBLIQUE)],
+                         ids=["plane-xy", "plane-oblique", "cube-xy", "cube-xz", "cube-oblique"])
+def test_oblique_table_folds_by_its_own_rule(monkeypatch, dimension, n, pol):
+    # an oblique table folds over (N,) without the centrosymmetry probe, bitwise as the same
+    # gamma does without a table after the probe passes
+    mats = build_coupling_matrices(generate_lattice(
+        LatticeSpec(dimension=dimension, n_per_axis=n, spacing=0.37, polarization=pol)))
+    dense = coupling._offset_matrix(mats.table)
+    vals, vec, label = gamma_eigensolve(mats_from_gamma(dense), top_vector=True)
+    vals_only = gamma_eigensolve(mats_from_gamma(dense))[0]  # eigvalsh, not eigh
+    assert label == "parity" and mats.grid == (n**dimension,)
+
+    def refuse(g):
+        raise AssertionError("centrosymmetric probed a table-backed gamma")
+
+    monkeypatch.setattr(coupling, "centrosymmetric", refuse)
+    summary = decompose(mats)
+    assert summary.eigensolver == label
+    assert summary.eigenvalues.tobytes() == vals[::-1].tobytes()
+    assert np.abs(summary.dominant_vec).tobytes() == np.abs(vec).tobytes()
+    assert gamma_max_only(mats) == vals_only[-1]
+    assert validate_psd(mats).min_eigenvalue == vals_only[0]
+    assert mats.gamma.tobytes() == dense.tobytes()
+
+
+def test_table_backed_matrices_copy_pickle_and_replace():
+    mats = build_coupling_matrices(generate_lattice(
+        LatticeSpec(dimension=2, n_per_axis=4, spacing=0.37, polarization=OBLIQUE)))
+    dense = coupling._offset_matrix(mats.table)
+    for twin in (copy.copy(mats), copy.deepcopy(mats), pickle.loads(pickle.dumps(mats))):
+        assert twin.table is not None and not built(twin)
+        assert twin.gamma.tobytes() == dense.tobytes()
+    assert not built(mats)
+    gamma = mats.gamma
+    assert dataclasses.replace(mats).gamma is gamma
+    assert dataclasses.replace(mats, table=None).gamma is gamma
+    with pytest.raises(AttributeError):
+        CouplingMatrices.gamma  # noqa: B018  (gamma is a required field with no class value)
 
 
 def full_pair_loop(positions, pol, kernel, diagonal):

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from corrdecay import lattice
+from corrdecay import bounds, kspace, lattice
 from corrdecay.errors import ConfigError, PhysicsValidationError
 from corrdecay.lattice import (
     LatticeSpec,
@@ -10,6 +10,7 @@ from corrdecay.lattice import (
     build_array,
     generate_lattice,
 )
+from corrdecay.sweep import SweepPlan
 
 
 def spec(dim, n, d, **kw):
@@ -155,6 +156,32 @@ def test_spec_fields_are_type_checked(text, field):
     # each is refused by a ConfigError naming the field, before any array is built
     with pytest.raises(ConfigError, match=field):
         LatticeSpec.from_json(text)
+
+
+X = (1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: lattice.check_geometry(True, 0.4), "dimension"),
+    (lambda: lattice.check_geometry(2.0, 0.4), "dimension"),
+    (lambda: lattice.check_geometry(1, True), "spacing"),
+    (lambda: lattice.check_geometry(1, "0.4"), "spacing"),
+    (lambda: lattice.check_geometry(1, 10**400), "spacing"),
+    (lambda: bounds.crossover_n_crit(2, "0.3"), "spacing"),
+    (lambda: bounds.markov_limit(True, 0.3), "dimension"),
+    (lambda: kspace.asymptotic_prefactors(True, 0.3), "dimension"),
+    (lambda: kspace.gamma_max_finite_grid(True, 0.3, "parallel", 8), "dimension"),
+    (lambda: SweepPlan(dimension=True, spacing=0.4, polarization=X, n_1d_values=[3, 4, 5]),
+     "dimension"),
+], ids=["bool-dimension", "float-dimension", "bool-spacing", "str-spacing", "past-float-spacing",
+        "crossover-str-spacing", "markov-bool-dimension", "prefactors-bool-dimension",
+        "finite-grid-bool-dimension", "sweep-plan-bool-dimension"])
+def test_geometry_fields_are_type_checked(call, field):
+    # every reader of a dimension and spacing refuses a bool, a float dimension, a string or a
+    # number past the float range with a ConfigError naming the field, not a TypeError or a
+    # number computed from it
+    with pytest.raises(ConfigError, match=field):
+        call()
 
 
 def test_spec_accepts_numpy_scalars_and_integer_reals():
