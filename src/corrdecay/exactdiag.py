@@ -18,15 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
 from .coupling import CouplingMatrices, check_coupling_matrix
 from .errors import ConfigError, SolverConvergenceError
-from .lattice import _rng
+from .lattice import _check_number, _rng
 
-MAX_QUBITS = 23  # largest N measured: a d = 0.2 chain takes 176 s and 920 MiB (2 cores, OpenBLAS)
-MAX_DENSE_DIM = 400  # measured dense/Lanczos crossover: about 450 (chains, N = 11-17)
+MAX_QUBITS = 23  # largest N measured: a d = 0.2 chain takes 112 s and 796 MiB (2 cores, OpenBLAS)
+MAX_DENSE_DIM = 300  # measured crossover about 200 (chains, N = 11-17); dense costs < 1 ms more
 MAX_QUBITS_HAAR = 14
 HAAR_BLOCK = 64  # Haar samples per block; a block holds HAAR_BLOCK * 2^N amplitudes
 LANCZOS_CHECK = 4  # Lanczos steps between convergence tests, each one tridiagonal eigh
@@ -59,14 +60,15 @@ class SectorBasis:
     def hops(self) -> tuple[np.ndarray, np.ndarray]:
         """Single-excitation hops to and from the sector one excitation below.
 
-        Returns int32 tables (down, up), independent of Gamma. down[j, t] is the
-        index of state t of the sector below with qubit j excited, or dim where
-        qubit j is already excited in t. up[s, a] is i * dim_below + t, where i
-        is the a-th excited qubit of state s (ascending) and t is s with qubit i
-        de-excited. Every pair hop sigma+_i sigma-_j passes through one state t
-        of the sector below, so the two tables, 4 * (n * dim_below + n_excited *
-        dim) bytes, stand for all dim * n_excited * (n - n_excited) pair hops:
-        1.1 bytes per hop in the middle sector at N = 20 (1.9 at N = 13).
+        Returns int32 tables (down, up) of shapes (n, dim_below) and (n_excited,
+        dim), C-contiguous and independent of Gamma. down[j, t] is the index of
+        state t of the sector below with qubit j excited, or dim where qubit j is
+        already excited in t. up[a, s] is i * dim_below + t, where i is the a-th
+        excited qubit of state s (ascending) and t is s with qubit i de-excited.
+        Every pair hop sigma+_i sigma-_j passes through one state t of the sector
+        below, so the two tables, 4 * (n * dim_below + n_excited * dim) bytes,
+        stand for all dim * n_excited * (n - n_excited) pair hops: 1.1 bytes per
+        hop in the middle sector at N = 20 (1.9 at N = 13).
         """
         n_exc = self.n - self.m_ground
         bits = np.arange(self.n, dtype=np.uint64)
@@ -74,10 +76,10 @@ class SectorBasis:
         excited = np.nonzero(occ)[1].reshape(self.dim, n_exc)  # ascending per state
         lowered = self.states[:, None] ^ (np.uint64(1) << excited.astype(np.uint64))
         below = SectorBasis(self.n, self.m_ground + 1, _sector_states(self.n, n_exc - 1))
-        up = excited * below.dim + below.position(lowered)
+        up = (excited * below.dim + below.position(lowered)).T.astype(np.int32, order="C")
         down = np.full(self.n * below.dim, self.dim, dtype=np.int32)
-        down[up.ravel()] = np.arange(self.dim).repeat(n_exc)
-        return down.reshape(self.n, below.dim), up.astype(np.int32)
+        down[up] = np.arange(self.dim)  # down[up[a, s]] = s, broadcast over the rows a
+        return down.reshape(self.n, below.dim), up
 
     @classmethod
     def build(cls, n: int, m_ground: int) -> "SectorBasis":
@@ -97,8 +99,10 @@ def sector_matvec(mats: CouplingMatrices, basis: SectorBasis, v: np.ndarray) -> 
     complex. Every pair term sigma+_i sigma-_j (the diagonal i = j included)
     runs through the sector one excitation below, from the cached hop table:
     gather sigma-_j v for every qubit j, mix the qubits with one Gamma product,
-    and gather sigma+_i of the result back. Per vector this allocates about
-    2 * n * dim_below + n_excited * dim amplitudes, and nothing per pair hop.
+    and gather sigma+_i of the result back, summed over the leading excitation
+    axis of up. Both gathers are ndarray.take on axis 0, which copies the table
+    it reads to intp for the call. Per vector this allocates about 2 * n *
+    dim_below + n_excited * dim amplitudes, and nothing per pair hop.
     """
     v = np.asarray(v)
     if v.shape[0] != basis.dim:
@@ -106,10 +110,10 @@ def sector_matvec(mats: CouplingMatrices, basis: SectorBasis, v: np.ndarray) -> 
     down, up = basis.hops
     cols = v.reshape(basis.dim, -1)
     padded = np.concatenate([cols, np.zeros((1, cols.shape[1]), cols.dtype)])
-    # padded[down] is sigma-_j v for every qubit j, (n, dim_below, k), zero where j is not
-    # excited; the Gamma product mixes it into sum_j Gamma_ij sigma-_j v for every qubit i
-    mixed = mats.gamma @ padded[down].reshape(basis.n, -1)
-    out = mixed.reshape(-1, cols.shape[1])[up].sum(axis=1)
+    # padded.take(down) is sigma-_j v for every qubit j, (n, dim_below, k), zero where j is
+    # not excited; the Gamma product mixes it into sum_j Gamma_ij sigma-_j v for every qubit i
+    mixed = mats.gamma @ padded.take(down, axis=0).reshape(basis.n, -1)
+    out = mixed.reshape(-1, cols.shape[1]).take(up, axis=0).sum(axis=0)
     return out.reshape(v.shape)
 
 
@@ -120,7 +124,7 @@ def build_sector_dense(mats: CouplingMatrices, basis: SectorBasis) -> np.ndarray
     to i; the diagonal sums Gamma_ii over the excited qubits, in ascending order.
     """
     down, up = basis.hops
-    raised, below = np.divmod(up, down.shape[1] or 1)  # qubit i and state t of each up hop
+    raised, below = np.divmod(up.T, down.shape[1] or 1)  # qubit i and state t, (dim, n_excited)
     src = down[:, below]  # (n, dim, n_excited): t with qubit j excited, or dim, for every qubit j
     amp = mats.gamma[raised, np.arange(basis.n)[:, None, None]]  # Gamma_ij
     # rows of width dim + 1: a missing hop (src = dim) lands in the padding column, dropped below;
@@ -242,6 +246,7 @@ def haar_rate_samples(mats: CouplingMatrices, n_samples: int, seed: int = 0) -> 
     n = mats.n
     if n > MAX_QUBITS_HAAR:
         raise ConfigError(f"Haar sampling is limited to N <= {MAX_QUBITS_HAAR}")
+    _check_number("n_samples", n_samples, Integral)
     if n_samples < 1:
         raise ConfigError("n_samples must be positive")
     check_coupling_matrix(mats.gamma)

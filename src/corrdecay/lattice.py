@@ -22,7 +22,8 @@ MAX_ATOMS = 46341
 
 
 def _rng(seed: int, *subkeys: int) -> np.random.Generator:
-    """Philox generator for `seed`, optionally split by integer subkeys."""
+    """Philox generator for an integer seed taken mod 2^64, optionally split by integer subkeys."""
+    _check_number("seed", seed, Integral)
     ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=tuple(subkeys))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -50,7 +51,8 @@ def check_geometry(dimension, spacing) -> None:
 
 
 def check_disorder(eta) -> None:
-    """ConfigError unless the disorder strength eta is a non-negative finite number."""
+    """ConfigError unless the disorder strength eta is a non-negative finite real number."""
+    _check_number("disorder_eta", eta)
     if not 0 <= eta < np.inf:
         raise ConfigError(f"disorder_eta must be non-negative and finite, got {eta}")
 
@@ -91,8 +93,8 @@ class LatticeSpec:
 
     def __post_init__(self):
         check_geometry(self.dimension, self.spacing)
-        for name, kind in (("n_per_axis", Integral), ("seed", Integral), ("disorder_eta", Real)):
-            _check_number(name, getattr(self, name), kind)
+        for name in ("n_per_axis", "seed"):
+            _check_number(name, getattr(self, name), Integral)
         if self.n_per_axis < 1:
             raise ConfigError(f"n_per_axis must be >= 1, got {self.n_per_axis}")
         if self.n_per_axis**self.dimension > MAX_ATOMS:

@@ -15,7 +15,8 @@ import numpy as np
 from .bounds import bounds_report
 from .coupling import build_coupling_matrices
 from .errors import ConfigError
-from .lattice import LatticeSpec, build_array, check_disorder, check_geometry, unit_polarization
+from .lattice import (LatticeSpec, _check_number, _rng, build_array, check_disorder,
+                      check_geometry, unit_polarization)
 from .sdp import SdpProblem, solve_low_rank
 from .spectral import decompose, gamma_max_only
 
@@ -32,6 +33,8 @@ class DisorderSpec:
 
     def __post_init__(self):
         check_disorder(self.eta)
+        for name in ("n_realizations", "seed"):
+            _check_number(name, getattr(self, name), Integral)
         if self.n_realizations < 1:
             raise ConfigError("disorder needs n_realizations >= 1")
 
@@ -135,8 +138,8 @@ def run_sweep(plan: SweepPlan, threads: int = 1, on_row=None) -> SweepTable:
     for p_idx, n_1d in enumerate(plan.n_1d_values):
         vals, errors = [], []
         for r_idx in range(r_count):
-            seed = 0 if eta == 0 else int(np.random.SeedSequence(
-                entropy=dis.seed, spawn_key=(p_idx, r_idx)).generate_state(1)[0])
+            seed = 0 if eta == 0 else int(  # from the SeedSequence of _rng's seed rule
+                _rng(dis.seed, p_idx, r_idx).bit_generator.seed_seq.generate_state(1)[0])
             try:
                 vals.append(_evaluate_point(plan, n_1d, eta, seed))
             except Exception as exc:  # per-point failure must not kill the sweep

@@ -168,6 +168,21 @@ def test_scan_single_realization_follows_seed(tmp_path):
     assert table(5, "c") == table(5, "a")
 
 
+def test_negative_seed_is_taken_mod_2_64(tmp_path):
+    # scan and gamma share one seed rule: -1 runs as its 64-bit residue 2^64 - 1
+    runs = [(["scan", "--dim", "2", "--sizes", "3,4,5", "--d", "0.4", "--pol", "x", "--eta",
+              "0.05", "--realizations", "2"], "sweep.csv"),
+            (["gamma", "--dim", "2", "--n", "3", "--d", "0.4", "--pol", "x", "--eta", "0.05"],
+             "coupling.csv")]
+    for i, (argv, name) in enumerate(runs):
+        outputs = []
+        for seed in (-1, 2**64 - 1):
+            out = tmp_path / f"{i}-{seed}"
+            assert main(argv + ["--seed", str(seed), "--out", str(out)]) == 0
+            outputs.append((out / name).read_text())
+        assert outputs[0] == outputs[1] and outputs[0].count("\n") > 3
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--dim", "2", "--n", "5", "--d", "0.4", "--sdp-max-n", "2", "--exact-max-n", "2"],
     ["sdp", "--dim", "2", "--n", "5", "--d", "0.4"],

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,28 @@ def test_hop_table_built_once(monkeypatch):
     assert seen == [[252 * 5], [252 * 5]]
 
 
+@pytest.mark.parametrize("n", [14, 16])
+def test_hop_tables_stay_int32_and_matvec_memory_is_bounded(n):
+    # the two int32 tables are the only per-sector storage, and one real-vector matvec on the
+    # middle sector allocates under twice the amplitude count they index, in float64
+    mats = chain_mats(n)
+    mats.gamma  # built on first read; not part of the matvec
+    basis = SectorBasis.build(n, n // 2)
+    down, up = basis.hops
+    n_exc, dim_below = n - n // 2, SectorBasis.build(n, n // 2 + 1).dim
+    assert down.dtype == up.dtype == np.int32
+    assert down.shape == (n, dim_below) and up.shape == (n_exc, basis.dim)
+    assert down.flags.c_contiguous and up.flags.c_contiguous
+    v = np.ones(basis.dim)
+    tracemalloc.start()
+    try:
+        sector_matvec(mats, basis, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (n * dim_below + n_exc * basis.dim) * 8
+
+
 def test_lanczos_unconverged_raises():
     # max_iter < dim steps without convergence is an error, not a silent Ritz value
     mats = chain_mats(10)
@@ -361,3 +384,18 @@ def test_haar_guard():
         haar_rate_samples(mats_from_gamma(np.eye(15)), 10, seed=0)
     with pytest.raises(ConfigError):
         haar_rate_samples(mats_from_gamma(np.eye(4)), 0, seed=0)
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: haar_rate_samples(chain_mats(4), 2.5), "n_samples"),
+    (lambda: haar_rate_samples(chain_mats(4), True), "n_samples"),
+    (lambda: haar_rate_samples(chain_mats(4), "3"), "n_samples"),
+    (lambda: haar_rate_samples(chain_mats(4), 3, seed=1.5), "seed"),
+    (lambda: exact_rstar(chain_mats(4), force_method="lanczos", seed=1.5), "seed"),
+    (lambda: exact_rstar(chain_mats(4), force_method="lanczos", seed=True), "seed"),
+], ids=["haar-float-count", "haar-bool-count", "haar-str-count", "haar-float-seed",
+        "exact-float-seed", "exact-bool-seed"])
+def test_sample_count_and_seed_are_type_checked(call, field):
+    # a ConfigError naming the field, not a TypeError from numpy or a seed truncated to 1
+    with pytest.raises(ConfigError, match=field):
+        call()

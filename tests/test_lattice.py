@@ -173,15 +173,30 @@ X = (1.0, 0.0, 0.0)
     (lambda: kspace.gamma_max_finite_grid(True, 0.3, "parallel", 8), "dimension"),
     (lambda: SweepPlan(dimension=True, spacing=0.4, polarization=X, n_1d_values=[3, 4, 5]),
      "dimension"),
+    (lambda: lattice._rng(1.5), "seed"),
+    (lambda: lattice._rng(True), "seed"),
+    (lambda: lattice._rng("3"), "seed"),
+    (lambda: lattice.check_disorder("0.1"), "disorder_eta"),
+    (lambda: lattice.check_disorder(True), "disorder_eta"),
+    (lambda: lattice.apply_position_disorder(generate_lattice(spec(1, 3, 0.4)), "0.1", 1),
+     "disorder_eta"),
 ], ids=["bool-dimension", "float-dimension", "bool-spacing", "str-spacing", "past-float-spacing",
         "crossover-str-spacing", "markov-bool-dimension", "prefactors-bool-dimension",
-        "finite-grid-bool-dimension", "sweep-plan-bool-dimension"])
+        "finite-grid-bool-dimension", "sweep-plan-bool-dimension", "rng-float-seed",
+        "rng-bool-seed", "rng-str-seed", "disorder-str-eta", "disorder-bool-eta",
+        "apply-disorder-str-eta"])
 def test_geometry_fields_are_type_checked(call, field):
-    # every reader of a dimension and spacing refuses a bool, a float dimension, a string or a
-    # number past the float range with a ConfigError naming the field, not a TypeError or a
-    # number computed from it
+    # every reader of a dimension, spacing, seed or disorder strength refuses a bool, a float
+    # dimension or seed, a string or a number past the float range with a ConfigError naming
+    # the field, not a TypeError or a number computed from it
     with pytest.raises(ConfigError, match=field):
         call()
+
+
+def test_seed_is_taken_mod_2_64():
+    draw = [lattice._rng(seed, 3).standard_normal(4) for seed in (-1, 2**64 - 1, 2**65 - 1)]
+    assert (draw[0] == draw[1]).all() and (draw[0] == draw[2]).all()
+    assert not (draw[0] == lattice._rng(2**64 - 2, 3).standard_normal(4)).any()
 
 
 def test_spec_accepts_numpy_scalars_and_integer_reals():

@@ -99,6 +99,29 @@ def test_plan_rejects_bad_fields(field, value, text):
         SweepPlan(**kwargs)
 
 
+@pytest.mark.parametrize("field, value, text", [
+    ("eta", "0.1", "disorder_eta"),
+    ("eta", True, "disorder_eta"),
+    ("n_realizations", True, "n_realizations"),
+    ("n_realizations", 2.5, "n_realizations"),
+    ("n_realizations", 0, "n_realizations"),
+    ("seed", 1.5, "seed"),
+    ("seed", True, "seed"),
+])
+def test_disorder_rejects_bad_fields(field, value, text):
+    with pytest.raises(ConfigError, match=text):
+        DisorderSpec(**{"eta": 0.05, "n_realizations": 2, "seed": 1, field: value})
+
+
+def test_sweep_seed_is_taken_mod_2_64():
+    # a negative base seed runs, as the same realizations as its 64-bit residue
+    tables = [sweep.run_sweep(plan_1d(sizes=(4, 5, 6), disorder=DisorderSpec(
+        eta=0.05, n_realizations=2, seed=seed))) for seed in (-1, 2**64 - 1)]
+    assert [r.error for r in tables[0].rows] == [None] * 3
+    assert [(r.value, r.stderr) for r in tables[0].rows] == \
+        [(r.value, r.stderr) for r in tables[1].rows]
+
+
 def plan_1d(quantity="gamma_max", sizes=(20, 40, 80), **kw):
     return SweepPlan(dimension=1, spacing=0.4, polarization=(0.0, 0.0, 1.0),
                      n_1d_values=list(sizes), quantity=quantity, **kw)
