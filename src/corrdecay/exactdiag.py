@@ -6,10 +6,11 @@ excitation number, so it block-diagonalizes into sectors labelled by m, the
 number of de-excited qubits (m = 0 is fully excited). Sector bases are
 bitmasks (bit i set = qubit i excited) sorted ascending, with searchsorted
 index lookup. Each basis builds its Gamma-independent hop table once; the
-table drives both the matrix-free matvec and the dense sector build, and
-Haar sampling pushes blocks of samples through the matvec. Flipping every
-qubit maps sector m onto sector N - m up to a shift by gamma0 (N - 2m), so
-exact_rstar solves only m <= N/2. Note this is a 2^N-space diagonalization;
+table drives both the matrix-free matvec and the dense sector build. Haar
+sampling needs no sector: a state's rate is Tr(Gamma C) over its N x N
+single-excitation coherence matrix C. Flipping every qubit maps sector m
+onto sector N - m up to a shift by gamma0 (N - 2m), so exact_rstar solves
+only m <= N/2. Note this is a 2^N-space diagonalization;
 the N x N matrix eigenproblem lives in spectral.py and is a different, much
 cheaper beast.
 """
@@ -29,7 +30,6 @@ from .lattice import _check_number, _rng
 MAX_QUBITS = 23  # largest N measured: a d = 0.2 chain takes 112 s and 796 MiB (2 cores, OpenBLAS)
 MAX_DENSE_DIM = 300  # measured crossover about 200 (chains, N = 11-17); dense costs < 1 ms more
 MAX_QUBITS_HAAR = 14
-HAAR_BLOCK = 64  # Haar samples per block; a block holds HAAR_BLOCK * 2^N amplitudes
 LANCZOS_CHECK = 4  # Lanczos steps between convergence tests, each one tridiagonal eigh
 
 
@@ -71,12 +71,13 @@ class SectorBasis:
         hop in the middle sector at N = 20 (1.9 at N = 13).
         """
         n_exc = self.n - self.m_ground
-        bits = np.arange(self.n, dtype=np.uint64)
-        occ = ((self.states[:, None] >> bits) & np.uint64(1)).astype(bool)
-        excited = np.nonzero(occ)[1].reshape(self.dim, n_exc)  # ascending per state
-        lowered = self.states[:, None] ^ (np.uint64(1) << excited.astype(np.uint64))
         below = SectorBasis(self.n, self.m_ground + 1, _sector_states(self.n, n_exc - 1))
-        up = (excited * below.dim + below.position(lowered)).T.astype(np.int32, order="C")
+        up, rest = np.empty((n_exc, self.dim), dtype=np.int32), self.states.copy()
+        for a in range(n_exc):  # one row at a time: the transients stay a few vectors long
+            bit = rest & (~rest + np.uint64(1))  # the lowest excited qubit not yet taken
+            up[a] = np.bitwise_count(bit - np.uint64(1)) * np.int64(below.dim) + \
+                below.position(self.states ^ bit)
+            rest ^= bit
         down = np.full(self.n * below.dim, self.dim, dtype=np.int32)
         down[up] = np.arange(self.dim)  # down[up[a, s]] = s, broadcast over the rows a
         return down.reshape(self.n, below.dim), up
@@ -200,6 +201,7 @@ def exact_rstar(mats: CouplingMatrices, force_method: str | None = None,
         raise ConfigError(f"exact diagonalization is limited to N <= {MAX_QUBITS}")
     if force_method not in (None, "dense", "lanczos"):
         raise ConfigError("force_method must be None, 'dense' or 'lanczos'")
+    _check_number("seed", seed, Integral)  # here, not in Lanczos: a dense-only N must refuse it too
     check_coupling_matrix(mats.gamma)
 
     def solve_sector(m_ground):  # a sector's basis and matrix are freed before the next
@@ -237,11 +239,13 @@ class HaarStatistics:
 
 
 def haar_rate_samples(mats: CouplingMatrices, n_samples: int, seed: int = 0) -> HaarStatistics:
-    """Decay rate of Haar-random states over the full 2^N space.
+    """Decay rate r = Tr(Gamma C) / <psi|psi> of Haar-random states over the full 2^N space.
 
-    States are normalized complex Gaussian vectors (each sample draws its real
-    then its imaginary part), taken in blocks of HAAR_BLOCK samples; each
-    sector's slice of a block goes through sector_matvec in one call.
+    C_ij = <sigma-_i psi|sigma-_j psi> is the state's single-excitation coherence
+    matrix, so r = sum_ij Gamma_ij <sigma+_i sigma-_j>, the paper's definition, with
+    no sector. A state is a complex Gaussian vector drawn one at a time as its
+    real and its imaginary part, x[0] + i x[1]; as Gamma is real and symmetric, the
+    cross terms of C cancel and C is the sum of the two parts' real matrices.
     """
     n = mats.n
     if n > MAX_QUBITS_HAAR:
@@ -250,18 +254,14 @@ def haar_rate_samples(mats: CouplingMatrices, n_samples: int, seed: int = 0) -> 
     if n_samples < 1:
         raise ConfigError("n_samples must be positive")
     check_coupling_matrix(mats.gamma)
-    sectors = [SectorBasis.build(n, m_ground) for m_ground in range(n + 1)]
     rng = _rng(seed)
+    low = np.zeros((2, n, 2**n))  # sigma-_i x for every qubit i; slots with qubit i set stay 0
     rates = np.empty(n_samples)
-    for start in range(0, n_samples, HAAR_BLOCK):
-        draw = rng.standard_normal((min(HAAR_BLOCK, n_samples - start), 2, 2**n))
-        psi = draw[:, 0] + 1j * draw[:, 1]
-        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        total = 0.0
-        for basis in sectors:
-            block = np.ascontiguousarray(psi[:, basis.states.astype(np.int64)].T)
-            total += np.einsum("sb,sb->b", block.conj(), sector_matvec(mats, basis, block)).real
-        rates[start:start + draw.shape[0]] = total
+    for k in range(n_samples):
+        x = rng.standard_normal((2, 2**n))
+        for i in range(n):  # axis 2 is qubit i: its excited half moves to the de-excited slot
+            low.reshape(2, n, -1, 2, 2**i)[:, i, :, 0] = x.reshape(2, -1, 2, 2**i)[:, :, 1]
+        rates[k] = np.sum(mats.gamma * (low @ low.transpose(0, 2, 1)).sum(axis=0)) / np.sum(x * x)
     return HaarStatistics(
         mean=float(rates.mean()),
         std=float(rates.std(ddof=1)) if n_samples > 1 else 0.0,

@@ -24,7 +24,7 @@ from corrdecay.exactdiag import (
     lanczos_largest,
     sector_matvec,
 )
-from corrdecay.lattice import LatticeSpec, generate_lattice
+from corrdecay.lattice import LatticeSpec, _rng, generate_lattice
 
 
 def chain_mats(n, d=0.2, pol=(1.0, 0, 0)):
@@ -187,7 +187,8 @@ def test_matvec_matches_reference(n, rng):
 
 
 def test_hop_table_built_once(monkeypatch):
-    # the table is the only caller of position(): 8x the matvecs must not look up more states
+    # the table is the only caller of position(), once per excited-qubit row: 8x the matvecs
+    # must not look up more states
     calls = []
     position = SectorBasis.position
 
@@ -205,7 +206,7 @@ def test_hop_table_built_once(monkeypatch):
         for _ in range(matvecs):
             sector_matvec(mats, basis, v)
         seen.append(list(calls))
-    assert seen == [[252 * 5], [252 * 5]]
+    assert seen == [[252] * 5, [252] * 5]
 
 
 @pytest.mark.parametrize("n", [14, 16])
@@ -228,6 +229,19 @@ def test_hop_tables_stay_int32_and_matvec_memory_is_bounded(n):
     finally:
         tracemalloc.stop()
     assert peak < 2 * (n * dim_below + n_exc * basis.dim) * 8
+
+
+def test_hop_table_build_transients_are_bounded():
+    # the tables are built one excited-qubit row at a time, so the build peaks at a few
+    # sector-length vectors above the int32 tables it returns
+    basis = SectorBasis.build(18, 9)
+    tracemalloc.start()
+    try:
+        down, up = basis.hops
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * (down.nbytes + up.nbytes)
 
 
 def test_lanczos_unconverged_raises():
@@ -372,6 +386,43 @@ def test_haar_pinned_statistics(n, d, n_samples, seed, mean, std):
     assert stats.std == pytest.approx(std, rel=1e-12)
 
 
+@pytest.mark.parametrize("n, seed", [(1, 3), (4, 11), (8, 2)])
+def test_haar_rate_matches_sector_operator(n, seed):
+    # the coherence-matrix rate against sum_m <psi_m|H_m|psi_m> / |psi|^2 through the sectors
+    mats = chain_mats(n)
+    x = _rng(seed).standard_normal((2, 2**n))
+    psi = x[0] + 1j * x[1]
+    total = 0.0
+    for m_ground in range(n + 1):
+        basis = SectorBasis.build(n, m_ground)
+        part = psi[basis.states.astype(np.int64)]
+        total += np.vdot(part, sector_matvec(mats, basis, part)).real
+    rate = haar_rate_samples(mats, 1, seed=seed).mean
+    assert rate == pytest.approx(total / np.vdot(psi, psi).real, rel=1e-12)
+
+
+def test_haar_builds_no_sector(monkeypatch):
+    def no_sector(*args):
+        raise AssertionError("Haar sampling built a sector basis")
+
+    monkeypatch.setattr(SectorBasis, "build", no_sector)
+    assert haar_rate_samples(chain_mats(6), 5, seed=0).n_samples == 5
+
+
+def test_haar_memory_is_a_few_state_vectors():
+    # one sample at a time: its (2, N, 2^N) lowered amplitudes dominate
+    n = 12
+    mats = chain_mats(n)
+    mats.gamma  # built on first read; not part of the sampling
+    tracemalloc.start()
+    try:
+        haar_rate_samples(mats, 20, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * 2**n * 8
+
+
 def test_haar_deterministic_per_seed():
     mats = chain_mats(6)
     a = haar_rate_samples(mats, 50, seed=9)
@@ -393,8 +444,11 @@ def test_haar_guard():
     (lambda: haar_rate_samples(chain_mats(4), 3, seed=1.5), "seed"),
     (lambda: exact_rstar(chain_mats(4), force_method="lanczos", seed=1.5), "seed"),
     (lambda: exact_rstar(chain_mats(4), force_method="lanczos", seed=True), "seed"),
+    (lambda: exact_rstar(chain_mats(10), seed=1.5), "seed"),  # every solved sector dense
+    (lambda: exact_rstar(chain_mats(11), seed=1.5), "seed"),  # the middle sector by Lanczos
 ], ids=["haar-float-count", "haar-bool-count", "haar-str-count", "haar-float-seed",
-        "exact-float-seed", "exact-bool-seed"])
+        "exact-float-seed", "exact-bool-seed", "exact-dense-float-seed",
+        "exact-lanczos-float-seed"])
 def test_sample_count_and_seed_are_type_checked(call, field):
     # a ConfigError naming the field, not a TypeError from numpy or a seed truncated to 1
     with pytest.raises(ConfigError, match=field):
