@@ -1,10 +1,10 @@
 """Command-line front end: seeded, reproducible runs emitting CSV/JSON.
 
 Subcommands: gamma, analyze, scan, sdp, exact, kspace, rydberg.
-Exit codes: 0 success, 2 config error (also an unreadable path, a number past the
-float arithmetic or a size past memory), 3 physics-validation error, 4 solver
-non-convergence.
-Config precedence: flags > --config file > defaults.
+Each command's keys, with their defaults and which ones a run requires, are its
+SCHEMAS rules; its flags and their help text are generated from them. The exit
+code and stderr label of each error are its class attributes in errors.py.
+Config precedence: flags > --config file > schema defaults.
 Every run that writes a file also writes a manifest (config hash, seed,
 versions, wall time) next to its outputs, even when it then fails. Omitted
 seeds fall back to a fixed documented constant, never the wall clock.
@@ -36,13 +36,13 @@ from .coupling import (
     write_coupling_csv,
     write_matrix_binary,
 )
-from .errors import ConfigError, CorrdecayError, PhysicsValidationError, SolverConvergenceError
+from .errors import ConfigError, CorrdecayError
 from .exactdiag import MAX_QUBITS, exact_rstar
 from .kspace import POL_TAGS, gamma_k_grid
 from .lattice import MAX_ATOMS, LatticeSpec, build_array, unit_polarization
 from .rydberg import RydbergInput, read_transition_table, rydberg_report
-from .sdp import (DEFAULT_TOL, GAP_TOL, START_RANK, SdpProblem, round_to_product_state,
-                  sdp_certificates, solve_low_rank, solve_projection)
+from .sdp import (DEFAULT_TOL, GAP_TOL, MAX_ITERS, PROJECTION_MAX_N, START_RANK, SdpProblem,
+                  round_to_product_state, sdp_certificates, solve_low_rank, solve_projection)
 from .spectral import decompose, momentum_distribution, spectrum_to_csv
 from .sweep import (QUANTITIES, DisorderSpec, SweepPlan, csv_row_writer, fit_table, run_sweep,
                     sweep_sizes)
@@ -52,17 +52,19 @@ DEFAULT_SEED = 20250810  # fixed fallback so omitted seeds stay reproducible
 POL_PRESETS = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
 _LATTICE_KEYS = {
-    "dim": {"type": "integer", "enum": [1, 2, 3], "description": "lattice dimensionality"},
-    "n": {"type": "integer", "minimum": 1, "description": "emitters per axis (N = n**dim)"},
-    "d": {"type": "number", "exclusiveMinimum": 0,
+    "dim": {"type": "integer", "enum": [1, 2, 3], "required": True,
+            "description": "lattice dimensionality"},
+    "n": {"type": "integer", "minimum": 1, "required": True,
+          "description": "emitters per axis (N = n**dim)"},
+    "d": {"type": "number", "exclusiveMinimum": 0, "required": True,
           "description": "lattice constant in units of lambda0"},
-    "pol": {"type": "string", "description": "polarization: x|y|z or 'px,py,pz'"},
-    "eta": {"type": "number", "minimum": 0,
+    "pol": {"type": "string", "default": "x", "description": "polarization: x|y|z or 'px,py,pz'"},
+    "eta": {"type": "number", "minimum": 0, "default": 0.0,
             "description": "Gaussian position disorder in units of d"},
-    "seed": {"type": "integer", "description": f"RNG seed (default {DEFAULT_SEED})"},
+    "seed": {"type": "integer", "default": DEFAULT_SEED, "description": "RNG seed"},
 }
 
-_GLOBAL_KEYS = {"out": {"type": "string", "description": "output directory (default .)"}}
+_GLOBAL_KEYS = {"out": {"type": "string", "default": ".", "description": "output directory"}}
 
 _GAMMA_FILE_KEY = {"gamma_file": {"type": "string", "description": "binary gamma matrix input"}}
 
@@ -70,49 +72,49 @@ SCHEMAS = {
     "gamma": {
         **_LATTICE_KEYS,
         **_GLOBAL_KEYS,
-        "output_format": {"type": "string", "enum": ["csv", "binary", "both"],
+        "output_format": {"type": "string", "enum": ["csv", "binary", "both"], "default": "csv",
                           "description": "matrix output format"},
     },
     "analyze": {
         **_LATTICE_KEYS,
         **_GLOBAL_KEYS,
         **_GAMMA_FILE_KEY,
-        "exact_max_n": {"type": "integer", "minimum": 2, "maximum": MAX_QUBITS,
-                        "description": "largest N for the exact section "
-                                       f"(default 14, cap {MAX_QUBITS})"},
-        "sdp_max_n": {"type": "integer", "minimum": 2,
-                      "description": "largest N for the SDP section (default 2000)"},
+        "exact_max_n": {"type": "integer", "minimum": 2, "maximum": MAX_QUBITS, "default": 14,
+                        "description": f"largest N for the exact section, at most {MAX_QUBITS}"},
+        "sdp_max_n": {"type": "integer", "minimum": 2, "default": 2000,
+                      "description": "largest N for the SDP section"},
     },
     "scan": {
         **{key: rule for key, rule in _LATTICE_KEYS.items() if key != "n"},
+        "dim": {**_LATTICE_KEYS["dim"], "required": False, "default": 1},
         **_GLOBAL_KEYS,
-        "quantity": {"type": "string", "enum": list(QUANTITIES),
-                     "description": "rate recorded per point (default gamma_max)"},
+        "quantity": {"type": "string", "enum": list(QUANTITIES), "default": "gamma_max",
+                     "description": "rate recorded per point"},
         "sizes": {"type": "array", "items": {"type": "integer", "minimum": 1},
                   "description": "explicit comma-separated N_1D list"},
         "n_min": {"type": "integer", "minimum": 2, "description": "smallest N_1D of a size range"},
         "n_max": {"type": "integer", "minimum": 2, "description": "largest N_1D of a size range"},
-        "count": {"type": "integer", "minimum": 3,
-                  "description": "number of sweep points (default 7)"},
-        "spacing_mode": {"type": "string", "enum": ["geometric", "linear"],
-                         "description": "spacing of the n_min..n_max sizes (default geometric)"},
-        "realizations": {"type": "integer", "minimum": 1,
+        "count": {"type": "integer", "minimum": 3, "default": 7,
+                  "description": "number of sweep points"},
+        "spacing_mode": {"type": "string", "enum": ["geometric", "linear"], "default": "geometric",
+                         "description": "spacing of the n_min..n_max sizes"},
+        "realizations": {"type": "integer", "minimum": 1, "default": 1,
                          "description": "disorder realizations per point"},
     },
     "sdp": {
         **_LATTICE_KEYS,
         **_GLOBAL_KEYS,
         **_GAMMA_FILE_KEY,
-        "solver": {"type": "string", "enum": ["lowrank", "projection"],
-                   "description": "low-rank ascent (default) or dense projection "
-                                  "reference (N <= 400)"},
+        "solver": {"type": "string", "enum": ["lowrank", "projection"], "default": "lowrank",
+                   "description": "low-rank ascent or dense projection reference "
+                                  f"(N <= {PROJECTION_MAX_N})"},
         "rank": {"type": "integer", "minimum": 2,
                  "description": f"starting rank (default {START_RANK})"},
-        "max_iters": {"type": "integer", "minimum": 1,
-                      "description": "iteration budget over all rounds (default 20000)"},
-        "tol": {"type": "number", "exclusiveMinimum": 0,
-                "description": f"span tolerance ending an ascent round (default {DEFAULT_TOL}); "
-                               f"the exit code comes from the certified gap (<= {GAP_TOL})"},
+        "max_iters": {"type": "integer", "minimum": 1, "default": MAX_ITERS,
+                      "description": "iteration budget over all rounds"},
+        "tol": {"type": "number", "exclusiveMinimum": 0, "default": DEFAULT_TOL,
+                "description": "span tolerance ending an ascent round; the exit code "
+                               f"comes from the certified gap (<= {GAP_TOL})"},
     },
     "exact": {
         **_LATTICE_KEYS,
@@ -122,24 +124,27 @@ SCHEMAS = {
     "kspace": {
         **_GLOBAL_KEYS,
         "dim": _LATTICE_KEYS["dim"],
-        "n": {"type": "integer", "minimum": 2, "description": "grid points per axis"},
+        "n": {**_LATTICE_KEYS["n"], "minimum": 2, "description": "grid points per axis"},
         "d": _LATTICE_KEYS["d"],
-        "pol_tag": {"type": "string", "enum": list(POL_TAGS),
-                    "description": "dipoles parallel (default) or perpendicular to the "
-                                   "chain or plane; 3D ignores it"},
+        "pol_tag": {"type": "string", "enum": list(POL_TAGS), "default": "parallel",
+                    "description": "dipoles parallel or perpendicular to the chain or plane; "
+                                   "3D ignores it"},
         "reg_delta": {"type": "number", "exclusiveMinimum": 0,
                       "description": "3D light-line regularizer (default: grid offset)"},
     },
     "rydberg": {
         **_GLOBAL_KEYS,
-        "table": {"type": "string",
+        "table": {"type": "string", "required": True,
                   "description": "transition CSV: label,wavelength_um,gamma0_2pi_hz,nbar"},
-        "n_atoms": {"type": "integer", "minimum": 2, "description": "atoms in the array"},
-        "spacing_um": {"type": "number", "exclusiveMinimum": 0, "description": "spacing in um"},
-        "c6": {"type": "number", "exclusiveMinimum": 0, "description": "C6 in 2*pi*GHz*um^6"},
-        "rabi": {"type": "number", "exclusiveMinimum": 0,
+        "n_atoms": {"type": "integer", "minimum": 2, "required": True,
+                    "description": "atoms in the array"},
+        "spacing_um": {"type": "number", "exclusiveMinimum": 0, "required": True,
+                       "description": "spacing in um"},
+        "c6": {"type": "number", "exclusiveMinimum": 0, "required": True,
+               "description": "C6 in 2*pi*GHz*um^6"},
+        "rabi": {"type": "number", "exclusiveMinimum": 0, "required": True,
                  "description": "two-photon Rabi frequency in 2*pi*MHz"},
-        "dominant": {"type": "string",
+        "dominant": {"type": "string", "required": True,
                      "description": "label of the dominant collective transition"},
         "exact_gamma_max_hz": {"type": "number", "exclusiveMinimum": 0,
                                "description": "externally computed collective "
@@ -171,7 +176,8 @@ def _check(key: str, value, rule: dict):
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Config file keys overridden by every flag given, each checked against SCHEMAS and read."""
+    """Config file keys overridden by every flag given, each checked against SCHEMAS and read,
+    with every required key the run reads."""
     config = {}
     if args.config:
         try:
@@ -187,9 +193,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if key not in schema:
             raise ConfigError(f"{key}: {args.command} takes no such key")
         config[key] = _check(key, value, schema[key])
-    for key, why in _unread(args.command, config).items():
+    unread = _unread(args.command, config)
+    for key, why in unread.items():
         if key in config:
             raise ConfigError(f"{key}: {args.command} does not read it {why}")
+    for key, rule in schema.items():
+        if rule.get("required") and key not in config and key not in unread:
+            raise ConfigError(f"missing required key '{key}'")
     return config
 
 
@@ -203,7 +213,7 @@ def _unread(command: str, config: dict) -> dict:
     projection = config.get("solver") == "projection"
     if projection:
         unread["rank"] = "with the projection solver"
-    if not config.get("eta", 0.0) > 0:
+    if not config.get("eta"):
         unread["realizations"] = "without disorder (eta > 0)"
         if (command == "gamma" or projection
                 or command == "scan" and config.get("quantity") != "sdp_estimate"):
@@ -225,21 +235,14 @@ def _parse_pol(text: str):
     return unit_polarization(vec / norm)
 
 
-def _require(config: dict, *keys: str) -> None:
-    for key in keys:
-        if key not in config:
-            raise ConfigError(f"missing required key '{key}'")
-
-
 def _lattice_from_config(config: dict) -> LatticeSpec:
-    _require(config, "dim", "n", "d")
     return LatticeSpec(
         dimension=config["dim"],
         n_per_axis=config["n"],
         spacing=config["d"],
-        polarization=_parse_pol(config.get("pol", "x")),
-        disorder_eta=config.get("eta", 0.0),
-        seed=config.get("seed", DEFAULT_SEED),
+        polarization=_parse_pol(config["pol"]),
+        disorder_eta=config["eta"],
+        seed=config["seed"],
     )
 
 
@@ -276,7 +279,7 @@ def _write_manifest(run: Run, command: str, config: dict, wall_time_s: float) ->
     ).hexdigest()
     manifest = {"command": command, "config": config, "config_sha256": digest}
     if "seed" in SCHEMAS[command] and "seed" not in _unread(command, config):
-        manifest["seed"] = config.get("seed", DEFAULT_SEED)
+        manifest["seed"] = config.get("seed", SCHEMAS[command]["seed"]["default"])
     manifest.update({
         "versions": {
             "corrdecay": __version__,
@@ -289,11 +292,11 @@ def _write_manifest(run: Run, command: str, config: dict, wall_time_s: float) ->
     run.write_json("manifest.json", manifest)
 
 
-def cmd_gamma(config: dict, run: Run) -> int:
+def cmd_gamma(config: dict, run: Run) -> None:
     spec = _lattice_from_config(config)
     mats = build_export_matrices(build_array(spec))
     diag = validate_psd(mats)
-    fmt = config.get("output_format", "csv")
+    fmt = config["output_format"]
     if fmt in ("csv", "both"):
         write_coupling_csv(mats, run.path("coupling.csv"))
     if fmt in ("binary", "both"):
@@ -303,12 +306,11 @@ def cmd_gamma(config: dict, run: Run) -> int:
     run.path("lattice.json").write_text(spec.to_json() + "\n")
     diag.require()
     print(f"wrote {len(run.outputs)} files to {run.out} (N = {mats.n})")
-    return 0
 
 
-def cmd_analyze(config: dict, run: Run) -> int:
+def cmd_analyze(config: dict, run: Run) -> None:
     mats, array = _coupling_from_config(config)
-    seed = config.get("seed", DEFAULT_SEED)  # of the SDP and Lanczos starts
+    seed = config["seed"]  # of the SDP and Lanczos starts
     summary = decompose(mats)
     diag = PsdDiagnostic.of(summary.eigenvalues[-1], mats.gamma0).require()
     bounds = bounds_report(summary, mats)
@@ -328,39 +330,37 @@ def cmd_analyze(config: dict, run: Run) -> int:
         spec = array.source_spec
         doc["lattice"] = asdict(spec)
         doc["driven"] = asdict(driven_report(summary, bounds, mats, spec.dimension, spec.spacing))
-    if mats.n <= config.get("sdp_max_n", 2000):
+    if mats.n <= config["sdp_max_n"]:
         problem = SdpProblem.from_coupling(mats)
         sol = solve_low_rank(problem, seed=seed)
         sol.require_converged()
         sdp_certificates(problem, sol, summary.gamma_max)
         doc["sdp"] = sol.to_dict()
-    if mats.n <= config.get("exact_max_n", 14):
+    if mats.n <= config["exact_max_n"]:
         doc["exact"] = asdict(exact_rstar(mats, seed=seed))
     run.write_json("analysis.json", doc)
     spectrum_to_csv(summary, run.path("spectrum.csv"))
     if mats.table is not None:  # an ordered array
         momentum_distribution(summary.dominant_vec, array).to_csv(run.path("momentum.csv"))
     print(f"analysis written to {run.out / 'analysis.json'}")
-    return 0
 
 
-def cmd_scan(config: dict, run: Run) -> int:
-    _require(config, "d")
+def cmd_scan(config: dict, run: Run) -> None:
     if "sizes" in config:
         sizes = config["sizes"]
     elif "n_min" in config and "n_max" in config:
-        sizes = sweep_sizes(config["n_min"], config["n_max"], config.get("count", 7),
-                            config.get("spacing_mode", "geometric"))
+        sizes = sweep_sizes(config["n_min"], config["n_max"], config["count"],
+                            config["spacing_mode"])
     else:
         raise ConfigError("scan needs either sizes or n_min/n_max")
-    disorder = DisorderSpec(eta=config.get("eta", 0.0), seed=config.get("seed", DEFAULT_SEED),
-                            n_realizations=config.get("realizations", 1))
+    disorder = DisorderSpec(eta=config["eta"], seed=config["seed"],
+                            n_realizations=config["realizations"])
     plan = SweepPlan(
-        dimension=config.get("dim", 1),
+        dimension=config["dim"],
         spacing=config["d"],
-        polarization=_parse_pol(config.get("pol", "x")),
+        polarization=_parse_pol(config["pol"]),
         n_1d_values=sizes,
-        quantity=config.get("quantity", "gamma_max"),
+        quantity=config["quantity"],
         disorder=disorder,
     )
     with open(run.path("sweep.csv"), "w") as fh:
@@ -373,18 +373,16 @@ def cmd_scan(config: dict, run: Run) -> int:
     failed = [r for r in table.rows if r.error is not None]
     if failed:
         print(f"{len(failed)} sweep rows flagged: {failed[0].error}", file=sys.stderr)
-    return 0
 
 
-def cmd_sdp(config: dict, run: Run) -> int:
+def cmd_sdp(config: dict, run: Run) -> None:
     mats, _ = _coupling_from_config(config)
     rates = gamma_eigensolve(mats)[0]
     PsdDiagnostic.of(rates[0], mats.gamma0).require()
     problem = SdpProblem.from_coupling(mats)
-    limits = {key: config[key] for key in ("max_iters", "tol") if key in config}
-    if config.get("solver", "lowrank") == "lowrank":
-        sol = solve_low_rank(problem, rank=config.get("rank"),
-                             seed=config.get("seed", DEFAULT_SEED), **limits)
+    limits = {"max_iters": config["max_iters"], "tol": config["tol"]}
+    if config["solver"] == "lowrank":
+        sol = solve_low_rank(problem, rank=config.get("rank"), seed=config["seed"], **limits)
     else:
         sol = solve_projection(problem, **limits)
     cert = sdp_certificates(problem, sol, float(rates[-1]))
@@ -398,21 +396,18 @@ def cmd_sdp(config: dict, run: Run) -> int:
                delimiter=",", header="phi", comments="")
     sol.require_converged()  # after the best-so-far outputs are written
     print(f"sdp value = {sol.value:.6f}, rstar_estimate = {sol.rstar_estimate:.6f}")
-    return 0
 
 
-def cmd_exact(config: dict, run: Run) -> int:
+def cmd_exact(config: dict, run: Run) -> None:
     mats, _ = _coupling_from_config(config)
     validate_psd(mats).require()
-    result = exact_rstar(mats, seed=config.get("seed", DEFAULT_SEED))
+    result = exact_rstar(mats, seed=config["seed"])
     run.write_json("exact.json", asdict(result))
     print(f"rstar_exact = {result.rstar_exact:.9f} (sector m = {result.argmax_sector})")
-    return 0
 
 
-def cmd_kspace(config: dict, run: Run) -> int:
-    _require(config, "dim", "n", "d")
-    grid = gamma_k_grid(config["dim"], config["d"], config.get("pol_tag", "parallel"),
+def cmd_kspace(config: dict, run: Run) -> None:
+    grid = gamma_k_grid(config["dim"], config["d"], config["pol_tag"],
                         config["n"], config.get("reg_delta"))
     grid.to_csv(run.path("kspace.csv"))
     summary = {
@@ -424,11 +419,9 @@ def cmd_kspace(config: dict, run: Run) -> int:
     }
     run.write_json("kspace.json", summary)
     print(f"grid gamma_max = {summary['gamma_max_grid']:.6f}")
-    return 0
 
 
-def cmd_rydberg(config: dict, run: Run) -> int:
-    _require(config, "table", "n_atoms", "spacing_um", "c6", "rabi", "dominant")
+def cmd_rydberg(config: dict, run: Run) -> None:
     rows = read_transition_table(config["table"])
     inp = RydbergInput(
         n_atoms=config["n_atoms"],
@@ -442,7 +435,6 @@ def cmd_rydberg(config: dict, run: Run) -> int:
     report = rydberg_report(inp)
     run.write_json("rydberg.json", asdict(report))
     print(f"chi = {report.chi:.6e}, gate_error = {report.gate_error:.6e}")
-    return 0
 
 
 COMMANDS = {
@@ -462,7 +454,7 @@ _FLAG_TYPES = {"integer": int, "number": float, "string": str,
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One flag per SCHEMAS key: --key-with-dashes, typed, enum as choices."""
+    """One flag per SCHEMAS key: --key-with-dashes, typed, enum as choices, default in its help."""
     parser = argparse.ArgumentParser(
         prog="corrdecay",
         description="Collective decay rates of dipole-coupled emitter arrays: "
@@ -476,45 +468,41 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="JSON config file (flags override it)")
         for key, rule in SCHEMAS[command].items():
+            default = f" (default {rule['default']})" if "default" in rule else ""
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=_FLAG_TYPES[rule["type"]],
-                           choices=rule.get("enum"), help=rule.get("description"))
+                           choices=rule.get("enum"), help=rule["description"] + default)
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one command. Any run that wrote a file gets its manifest.json, also when
-    the command then fails."""
+    """Run one command on its schema defaults overlaid by the given config. Any run that
+    wrote a file gets its manifest.json of the given config, also when the command then
+    fails."""
     args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
         config = _merge_config(args)
-        run = Run(Path(config.get("out", ".")))
+        rules = SCHEMAS[args.command].items()
+        settings = {key: rule["default"] for key, rule in rules if "default" in rule} | config
+        run = Run(Path(settings["out"]))
         try:
-            return COMMANDS[args.command][0](config, run)
+            COMMANDS[args.command][0](settings, run)
         finally:
             if run.outputs:
                 _write_manifest(run, args.command, config, time.time() - t0)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except PhysicsValidationError as exc:
-        print(f"physics validation error: {exc}", file=sys.stderr)
-        return 3
-    except SolverConvergenceError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 4
     except CorrdecayError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:  # a path that cannot be read or written; it names the path
         print(f"file error: {exc}", file=sys.stderr)
-        return 2
+        return ConfigError.exit_code
     except ArithmeticError as exc:  # a number past what the float arithmetic holds
-        print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        print(f"{ConfigError.label}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
     except MemoryError as exc:  # a size past memory; numpy's message names the shape
         print(f"memory error: {exc}", file=sys.stderr)
-        return 2
+        return ConfigError.exit_code
+    return 0
 
 
 if __name__ == "__main__":

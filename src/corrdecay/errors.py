@@ -1,20 +1,24 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2,
-PhysicsValidationError -> 3, SolverConvergenceError -> 4.
+Each class states the exit code and stderr label of its errors: the CLI prints
+`<label>: <message>` and exits with `exit_code` (0 is success). An OSError,
+ArithmeticError or MemoryError exits with ConfigError's code.
 """
 
 
 class CorrdecayError(Exception):
     """Base class for all package errors."""
+    exit_code, label = 2, "error"
 
 
 class ConfigError(CorrdecayError):
     """Invalid user input: bad spec fields, malformed config, unknown keys."""
+    label = "config error"
 
 
 class PhysicsValidationError(CorrdecayError):
     """A physical invariant failed (e.g. decoherence matrix not PSD)."""
+    exit_code, label = 3, "physics validation error"
 
 
 class CoincidentEmittersError(PhysicsValidationError):
@@ -31,6 +35,7 @@ class DivergentModeError(CorrdecayError):
 
 class SolverConvergenceError(CorrdecayError):
     """An iterative result is not converged: its step budget ran out or its gap stayed open."""
+    exit_code, label = 4, "solver error"
 
 
 class CertificateError(SolverConvergenceError):

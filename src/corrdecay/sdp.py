@@ -20,6 +20,7 @@ from .lattice import _rng
 
 CONVERGENCE_WINDOW = 25  # iterations over which the relative objective must settle
 DEFAULT_TOL = 1e-8
+MAX_ITERS = 20000  # iteration budget of a solve, over all its rounds
 PROJECTION_MAX_N = 400  # the reference solver eigendecomposes every iteration
 START_RANK = 8  # the optimum's numerical rank is 4-20 on the chains and planes measured
 GAP_TOL = 1e-3  # largest certified relative gap of a converged result; above it the rank doubles
@@ -206,7 +207,7 @@ def _ascend(gtilde, v, max_iters, tol):
 
 
 def solve_low_rank(problem: SdpProblem, rank: int | None = None, seed: int = 0,
-                   max_iters: int = 20000, tol: float = DEFAULT_TOL) -> SdpSolution:
+                   max_iters: int = MAX_ITERS, tol: float = DEFAULT_TOL) -> SdpSolution:
     """Factorized solver: ascend (1/4) Tr(Gtilde V V^T) over rows ||v_i|| <= 1.
 
     Rows start uniform on the unit sphere (seeded) at rank min(START_RANK, N) or
@@ -238,7 +239,7 @@ def solve_low_rank(problem: SdpProblem, rank: int | None = None, seed: int = 0,
         v, r = _project_rows(np.hstack([v, block])), grown
 
 
-def solve_projection(problem: SdpProblem, max_iters: int = 20000,
+def solve_projection(problem: SdpProblem, max_iters: int = MAX_ITERS,
                      tol: float = DEFAULT_TOL) -> SdpSolution:
     """Reference solver: operator splitting over the PSD cone and the diagonal box.
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import corrdecay
+from corrdecay import errors
 from corrdecay.cli import SCHEMAS, build_parser, main
 from corrdecay.sweep import fit_power_law
 
@@ -842,7 +843,147 @@ def test_parser_follows_schema(command):
     for key, rule in SCHEMAS[command].items():
         assert actions[key].option_strings == ["--" + key.replace("_", "-")]
         assert actions[key].choices == rule.get("enum")
-        assert actions[key].help == rule["description"] != ""
+        default = f" (default {rule['default']})" if "default" in rule else ""
+        assert rule["description"] != "" and actions[key].help == rule["description"] + default
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args([command, "--help"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_help_names_every_default(capsys, command):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps long help lines
+    defaults = {key: rule["default"] for key, rule in SCHEMAS[command].items() if "default" in rule}
+    assert "out" in defaults
+    for key, value in defaults.items():
+        assert f"(default {value})" in text, key
+
+
+@pytest.mark.parametrize("solver", ["solve_low_rank", "solve_projection"])
+def test_sdp_schema_defaults_are_the_solver_defaults(solver):
+    import inspect
+
+    from corrdecay import sdp
+
+    params = inspect.signature(getattr(sdp, solver)).parameters
+    for key in ("max_iters", "tol"):
+        assert SCHEMAS["sdp"][key]["default"] == params[key].default
+
+
+# the keys each run needs, as flags; scan also needs a size list, which no one key is
+MINIMAL = {
+    "gamma": {"dim": "1", "n": "4", "d": "0.4"},
+    "analyze": {"dim": "1", "n": "4", "d": "0.4"},
+    "scan": {"d": "0.4", "sizes": "4,5,6"},
+    "sdp": {"dim": "1", "n": "6", "d": "0.4"},
+    "exact": {"dim": "1", "n": "4", "d": "0.4"},
+    "kspace": {"dim": "1", "n": "16", "d": "0.25"},
+    "rydberg": {"table": "table.csv", "n_atoms": "160", "spacing_um": "2.0", "c6": "28.8",
+                "rabi": "4.6", "dominant": "53S12-52P32"},
+}
+REQUIRED = {command: [key for key in flags if key != "sizes"] for command, flags in MINIMAL.items()}
+
+
+def _argv(command, flags):
+    return [command] + [arg for key, value in flags.items()
+                        for arg in ("--" + key.replace("_", "-"), value)]
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_schema_marks_the_required_keys(command):
+    assert [key for key, rule in SCHEMAS[command].items() if rule.get("required")] == \
+        REQUIRED[command]
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for command, keys in REQUIRED.items()
+                                          for key in keys])
+def test_missing_required_key_exits_2(tmp_path, capsys, command, key):
+    flags = {name: value for name, value in MINIMAL[command].items() if name != key}
+    out = tmp_path / "out"
+    assert main(_argv(command, flags) + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: missing required key '{key}'\n"
+    assert not out.exists()
+
+
+# config_sha256 of each MINIMAL run's config, which holds the given keys only
+MINIMAL_SHA256 = {
+    "gamma": "070656dbf573b5b094de46799030c39469c46536222878a85144f675df1cdb62",
+    "analyze": "070656dbf573b5b094de46799030c39469c46536222878a85144f675df1cdb62",
+    "scan": "86566d87ef288c5eef92f0c33a6e2915543722449e12a9b9150b7b950b39155f",
+    "sdp": "2725bf15f33a6d8d675c6d0ac8bc913010faf7372d85dfd931931ef36b5140f7",
+    "exact": "070656dbf573b5b094de46799030c39469c46536222878a85144f675df1cdb62",
+    "kspace": "02982fc57d8efeb556e6e8d42f87b839d954b3eda1aef70d8fe4f22554d9dd59",
+    "rydberg": "491838f8986b4a04d3a6730585754dc2316a11827bd56079a8369114040ad918",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_manifest_records_only_the_given_keys(tmp_path, monkeypatch, command):
+    # the run reads the schema defaults (out = ".") but records and hashes only what it was given
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "table.csv").write_bytes(DATA.read_bytes())
+    assert main(_argv(command, MINIMAL[command])) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(manifest["config"]) == set(MINIMAL[command])
+    assert manifest["config_sha256"] == MINIMAL_SHA256[command]
+
+
+def test_exact_gamma_file_needs_no_lattice_key(tmp_path):
+    from corrdecay.coupling import write_matrix_binary
+
+    write_matrix_binary(np.eye(4), tmp_path / "gamma.bin")
+    assert main(["exact", "--gamma-file", str(tmp_path / "gamma.bin"), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "exact.json").read_text())["rstar_exact"] == pytest.approx(4.0)
+
+
+def test_scan_without_dim_runs_1d(tmp_path):
+    assert main(SCAN + ["--out", str(tmp_path / "1d")]) == 0
+    assert main(SCAN[:1] + SCAN[3:] + ["--out", str(tmp_path / "default")]) == 0
+    for name in ("sweep.csv", "fit.json"):
+        assert (tmp_path / "1d" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+
+
+@pytest.mark.parametrize("error, code, label", [
+    (errors.ConfigError("bad key"), 2, "config error"),
+    (errors.PhysicsValidationError("not PSD"), 3, "physics validation error"),
+    (errors.CoincidentEmittersError(0, 1), 3, "physics validation error"),
+    (errors.SolverConvergenceError("gap open"), 4, "solver error"),
+    (errors.CertificateError("cap exceeded"), 4, "solver error"),
+    (errors.DivergentModeError("on the light line"), 2, "error"),
+    (errors.CorrdecayError("base"), 2, "error"),
+], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
+def test_exit_code_follows_the_error_class(tmp_path, capsys, monkeypatch, error, code, label):
+    # a command that wrote a file and then raised still gets its manifest
+    from corrdecay import cli
+
+    def failing(config, run):
+        run.path("partial.txt").write_text("written before the error\n")
+        raise error
+
+    monkeypatch.setitem(cli.COMMANDS, "kspace", (failing, "raises"))
+    out = tmp_path / "out"
+    assert main(_argv("kspace", MINIMAL["kspace"]) + ["--out", str(out)]) == code
+    assert capsys.readouterr().err == f"{label}: {error}\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == [str(out / "partial.txt")]
+
+
+def _readme_cli_lines():
+    """Every `corrdecay ...` command of the README's CLI block, continuations joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    text = block.replace("\\\n", " ")
+    return [line.split("#", 1)[0].split()[1:] for line in text.splitlines()
+            if line.startswith("corrdecay ")]
+
+
+def test_readme_cli_examples_parse():
+    # a renamed flag or a new required key fails here instead of leaving the README wrong
+    from corrdecay.cli import _merge_config
+
+    examples = _readme_cli_lines()
+    assert sorted(argv[0] for argv in examples) == sorted(SCHEMAS)
+    for argv in examples:
+        _merge_config(build_parser().parse_args(argv))
