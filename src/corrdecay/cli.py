@@ -109,7 +109,7 @@ SCHEMAS = {
                    "description": "low-rank ascent or dense projection reference "
                                   f"(N <= {PROJECTION_MAX_N})"},
         "rank": {"type": "integer", "minimum": 2,
-                 "description": f"starting rank (default {START_RANK})"},
+                 "description": f"starting rank, at most N (default min({START_RANK}, N))"},
         "max_iters": {"type": "integer", "minimum": 1, "default": MAX_ITERS,
                       "description": "iteration budget over all rounds"},
         "tol": {"type": "number", "exclusiveMinimum": 0, "default": DEFAULT_TOL,

@@ -12,8 +12,6 @@ import csv
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError
 
 H_PLANCK = 6.62607015e-34  # J s
@@ -166,14 +164,3 @@ def rydberg_report(inp: RydbergInput) -> RydbergReport:
         gate_error=gate_error,
         collective_mode=mode,
     )
-
-
-def exact_pair_array_gamma_max(positions_um: np.ndarray, wavelength_um: float,
-                               pol=(0.0, 0.0, 1.0)) -> float:
-    """Largest collective rate (units of the transition's gamma0) of an
-    explicit emitter layout at the dominant transition wavelength."""
-    from .coupling import build_coupling_from_positions
-    from .spectral import gamma_max_only
-
-    positions = np.asarray(positions_um, dtype=float) / wavelength_um
-    return gamma_max_only(build_coupling_from_positions(positions, pol))

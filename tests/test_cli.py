@@ -733,7 +733,20 @@ def test_sdp_nonconvergence_exit_code(tmp_path):
 def test_sdp_rank_help_names_the_start_rank():
     from corrdecay.sdp import START_RANK
 
-    assert f"default {START_RANK}" in SCHEMAS["sdp"]["rank"]["description"]
+    text = SCHEMAS["sdp"]["rank"]["description"]
+    assert f"default min({START_RANK}, N)" in text and "at most N" in text
+
+
+def test_sdp_rank_is_at_most_n(tmp_path, capsys):
+    # the N=4 chain starts, and stays, at rank min(8, 4); a start rank above N is refused
+    chain = ["sdp", "--dim", "1", "--n", "4", "--d", "0.4"]
+    assert main(chain + ["--out", str(tmp_path / "default")]) == 0
+    assert json.loads((tmp_path / "default" / "sdp.json").read_text())["rank"] == 4
+    capsys.readouterr()
+    out = tmp_path / "rank8"
+    assert main(chain + ["--rank", "8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: rank must be in [1, 4]\n"
+    assert not out.exists()
 
 
 Z_CHAIN = ["sdp", "--dim", "1", "--n", "200", "--d", "0.4", "--pol", "z"]
@@ -832,6 +845,18 @@ def test_cold_start_imports_no_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "coupling.csv").exists() and (tmp_path / "gamma" / "coupling.csv").exists()
     assert "scipy" not in json.loads((tmp_path / "gamma" / "manifest.json").read_text())["versions"]
+
+
+def test_import_loads_no_submodule():
+    # names are imported from their modules: the package itself holds only __version__
+    tomllib = pytest.importorskip("tomllib")
+    code = "import sys, corrdecay; print(sorted(m for m in sys.modules if m.startswith('corrdecay.')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert corrdecay.__version__ == tomllib.loads(pyproject)["project"]["version"]
 
 
 @pytest.mark.parametrize("command", sorted(SCHEMAS))
@@ -987,3 +1012,12 @@ def test_readme_cli_examples_parse():
     assert sorted(argv[0] for argv in examples) == sorted(SCHEMAS)
     for argv in examples:
         _merge_config(build_parser().parse_args(argv))
+
+
+def test_readme_package_layout_lists_every_module():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Package layout", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("`")[1] for line in section.splitlines() if line.startswith("| `corrdecay.")]
+    modules = [f"corrdecay.{path.stem}" for path in Path(corrdecay.__file__).parent.glob("*.py")
+               if path.stem != "__init__"]
+    assert sorted(rows) == sorted(modules)

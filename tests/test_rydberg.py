@@ -138,9 +138,11 @@ def test_thermal_nbar_rejects_invalid_input(args):
 
 
 def test_exact_pair_array_helper_matches_dicke_regime():
-    from corrdecay.rydberg import exact_pair_array_gamma_max
+    from corrdecay.coupling import build_coupling_from_positions
+    from corrdecay.spectral import gamma_max_only
 
-    # a compact cluster much smaller than the wavelength decays collectively
+    # a compact cluster much smaller than the wavelength decays collectively; positions
+    # in um over the dominant wavelength in um give gamma_max in units of its gamma0
     pos = np.array([[0, 0, 0], [2, 0, 0], [0, 2, 0], [2, 2, 0]], dtype=float)
-    gmax = exact_pair_array_gamma_max(pos, wavelength_um=1540.0)
+    gmax = gamma_max_only(build_coupling_from_positions(pos / 1540.0, (0, 0, 1)))
     assert abs(gmax - 4.0) < 1e-3
