@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import CouplingMatrices, _mirror_blocks, centrosymmetric, check_symmetric_matrix
+from .coupling import (PAIR_BLOCK, CouplingMatrices, _offset_matrix, centrosymmetric,
+                       check_symmetric_matrix)
 from .errors import CertificateError, ConfigError, SolverConvergenceError
 from .lattice import _rng
 
@@ -27,19 +28,30 @@ GAP_TOL = 1e-3  # largest certified relative gap of a converged result; above it
 GROWTH_SCALE = 0.5  # rms row norm of the columns added when the rank grows
 ROUND_TOL = 1e-10  # smallest objective gain that moves a spin in the rounding polish
 ROUND_MAX_SWEEPS = 500
+ROUND_BLOCK = 16  # spins whose fields the rounding polish takes from one product
 CAP_SLACK = 1e-6  # absolute excess over the analytic cap that a certificate forgives
 
 
 @dataclass
 class SdpProblem:
     """Zero-diagonal (each entry within 1e-12) symmetric n x n coupling matrix of the classical
-    XY objective, and the gamma0 of the coupling matrix it came from (for the rate estimates)."""
+    XY objective, and the gamma0 of the coupling matrix it came from (for the rate estimates).
 
-    gtilde: np.ndarray
+    table is Gtilde's offset table for an ordered array (coupling._offset_table with 0 at the
+    zero offset), else None. Only from_coupling sets it, with gtilde=None: the solvers read
+    Gtilde's rows from the table (_row_blocks), and gtilde is built from it
+    (coupling._offset_matrix) on first read and kept, as CouplingMatrices.gamma is.
+    """
+
+    gtilde: np.ndarray | None
     n: int
     gamma0: float = 1.0
+    table: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.gtilde is None and self.table is not None:
+            del self.gtilde  # built on first read (__getattr__)
+            return
         g = np.asarray(self.gtilde, dtype=float)
         if g.shape != (self.n, self.n):
             raise ConfigError("gtilde must be n x n")
@@ -48,8 +60,19 @@ class SdpProblem:
             raise ConfigError("gtilde must have zero diagonal (within 1e-12)")
         self.gtilde = g
 
+    def __getattr__(self, name):
+        # runs only for a missing attribute, as in CouplingMatrices.__getattr__
+        if name != "gtilde":
+            raise AttributeError(name)
+        self.gtilde = _offset_matrix(self.table)
+        return self.gtilde
+
     @classmethod
     def from_coupling(cls, mats: CouplingMatrices) -> "SdpProblem":
+        if mats.table is not None:
+            table = mats.table.copy()
+            table[tuple(s // 2 for s in table.shape)] = 0.0
+            return cls(gtilde=None, n=mats.n, gamma0=mats.gamma0, table=table)
         gt = mats.gamma.copy()
         np.fill_diagonal(gt, 0.0)
         return cls(gtilde=gt, n=mats.n, gamma0=mats.gamma0)
@@ -99,22 +122,96 @@ def _project_rows(v):
     return v / np.maximum(np.linalg.norm(v, axis=1), 1.0)[:, None]
 
 
-def _certificate(gtilde, v):
+def _row_blocks(problem, size):
+    """(a, rows a:a + len(rows) of Gtilde as a (rows, N) array) in order, at most size rows
+    each, read from gtilde or, when the problem has one, from the table, so that no N x N
+    array is built. With n sites per axis, lines[c][..., b] = table[..., n - 1 - c + b] is the
+    table seen from site c of the last axis, and the row of site (p, c), p its other
+    coordinates, is the window of lines[c] at n - 1 - p (coupling._table_view's rule), so a
+    block within one line of the last axis is one slice of lines. lines is a view of a chain's
+    table and, in D > 1 dimensions, a copy of 2^(D-1) N^(1 + 1/D) numbers, in which a 2D block
+    is a view."""
+    if problem.table is None:
+        for a in range(0, problem.n, size):
+            yield a, problem.gtilde[a:a + size]
+        return
+    t = problem.table
+    n = (t.shape[-1] + 1) // 2
+    windows = np.lib.stride_tricks.sliding_window_view(t, n, axis=-1)  # [.., s, b] = t[.., s + b]
+    lines = np.moveaxis(windows[..., ::-1, :], -2, 0)
+    if t.ndim > 1:
+        lines = np.ascontiguousarray(lines)
+    for line, p in enumerate(np.ndindex((n,) * (t.ndim - 1))):
+        window = tuple(slice(n - 1 - q, 2 * n - 1 - q) for q in p)
+        for c in range(0, n, size):
+            rows = lines[(slice(c, c + size),) + window]
+            yield line * n + c, rows.reshape(len(rows), -1)
+
+
+def _times(problem, v):
+    """Gtilde @ v, PAIR_BLOCK rows at a time (_row_blocks)."""
+    return np.concatenate([rows @ v for _, rows in _row_blocks(problem, PAIR_BLOCK)])
+
+
+def _folds(problem) -> bool:
+    """Whether Gtilde folds over the grid (N,) (N > 1): always with a table, which is even,
+    table(-m) = table(m), else when gtilde is centrosymmetric (coupling.centrosymmetric)."""
+    return problem.n > 1 and (problem.table is not None or centrosymmetric(problem.gtilde))
+
+
+def _parity_blocks(problem):
+    """The even and the odd parity block of a Gtilde that folds (_folds), one at a time:
+    bitwise coupling._mirror_blocks(gtilde, (N,)), with the middle site of an odd N in the even
+    block, built from PAIR_BLOCK rows at a time (_row_blocks). Each block holds about N^2/4
+    numbers."""
+    n = problem.n
+    for size, fold in (((n + 1) // 2, np.add), (n // 2, np.subtract)):
+        block = np.empty((size, size))
+        for a, rows in _row_blocks(problem, PAIR_BLOCK):
+            if a >= size:
+                break
+            rows = rows[:size - a]
+            fold(rows[:, :size], rows[:, ::-1][:, :size], out=block[a:a + len(rows)])
+        if n % 2 and fold is np.add:
+            h = n // 2  # the middle site, the last one kept
+            block[h, :h] *= np.sqrt(0.5)
+            block[:h, h] *= np.sqrt(0.5)
+            block[h, h] *= 0.5
+        yield block
+
+
+def _slack_blocks(problem, y):
+    """The parity blocks of S = Diag(y) - Gtilde/4, one at a time, for a Gtilde that folds and
+    a y constant on each mirror orbit {i, N-1-i}, so that S is centrosymmetric too."""
+    for block in _parity_blocks(problem):
+        block *= -0.25
+        block.flat[:: len(block) + 1] += y[:len(block)]
+        yield block
+
+
+def _certificate(problem, v):
     """(value, dual bound) of a factor V with rows ||v_i|| <= 1. With C = Gtilde/4,
     y_i = max(0, (C V V^T)_ii) and S = Diag(y) - C, the point y + max(0, -lambda_min(S)) is
-    dual feasible, so by weak duality sum(y) + N max(0, -lambda_min(S)) (one values-only
-    eigvalsh) bounds every (1/4) Tr(Gtilde X). The value sums the rows that y clips at 0 in
-    the same order, so value <= bound holds exactly."""
-    rows = 0.25 * np.einsum("ij,ij->i", gtilde @ v, v)
+    dual feasible, so by weak duality sum(y) + N max(0, -lambda_min(S)) bounds every
+    (1/4) Tr(Gtilde X), for any y >= 0. When Gtilde folds (_folds), y is first raised to its
+    maximum over each mirror orbit {i, N-1-i}, which makes S centrosymmetric: lambda_min(S) is
+    then the smaller minimum of its two parity blocks (_slack_blocks), one values-only eigvalsh
+    each, else one of S whole. The value sums the rows that y bounds from above in the same
+    order, so value <= bound holds exactly."""
+    rows = 0.25 * np.einsum("ij,ij->i", _times(problem, v), v)
     y = np.maximum(rows, 0.0)
-    s = -0.25 * gtilde
-    s.flat[:: len(y) + 1] += y
-    lam = float(np.linalg.eigvalsh(s)[0])
+    if _folds(problem):
+        y = np.maximum(y, y[::-1])
+        lam = min(float(np.linalg.eigvalsh(s)[0]) for s in _slack_blocks(problem, y) if s.size)
+    else:
+        s = -0.25 * problem.gtilde
+        s.flat[:: len(y) + 1] += y
+        lam = float(np.linalg.eigvalsh(s)[0])
     return float(rows.sum()), float(y.sum()) + len(y) * max(0.0, -lam)
 
 
 def _solution(problem, v, iterations, **extra):
-    value, dual = _certificate(problem.gtilde, v)
+    value, dual = _certificate(problem, v)
     return SdpSolution(
         value=value,
         dual_bound=dual,
@@ -136,42 +233,47 @@ def _settled(history, it, tol) -> bool:
     return max(window) - min(window) <= tol * max(1.0, abs(window[-1]))
 
 
-def _product(gtilde, r):
-    """product(v, out), which writes gtilde @ v into out for (N, r) factors v. An even-N
-    centrosymmetric gtilde (coupling.centrosymmetric), [[A, B J], [J B, J A J]] with J the
-    row reversal, multiplies through K = [(A + B)/2, (A - B)/2], its two parity blocks
-    (coupling._mirror_blocks over the grid (N,)) halved, reading N^2/2 numbers per product:
-    with W = [v1 + J v2, v1 - J v2] and R = K W, the top half is R0 + R1 and the
-    row-reversed bottom half is R0 - R1. Any other gtilde is one dense matmul."""
-    n = len(gtilde)
-    if n % 2 or not centrosymmetric(gtilde):
-        return lambda v, out: np.matmul(gtilde, v, out=out)
-    m = n // 2
-    k = np.empty((2, m, m))
-    for half, block in zip(k, _mirror_blocks(gtilde, (n,))):
-        np.multiply(block, 0.5, out=half)
-    w, res = np.empty((2, m, r)), np.empty((2, m, r))
+def _product(problem, r):
+    """product(v, out), which writes Gtilde @ v into out for (N, r) factors v. A Gtilde that
+    folds (_folds), [[A, B J], [J B, J A J]] with J the row reversal, multiplies through
+    K = [(A + B)/2, (A - B)/2], its two parity blocks (_parity_blocks) halved, reading N^2/2
+    numbers per product: with W = [v1 + J v2, v1 - J v2] and R = K W, the top half is R0 + R1
+    and the row-reversed bottom half is R0 - R1. At odd N the middle row of v enters W0, and
+    the middle row of the result leaves R0, scaled by sqrt2, which undoes the 1/sqrt2 of the
+    even block's middle row and column. Any other gtilde is one dense matmul."""
+    if not _folds(problem):
+        return lambda v, out: np.matmul(problem.gtilde, v, out=out)
+    h = problem.n // 2
+    e, root2 = problem.n - h, math.sqrt(2.0)  # e: the even block's size, h + 1 at odd N
+    k0, k1 = (np.multiply(block, 0.5, out=block) for block in _parity_blocks(problem))
+    w0, res0, w1, res1 = np.empty((e, r)), np.empty((e, r)), np.empty((h, r)), np.empty((h, r))
 
     def product(v, out):
-        top, bottom = v[:m], v[:m - 1:-1]  # bottom = J v2
-        np.add(top, bottom, out=w[0])
-        np.subtract(top, bottom, out=w[1])
-        np.matmul(k, w, out=res)
-        np.add(res[0], res[1], out=out[:m])
-        np.subtract(res[0], res[1], out=out[:m - 1:-1])
+        top, bottom = v[:h], v[:e - 1:-1]  # bottom = J v2
+        np.add(top, bottom, out=w0[:h])
+        np.subtract(top, bottom, out=w1)
+        if e > h:
+            np.multiply(v[h], root2, out=w0[h])
+        np.matmul(k0, w0, out=res0)
+        np.matmul(k1, w1, out=res1)
+        np.add(res0[:h], res1, out=out[:h])
+        np.subtract(res0[:h], res1, out=out[:e - 1:-1])
+        if e > h:
+            np.multiply(res0[h], root2, out=out[h])
 
     return product
 
 
-def _ascend(gtilde, v, max_iters, tol):
+def _ascend(problem, v, max_iters, tol):
     """Projected gradient ascent with Barzilai-Borwein steps on the factor, in place on
     buffers allocated once: each step is v <- rows of v + step * grad scaled onto the
-    unit ball, with one gtilde product (_product) per iteration."""
-    spectral_scale = max(float(np.abs(gtilde).sum(axis=1).max()), 1e-12)
+    unit ball, with one Gtilde product (_product) per iteration."""
+    row_sums = (np.abs(rows).sum(axis=1).max() for _, rows in _row_blocks(problem, PAIR_BLOCK))
+    spectral_scale = max(float(max(row_sums)), 1e-12)
     step_min, step_max = 1e-3 / spectral_scale, 1e6 / spectral_scale
     step = 1.0 / spectral_scale
     v = v.copy()  # the caller's start is not overwritten
-    product = _product(gtilde, v.shape[1])
+    product = _product(problem, v.shape[1])
     grad, v_new, grad_new, dv, dg = (np.empty_like(v) for _ in range(5))
     nrm = np.empty(len(v))
     product(v, grad)
@@ -225,7 +327,7 @@ def solve_low_rank(problem: SdpProblem, rank: int | None = None, seed: int = 0,
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     total_iters = rounds = 0
     while True:
-        v, iters = _ascend(problem.gtilde, v, max_iters - total_iters, tol)
+        v, iters = _ascend(problem, v, max_iters - total_iters, tol)
         total_iters += iters
         rounds += 1
         sol = _solution(problem, v, total_iters, rounds=rounds)
@@ -293,7 +395,9 @@ def round_to_product_state(solution: SdpSolution, problem: SdpProblem) -> Produc
     """Rank-2 rounding: project the factor onto its top-2 principal subspace,
     normalize each row to a planar unit spin, then polish by single-spin updates
     until no move improves the XY objective by more than ROUND_TOL (at most
-    ROUND_MAX_SWEEPS sweeps).
+    ROUND_MAX_SWEEPS sweeps). Each sweep visits the spins in order, ROUND_BLOCK at a
+    time: one product of the block's rows of Gtilde (_row_blocks) gives their fields, and
+    each move adds its change to the fields of the block's later spins.
 
     The rounded value is a feasible rank-2 point, so it never exceeds the SDP
     optimum and hence never exceeds solution.dual_bound. It can exceed
@@ -308,26 +412,36 @@ def round_to_product_state(solution: SdpSolution, problem: SdpProblem) -> Produc
     s[np.linalg.norm(s, axis=1) < 1e-12] = (1.0, 0.0)
     s /= np.linalg.norm(s, axis=1, keepdims=True)
 
-    gtilde = problem.gtilde
-    xy = np.ascontiguousarray(s.T)  # (2, N): one product per visited row
-    x, y = xy
-    rows = list(gtilde)
+    xy = np.ascontiguousarray(s.T)  # (2, N), for the field products
+    x, y = xy.tolist()  # the spins as the polish moves them
     for _ in range(ROUND_MAX_SWEEPS):
         improved = False
-        for i, row in enumerate(rows):
-            bx, by = (xy @ row).tolist()
-            nrm = math.hypot(bx, by)
-            if nrm < 1e-300:
-                continue
-            # moving spin i to b/|b| changes the objective by (|b| - s_i.b)/2
-            gain = 0.5 * (nrm - (x[i] * bx + y[i] * by))
-            if gain > ROUND_TOL:
-                x[i], y[i] = bx / nrm, by / nrm
-                improved = True
+        for a, rows in _row_blocks(problem, ROUND_BLOCK):
+            fx, fy = (xy @ rows.T).tolist()  # from the spins as they stand before the block
+            c, local = len(fx), None  # the block's own couplings, read at its first move
+            for k in range(c):
+                bx, by = fx[k], fy[k]
+                nrm = math.hypot(bx, by)
+                if nrm < 1e-300:
+                    continue
+                i = a + k
+                xi, yi = x[i], y[i]
+                # moving spin i to b/|b| changes the objective by (|b| - s_i.b)/2
+                if 0.5 * (nrm - (xi * bx + yi * by)) > ROUND_TOL:
+                    x[i], y[i] = bx / nrm, by / nrm
+                    dx, dy = x[i] - xi, y[i] - yi
+                    local = rows[:, a:a + c].tolist() if local is None else local
+                    lk = local[k]
+                    for j in range(k + 1, c):  # the block's later spins see the move
+                        fx[j] += lk[j] * dx
+                        fy[j] += lk[j] * dy
+                    improved = True
+            if local is not None:
+                xy[:, a:a + c] = x[a:a + c], y[a:a + c]
         if not improved:
             break
-    value = 0.25 * float(x @ (gtilde @ x) + y @ (gtilde @ y))
-    return ProductRounding(angles=np.arctan2(y, x), value=value)
+    value = 0.25 * float(np.vdot(_times(problem, xy.T), xy.T))
+    return ProductRounding(angles=np.arctan2(xy[1], xy[0]), value=value)
 
 
 def sdp_certificates(problem: SdpProblem, solution: SdpSolution, gamma_max: float,

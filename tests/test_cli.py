@@ -193,8 +193,8 @@ def test_negative_seed_is_taken_mod_2_64(tmp_path):
 def test_one_dense_eigensolve_per_command(tmp_path, monkeypatch, argv):
     # one gamma_eigensolve per command, of the N = 25 coupling, which solves the whole
     # 25 x 25 Gamma (unit diagonal) only on the disordered array: the ordered plane splits
-    # into four mirror blocks. sdp adds one values-only eigvalsh of its dual certificate per
-    # rank round.
+    # into four mirror blocks. sdp adds, per rank round, one values-only eigvalsh of each of
+    # its dual certificate's two parity blocks (13 and 12 rows).
     from corrdecay import cli, coupling, spectral
 
     solves, calls = [], []
@@ -210,14 +210,16 @@ def test_one_dense_eigensolve_per_command(tmp_path, monkeypatch, argv):
             if np.shape(a) == (25, 25):
                 kind = "gamma" if np.all(np.diag(a) == 1.0) else "certificate"
                 calls.append((_solve.__name__, kind))
+            elif np.shape(a) in ((13, 13), (12, 12)):
+                calls.append((_solve.__name__, len(a)))
             return _solve(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert solves == [25]
     assert sum(kind == "gamma" for _, kind in calls) == ("--eta" in argv), calls
     rounds = json.loads((tmp_path / "sdp.json").read_text())["rounds"] if argv[0] == "sdp" else 0
-    certificates = [call for call in calls if call[1] == "certificate"]
-    assert certificates == [("eigvalsh", "certificate")] * rounds, calls
+    certificates = [call for call in calls if call[1] != "gamma"]
+    assert certificates == [("eigvalsh", 13), ("eigvalsh", 12)] * rounds, calls
 
 
 @pytest.mark.parametrize("eta, solver", [(0.0, "mirror"), (0.05, "dense")])
@@ -572,6 +574,21 @@ def test_sdp_command(tmp_path):
     assert doc["rounded_product_value"] <= doc["value"] + 1e-6
     angles = (tmp_path / "product_angles.csv").read_text().splitlines()
     assert angles[0] == "phi" and len(angles) == 11
+
+
+@pytest.mark.parametrize("n", ["40", "41"])
+def test_sdp_of_a_chain_and_of_its_gamma_file_agree(tmp_path, n):
+    # the lattice's offset table and its dense gamma.bin fold the same way: same iterates,
+    # the same dual bound and the same rounding
+    chain = ["--dim", "1", "--n", n, "--d", "0.4", "--pol", "x"]
+    assert main(["gamma", *chain, "--output-format", "binary", "--out", str(tmp_path / "g")]) == 0
+    assert main(["sdp", *chain, "--out", str(tmp_path / "lattice")]) == 0
+    assert main(["sdp", "--gamma-file", str(tmp_path / "g" / "gamma.bin"),
+                 "--out", str(tmp_path / "file")]) == 0
+    lattice, file = (json.loads((tmp_path / run / "sdp.json").read_text())
+                     for run in ("lattice", "file"))
+    for key in ("value", "iterations", "dual_bound", "rounded_product_value"):
+        assert file[key] == pytest.approx(lattice[key], rel=1e-12, abs=0), key
 
 
 def test_exact_command(tmp_path):

@@ -1,3 +1,6 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,7 @@ from conftest import mats_from_gamma, random_unit_diag_psd
 from corrdecay import coupling
 from corrdecay.coupling import build_coupling_matrices
 from corrdecay.errors import CertificateError, ConfigError, PhysicsValidationError
-from corrdecay import sdp
+from corrdecay import sdp, spectral
 from corrdecay.lattice import LatticeSpec, generate_lattice
 from corrdecay.sdp import (
     DEFAULT_TOL,
@@ -207,11 +210,11 @@ def test_dual_bound_of_a_feasible_factor():
     prob = dicke_problem(4)
     v = np.random.default_rng(0).standard_normal((4, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    value, bound = sdp._certificate(prob.gtilde, v)
+    value, bound = sdp._certificate(prob, v)
     assert value == pytest.approx(0.25 * float(np.sum(v * (prob.gtilde @ v))), abs=1e-12)
     assert bound >= max(3.0, value)
     aligned = np.ones((4, 1))
-    assert sdp._certificate(prob.gtilde, aligned)[1] == pytest.approx(3.0, abs=1e-12)
+    assert sdp._certificate(prob, aligned)[1] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_certificate_violation_raises():
@@ -332,15 +335,15 @@ def test_value_and_rounding_below_dual_bound(n, seed):
 @given(n=st.integers(2, 60), r=st.integers(1, 16), centrosymmetric=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_parity_product_matches_dense(n, r, centrosymmetric, seed):
-    # the half-size product of an even-N centrosymmetric matrix is g @ v;
-    # odd N and any other symmetric matrix take the dense path
+    # the half-size product of a centrosymmetric matrix is g @ v at either parity of N;
+    # any other symmetric matrix takes the dense path
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, n))
     g += g.T
     if centrosymmetric:
         g += g[::-1, ::-1]
     v = rng.standard_normal((n, r))
-    product = sdp._product(g, r)
+    product = sdp._product(SimpleNamespace(gtilde=g, n=n, table=None), r)
     assert coupling.centrosymmetric(g) == centrosymmetric
     out = np.empty((n, r))
     product(v, out)
@@ -359,8 +362,108 @@ def test_parity_and_dense_ascents_take_the_same_iterates():
     perm = rng.permutation(60)
     g_perm = g[np.ix_(perm, perm)]
     assert coupling.centrosymmetric(g) and not coupling.centrosymmetric(g_perm)
-    best, iters = sdp._ascend(g, v0, 20000, DEFAULT_TOL)
-    best_perm, iters_perm = sdp._ascend(g_perm, v0[perm], 20000, DEFAULT_TOL)
+    best, iters = sdp._ascend(SdpProblem(gtilde=g, n=60), v0, 20000, DEFAULT_TOL)
+    best_perm, iters_perm = sdp._ascend(SdpProblem(gtilde=g_perm, n=60), v0[perm], 20000,
+                                        DEFAULT_TOL)
     assert np.array_equal(v0, start)  # the start is not overwritten
     assert iters == iters_perm < 20000  # both stopped by the span rule, at the same step
     np.testing.assert_allclose(best[perm], best_perm, rtol=0, atol=1e-9)
+
+
+X, Z, OBLIQUE = (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.6, 0.0, 0.8)
+
+
+def lattice_problem(dimension, n1, pol):
+    spec = LatticeSpec(dimension=dimension, n_per_axis=n1, spacing=0.4, polarization=pol)
+    mats = build_coupling_matrices(generate_lattice(spec))
+    return mats, SdpProblem.from_coupling(mats)
+
+
+@pytest.mark.parametrize("dimension, n1, pol", [
+    (1, 30, X), (1, 31, X), (1, 31, Z), (2, 6, Z), (2, 7, Z), (2, 6, OBLIQUE), (2, 7, OBLIQUE),
+    (3, 4, Z), (3, 3, OBLIQUE)])
+def test_table_product_matches_dense(dimension, n1, pol):
+    # the product of a table-backed problem, folded over (N,) from row blocks of the table,
+    # is Gtilde @ v of the dense Gtilde, and builds no Gtilde
+    mats, problem = lattice_problem(dimension, n1, pol)
+    g = SdpProblem.from_coupling(mats).gtilde
+    v = np.random.default_rng(n1).standard_normal((mats.n, 5))
+    out = np.empty_like(v)
+    sdp._product(problem, v.shape[1])(v, out)
+    assert "gtilde" not in vars(problem) and "gamma" not in vars(mats)
+    assert np.abs(out - g @ v).max() <= 1e-14 * (np.abs(g) @ np.abs(v)).max()
+
+
+@pytest.mark.parametrize("dimension, n1, pol", [
+    (1, 40, X), (1, 41, X), (2, 6, Z), (2, 7, OBLIQUE), (3, 3, Z)])
+def test_table_parity_blocks_equal_the_dense_ones(dimension, n1, pol):
+    # byte for byte coupling._mirror_blocks of the dense Gtilde over the grid (N,)
+    mats, problem = lattice_problem(dimension, n1, pol)
+    g = SdpProblem.from_coupling(mats).gtilde
+    pairs = zip(sdp._parity_blocks(problem), coupling._mirror_blocks(g, (mats.n,)), strict=True)
+    for block, reference in pairs:
+        assert block.shape == reference.shape and block.tobytes() == reference.tobytes()
+    assert "gtilde" not in vars(problem)
+
+
+@pytest.mark.parametrize("dimension, n1", [(1, 40), (1, 41), (2, 6), (2, 7)])
+def test_ordered_array_sdp_builds_no_dense_matrix(dimension, n1):
+    # solve, certificates and rounding of an ordered array read only its offset table
+    mats, problem = lattice_problem(dimension, n1, X if dimension == 1 else Z)
+    sol = solve_low_rank(problem, seed=0)
+    sdp_certificates(problem, sol, spectral.gamma_max_only(mats))
+    round_to_product_state(sol, problem)
+    assert sol.converged
+    assert "gamma" not in vars(mats) and "gtilde" not in vars(problem)
+
+
+def test_chain_solve_and_certificate_stay_below_one_dense_matrix():
+    # the 1D N=500 solve and its certificates peak below one N x N float64 array
+    solve_low_rank(lattice_problem(1, 4, X)[1])  # loads the modules the solve imports lazily
+    mats, problem = lattice_problem(1, 500, X)
+    gamma_max = spectral.gamma_max_only(mats)
+    tracemalloc.start()
+    try:
+        sol = solve_low_rank(problem, seed=0)
+        sdp_certificates(problem, sol, gamma_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.converged
+    assert peak < 8 * 500**2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(half=st.integers(1, 12), odd=st.booleans(), r=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_folded_certificate_is_a_dual_bound(half, odd, r, seed):
+    # a centrosymmetric zero-diagonal Gtilde: the certificate, with y maximized over the
+    # mirror orbits {i, N-1-i}, bounds every feasible factor and the reference solver's value
+    n = 2 * half + odd
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n))
+    g += g.T
+    g += g[::-1, ::-1]
+    np.fill_diagonal(g, 0.0)
+    problem = SdpProblem(gtilde=g, n=n)
+    assert sdp._folds(problem)
+    scale = 1e-12 * max(1.0, float(np.abs(g).sum()))
+
+    def feasible():
+        u = rng.standard_normal((n, r))
+        return u / np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1.0)
+
+    v = feasible()
+    value, bound = sdp._certificate(problem, v)
+    assert value == pytest.approx(0.25 * float(np.sum(v * (g @ v))), abs=scale)
+    assert bound >= value
+    for u in (feasible() for _ in range(5)):
+        assert bound >= 0.25 * float(np.sum(u * (g @ u))) - scale
+    assert bound >= solve_projection(problem).value - scale
+    # for y constant on each orbit the two blocks hold the spectrum of the dense S
+    y = rng.uniform(0.0, 2.0, n)
+    y = np.maximum(y, y[::-1])
+    folded = np.concatenate([np.linalg.eigvalsh(s) for s in sdp._slack_blocks(problem, y)])
+    dense = np.linalg.eigvalsh(np.diag(y) - 0.25 * g)
+    atol = 1e-12 * max(1.0, np.abs(dense).max())
+    np.testing.assert_allclose(np.sort(folded), dense, rtol=0, atol=atol)
